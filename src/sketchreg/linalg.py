@@ -59,7 +59,9 @@ def qr_thin(m: np.ndarray) -> QRFactors:
             f"qr_thin needs a tall matrix, got shape {m.shape}"
         )
     q, r = np.linalg.qr(m, mode="reduced")
-    tol = 1e-12 * np.linalg.norm(m)
+    # ||m||_F = ||r||_F; BLAS nrm2 scales its sum, so neither huge nor
+    # tiny entries overflow or underflow the tolerance.
+    tol = 1e-12 * scipy.linalg.norm(r.ravel(), check_finite=False)
     diag = np.diag(r)
     if np.any(np.abs(diag) < tol):
         raise RankDeficientError(
@@ -94,13 +96,23 @@ def next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
+# H_64 in Sylvester order; its top-left m x m block is H_m for every
+# power of two m <= 64, so it serves every level of fwht_inplace.
+_HADAMARD_BLOCK_BITS = 6
+_HADAMARD_BLOCK = scipy.linalg.hadamard(1 << _HADAMARD_BLOCK_BITS, dtype=np.float64)
+_HADAMARD_BLOCK.flags.writeable = False
+
+
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place orthonormal Walsh-Hadamard transform along axis 0.
 
     Applies H = H_n / sqrt(n) (H_n the +-1 Hadamard matrix in Sylvester
-    order) via the O(n log n) butterfly; no n x n matrix is formed. The
-    transform is an isometry and an involution. 2-D inputs are
-    transformed column by column.
+    order) in O(n log n) work; no n x n matrix is formed. Sylvester order
+    factors H_n = H_{m_1} (x) ... (x) H_{m_L} into Kronecker factors of
+    at most 64 rows, and each factor is applied as one batched matrix
+    product against ``v.reshape(outer, m, rest)``, alternating between
+    ``v`` and a single scratch buffer. The transform is an isometry and
+    an involution. 2-D inputs are transformed column by column.
 
     Raises NotPowerOfTwoError unless len(v) is a power of two.
     """
@@ -109,16 +121,19 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         raise NotPowerOfTwoError(f"length {n} is not a power of two")
     if v.dtype != np.float64 or not v.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a C-contiguous float64 array")
-    cols = v.shape[1:]
-    h = 1
-    while h < n:
-        blocks = v.reshape(n // (2 * h), 2, h, *cols)
-        top = blocks[:, 0] + blocks[:, 1]
-        bottom = blocks[:, 0] - blocks[:, 1]
-        blocks[:, 0] = top
-        blocks[:, 1] = bottom
-        h *= 2
-    v *= 1.0 / np.sqrt(n)
+    bits = n.bit_length() - 1
+    levels = -(-bits // _HADAMARD_BLOCK_BITS)
+    src, dst = v, np.empty_like(v)
+    outer = 1
+    for level in range(levels):
+        # Near-equal factor sizes minimise the total work n * sum(m_i).
+        m = 1 << (bits // levels + (level < bits % levels))
+        rest = v.size // (outer * m)
+        np.matmul(_HADAMARD_BLOCK[:m, :m], src.reshape(outer, m, rest),
+                  out=dst.reshape(outer, m, rest))
+        src, dst = dst, src
+        outer *= m
+    np.multiply(src, 1.0 / np.sqrt(n), out=v)
     return v
 
 

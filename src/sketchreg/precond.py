@@ -48,9 +48,9 @@ def build_r(a: np.ndarray, sk: SketchOperator) -> np.ndarray:
 
 def hadamard_flatten(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Apply H . diag(signs) columnwise, zero padding m to len(signs) rows."""
-    n_pad = signs.shape[0]
-    out = np.zeros((n_pad, m.shape[1]) if m.ndim == 2 else n_pad)
-    out[: m.shape[0]] = signs[: m.shape[0], None] * m if m.ndim == 2 else signs[: m.shape[0]] * m
+    n = m.shape[0]
+    out = np.zeros((signs.shape[0],) + m.shape[1:])
+    np.multiply(m, signs[:n, None] if m.ndim == 2 else signs[:n], out=out[:n])
     return fwht_inplace(out)
 
 

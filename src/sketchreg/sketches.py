@@ -109,11 +109,18 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
     if sk.kind == "identity":
         out = m[: sk.s].copy()
     elif sk.kind == "countsketch":
-        out = np.zeros((sk.s, m.shape[1]))
-        np.add.at(out, sk.buckets, sk.signs[:, None] * m)
+        # Imported here so that processes which never apply a
+        # CountSketch do not pay scipy.sparse's start-up time and memory.
+        # Column i holds signs[i] in row buckets[i]; the product adds
+        # rows into their buckets in row order, exactly as np.add.at.
+        import scipy.sparse
+
+        s_mat = scipy.sparse.csc_matrix(
+            (sk.signs, sk.buckets, np.arange(sk.n + 1)), shape=(sk.s, sk.n))
+        out = s_mat @ m
     elif sk.kind == "srht":
         padded = np.zeros((sk.n_pad, m.shape[1]))
-        padded[: sk.n] = sk.signs[: sk.n, None] * m
+        np.multiply(m, sk.signs[: sk.n, None], out=padded[: sk.n])
         fwht_inplace(padded)
         out = np.sqrt(sk.n_pad / sk.s) * padded[sk.rows]
     else:  # gaussian, N(0, 1/s) entries streamed in row blocks

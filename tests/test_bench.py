@@ -206,7 +206,8 @@ class TestRunExperiment:
                                                 record_every=1), f_star=f_star)
         hit = iterations_to_target(rep, 1e-6)
         assert hit is not None and 0 < hit <= 40
-        assert iterations_to_target(rep, 0.0) in (None, 0) or True
+        exact = [p.iteration for p in rep.trace if p.relative_error <= 0.0]
+        assert iterations_to_target(rep, 0.0) == (exact[0] if exact else None)
 
     def test_pwgrad_beats_fresh_ihs_at_equal_wall_budget(self):
         # Fresh IHS pays a sketch + QR every iteration; pwGradient reuses

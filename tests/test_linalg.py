@@ -46,6 +46,19 @@ class TestQrThin:
         with pytest.raises(RankDeficientError):
             qr_thin(np.hstack([col, 2.0 * col]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, scale):
+        # The rank tolerance scales with the input; it must neither
+        # overflow (1e200) nor underflow (1e-200).
+        m = np.random.default_rng(4).standard_normal((40, 5))
+        expected = qr_thin(m).r
+        _, r = qr_thin(scale * m)
+        np.testing.assert_allclose(r / scale, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+        col = np.arange(6.0)[:, None]
+        with pytest.raises(RankDeficientError):
+            qr_thin(scale * np.hstack([col, 2.0 * col]))
+
 
 class TestTriSolve:
     def test_identity(self):
@@ -74,6 +87,22 @@ class TestTriSolve:
             tri_solve(r, np.ones(2))
 
 
+def butterfly_fwht(v: np.ndarray) -> np.ndarray:
+    """Reference radix-2 butterfly (in place, orthonormal, along axis 0)."""
+    n = v.shape[0]
+    cols = v.shape[1:]
+    h = 1
+    while h < n:
+        blocks = v.reshape(n // (2 * h), 2, h, *cols)
+        top = blocks[:, 0] + blocks[:, 1]
+        bottom = blocks[:, 0] - blocks[:, 1]
+        blocks[:, 0] = top
+        blocks[:, 1] = bottom
+        h *= 2
+    v *= 1.0 / np.sqrt(n)
+    return v
+
+
 class TestFwht:
     def test_pair(self):
         np.testing.assert_allclose(fwht([1.0, 1.0]), [np.sqrt(2.0), 0.0], atol=1e-15)
@@ -81,12 +110,19 @@ class TestFwht:
     def test_impulse_n4(self):
         np.testing.assert_allclose(fwht([1.0, 0.0, 0.0, 0.0]), [0.5] * 4, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 64])
+    # n > 64 takes two (128, 4096) or three (8192) Kronecker levels.
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 128, 4096, 8192])
     def test_matches_dense_hadamard(self, n):
         rng = np.random.default_rng(n)
-        v = rng.standard_normal(n)
         dense = scipy.linalg.hadamard(n) / np.sqrt(n)
-        np.testing.assert_allclose(fwht(v), dense @ v, atol=1e-12)
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            np.testing.assert_allclose(fwht(v), dense @ v, atol=1e-12)
+
+    def test_matches_butterfly_large(self):
+        v = np.random.default_rng(17).standard_normal((2**17, 3))
+        expected = butterfly_fwht(v.copy())
+        got = fwht_inplace(v.copy())
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(v))
 
     def test_matrix_columns(self):
         rng = np.random.default_rng(3)
@@ -122,6 +158,11 @@ class TestFwht:
         v = np.array([1.0, 1.0])
         out = fwht_inplace(v)
         assert out is v
+
+    @pytest.mark.parametrize("v", [np.ones((4, 2))[:, 0], np.ones(4, dtype=np.float32)])
+    def test_inplace_rejects_strided_or_non_float64(self, v):
+        with pytest.raises(ValueError):
+            fwht_inplace(v)
 
 
 class TestConditionNumber:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,6 +76,20 @@ class TestApply:
         dense = np.sqrt(8.0 / 4.0) * (h @ np.diag(sk.signs))[sk.rows]
         np.testing.assert_allclose(apply(sk, m), dense @ m, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    @pytest.mark.parametrize("s", [3, 50, 400])
+    def test_countsketch_matches_add_at(self, shape, s):
+        # Reference: scatter-add each signed row into its bucket in row
+        # order. 500 rows into 400 buckets leave about a quarter empty.
+        sk = make_sketch("countsketch", s, 500, seed=s)
+        if s == 400:
+            assert np.unique(sk.buckets).size < s
+        m = np.random.default_rng(s).standard_normal((500, *shape))
+        expected = np.zeros((s, *shape))
+        signs = sk.signs[:, None] if shape else sk.signs
+        np.add.at(expected, sk.buckets, signs * m)
+        assert np.array_equal(apply(sk, m), expected)
+
     def test_countsketch_maps_basis_vectors(self):
         sk = make_sketch("countsketch", 5, 20, seed=9)
         for i in range(20):
@@ -116,3 +135,15 @@ def test_default_sizes_scale_with_d():
     assert default_sketch_size("gaussian", 20) == 160
     assert default_sketch_size("srht", 20) >= 160
     assert default_sketch_size("countsketch", 20) == 420
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # scipy.sparse is imported only when a CountSketch is applied.
+    import sketchreg
+
+    src = str(Path(sketchreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sketchreg.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
