@@ -38,6 +38,7 @@ from .solvers import (
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs,
+    ihs_fixed,
     plain_sgd_baseline,
     pw_gradient,
     sgd_step_size,

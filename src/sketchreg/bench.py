@@ -1,6 +1,7 @@
 """Benchmark harness: synthetic data with a prescribed condition number,
-CSV ingestion, ground-truth solves, the relative-error metric, and
-multi-seed experiment orchestration."""
+CSV ingestion, ground-truth solves, and multi-seed experiment
+orchestration. The relative-error metric is ``solvers.relative_error``,
+re-exported here."""
 
 import csv
 from dataclasses import dataclass, field, replace
@@ -8,15 +9,17 @@ from statistics import median
 
 import numpy as np
 
-from .errors import (
-    CsvParseError,
-    DegenerateOptimumError,
-    OracleDisagreementError,
-    RaggedRowsError,
-)
+from .errors import CsvParseError, OracleDisagreementError, RaggedRowsError
 from .feasible import FeasibleSet, project_euclidean
 from .linalg import qr_thin, tri_solve
-from .solvers import SOLVERS, SolveReport, SolverConfig, objective_value, pw_gradient
+from .solvers import (
+    SOLVERS,
+    SolveReport,
+    SolverConfig,
+    objective_value,
+    pw_gradient,
+    relative_error,
+)
 
 __all__ = [
     "DatasetSpec",
@@ -25,8 +28,6 @@ __all__ = [
     "make_feasible_set",
     "ground_truth",
     "relative_error",
-    "negative_error_count",
-    "reset_negative_error_count",
     "iterations_to_target",
     "run_experiment",
     "load_csv",
@@ -36,10 +37,6 @@ __all__ = [
 
 TRACE_HEADER = ["solver", "seed", "iteration", "elapsed_seconds",
                 "objective", "relative_error"]
-
-# Count of negative relative errors clipped to zero (float fuzz below
-# the oracle optimum); reset via reset_negative_error_count().
-_negative_clips = 0
 
 
 @dataclass(frozen=True)
@@ -84,31 +81,6 @@ def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     planted = rng.standard_normal(d)
     b = a @ planted + spec.noise_std * rng.standard_normal(n)
     return a, b, planted
-
-
-def relative_error(f_x: float, f_star: float) -> float:
-    """(f(x) - f(x*)) / f(x*), clipped at zero.
-
-    Raises DegenerateOptimumError when f_star is ~0 (noiseless data);
-    negative quotients (float fuzz) are clipped and counted.
-    """
-    global _negative_clips
-    if f_star <= 1e-14:
-        raise DegenerateOptimumError(f"optimal objective {f_star:.3e} is ~0")
-    quotient = (f_x - f_star) / f_star
-    if quotient < 0.0:
-        _negative_clips += 1
-        return 0.0
-    return quotient
-
-
-def negative_error_count() -> int:
-    return _negative_clips
-
-
-def reset_negative_error_count() -> None:
-    global _negative_clips
-    _negative_clips = 0
 
 
 def solve_unconstrained_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,8 +147,6 @@ class ExperimentResult:
     """Multi-seed, multi-solver comparison against one ground truth."""
 
     f_star: float
-    sketch_sizes: dict[str, int | None]
-    dataset: DatasetSpec | None
     runs: dict[str, list[tuple[int, SolveReport]]] = field(default_factory=dict)
 
     def best(self, solver: str) -> SolveReport:
@@ -189,19 +159,15 @@ class ExperimentResult:
 
 def run_experiment(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                    solver_configs: dict[str, SolverConfig],
-                   seeds=tuple(range(10)), f_star: float | None = None,
-                   dataset: DatasetSpec | None = None) -> ExperimentResult:
+                   seeds=tuple(range(10)),
+                   f_star: float | None = None) -> ExperimentResult:
     """Run each configured solver once per seed against a shared ground
     truth; keeps every run so callers can take best-of or medians."""
     if not solver_configs:
         raise ValueError("no solvers configured")
     if f_star is None:
         _, f_star = ground_truth(a, b, w)
-    result = ExperimentResult(
-        f_star=f_star,
-        sketch_sizes={name: cfg.sketch_size for name, cfg in solver_configs.items()},
-        dataset=dataset,
-    )
+    result = ExperimentResult(f_star=f_star)
     for name, cfg in solver_configs.items():
         solver_key = name.split("@")[0]  # allow e.g. "hdpwbatch@r=2" aliases
         solve = SOLVERS[solver_key]

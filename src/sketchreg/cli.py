@@ -15,28 +15,22 @@ import yaml
 
 from . import bench
 from .errors import (
-    CsvParseError,
     DegenerateOptimumError,
-    DimensionMismatchError,
     EpochBudgetError,
     InnerSolverStallError,
     OracleDisagreementError,
     RankDeficientError,
     SingularFactorError,
     SketchRegError,
-    SketchSizeError,
-    UnboundedSetError,
 )
 from .linalg import condition_number, tri_solve
 from .precond import build_hd, build_r, row_norm_spread
 from .sketches import embedding_distortion, make_sketch
-from .solvers import SOLVERS, SolverConfig
+from .solvers import SOLVERS, SolverConfig, resolve_sketch_size
 
 DEFAULT_SEED = 1729
 
-_INPUT_ERRORS = (CsvParseError, DimensionMismatchError, SketchSizeError,
-                 UnboundedSetError, FileNotFoundError, IsADirectoryError,
-                 PermissionError, OSError, ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 _NUMERICAL_ERRORS = (RankDeficientError, SingularFactorError,
                      InnerSolverStallError, EpochBudgetError,
                      OracleDisagreementError, DegenerateOptimumError)
@@ -73,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="step size (float or 'auto'; pwgrad auto = 1/2)")
     solve.add_argument("--epochs", type=int, default=8)
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--fixed-sketch", action="store_true",
-                       help="ihs only: reuse one sketch instead of fresh per iteration")
     solve.add_argument("--diameter-bound", type=float, default=None,
                        help="norm bound standing in for D_W on unconstrained runs")
     solve.add_argument("--record-every", type=int, default=None)
@@ -129,7 +121,7 @@ def _parse_eta(raw) -> float | str:
         raise ValueError(f"--eta must be a number or 'auto', got {raw!r}") from None
 
 
-def _resolve_size(raw, n: int, d: int, kind: str) -> int | None:
+def _resolve_size(raw, n: int, kind: str) -> int | None:
     if raw is None:
         return None
     s = int(raw)
@@ -158,7 +150,6 @@ def _load_problem(args):
 
 def cmd_solve(args) -> int:
     a, b, w = _load_problem(args)
-    n, d = a.shape
     cfg = SolverConfig(
         iterations=args.iters,
         batch_size=args.batch,
@@ -167,17 +158,12 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         record_every=args.record_every,
         sketch_kind=args.sketch,
-        sketch_size=_resolve_size(args.sketch_size, n, d, args.sketch),
+        sketch_size=_resolve_size(args.sketch_size, a.shape[0], args.sketch),
         diameter_bound=args.diameter_bound,
     )
     _, f_star = bench.ground_truth(a, b, w, seed=args.seed)
-    solve = SOLVERS[args.solver]
     tic = time.perf_counter()
-    if args.solver == "ihs":
-        report = solve(a, b, w, cfg, fresh_sketch_per_iter=not args.fixed_sketch,
-                       f_star=f_star)
-    else:
-        report = solve(a, b, w, cfg, f_star=f_star)
+    report = SOLVERS[args.solver](a, b, w, cfg, f_star=f_star)
     wall = time.perf_counter() - tic
     if args.trace_out:
         bench.write_trace_csv(args.trace_out, [(report.solver, args.seed, report)])
@@ -224,21 +210,18 @@ def cmd_bench(args) -> int:
 
     if cfg["data"]:
         a, b = bench.load_csv(cfg["data"])
-        dataset = None
     else:
-        dataset = bench.DatasetSpec(n=cfg["n"], d=cfg["d"], target_kappa=cfg["kappa"],
-                                    noise_std=cfg["noise_std"], seed=cfg["seed"],
-                                    constraint=cfg["constraint"])
-        a, b, _ = bench.gen_synthetic(dataset)
+        a, b, _ = bench.gen_synthetic(bench.DatasetSpec(
+            n=cfg["n"], d=cfg["d"], target_kappa=cfg["kappa"], noise_std=cfg["noise_std"],
+            seed=cfg["seed"], constraint=cfg["constraint"]))
     w = bench.make_feasible_set(a, b, cfg["constraint"], cfg["radius_scale"])
     _, f_star = bench.ground_truth(a, b, w, seed=cfg["seed"])
 
-    n, d = a.shape
     base = SolverConfig(
         iterations=cfg["iters"], batch_size=cfg["batch"],
         step_size=_parse_eta(cfg["eta"]), epochs=cfg["epochs"],
         sketch_kind=cfg["sketch"],
-        sketch_size=_resolve_size(cfg["sketch_size"], n, d, cfg["sketch"]),
+        sketch_size=_resolve_size(cfg["sketch_size"], a.shape[0], cfg["sketch"]),
     )
     configs: dict[str, SolverConfig] = {name: base for name in cfg["solvers"]}
     if cfg["batch_sweep"]:
@@ -247,8 +230,7 @@ def cmd_bench(args) -> int:
                 base, batch_size=r, iterations=max(1, cfg["iters"] // r))
 
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
-    result = bench.run_experiment(a, b, w, configs, seeds=seeds, f_star=f_star,
-                                  dataset=dataset)
+    result = bench.run_experiment(a, b, w, configs, seeds=seeds, f_star=f_star)
 
     target = cfg["target"]
     print(f"f* = {f_star:.12e}")
@@ -282,13 +264,9 @@ def cmd_diag(args) -> int:
     a, b = bench.load_csv(args.data)
     n, d = a.shape
     kind = args.sketch
-    if args.sketch_size is not None:
-        s = _resolve_size(args.sketch_size, n, d, kind)
-    elif kind == "identity":
-        s = n
-    else:
-        from .sketches import default_sketch_size
-        s = min(default_sketch_size(kind, d), n - 1)
+    s = resolve_sketch_size(SolverConfig(
+        sketch_kind=kind, sketch_size=_resolve_size(args.sketch_size, n, kind)),
+        n, d, high_precision=False)
     sk = make_sketch(kind, s, n, args.seed)
     r = build_r(a, sk)
     u = tri_solve(r, a.T, transposed=True).T

@@ -24,13 +24,11 @@ class Preconditioner:
     """Outputs of the two preconditioning steps.
 
     ``r_factor`` is the d x d upper-triangular factor with A R^-1 well
-    conditioned; ``hd_signs`` the +-1 diagonal used by the Hadamard
-    stage; ``hda``/``hdb`` the transformed (zero padded to ``n_pad``
-    rows) matrix and right-hand side.
+    conditioned; ``hda``/``hdb`` the Hadamard-transformed (zero padded
+    to ``n_pad`` rows) matrix and right-hand side.
     """
 
     r_factor: np.ndarray = field(repr=False)
-    hd_signs: np.ndarray = field(repr=False)
     n_pad: int = 0
     hda: np.ndarray | None = field(default=None, repr=False)
     hdb: np.ndarray | None = field(default=None, repr=False)
@@ -60,7 +58,7 @@ def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
     Rows are zero padded up to the next power of two (padding rows add
     nothing to the objective, so the minimizer is unchanged).
 
-    Returns (hd_signs, hda, hdb, n_pad).
+    Returns (signs, hda, hdb, n_pad).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -90,8 +88,8 @@ def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
         except SketchSizeError:
             raise RankDeficientError("sketch lost rank and cannot grow further")
         r = build_r(a, sk)
-    signs, hda, hdb, n_pad = build_hd(a, b, seed)
-    return Preconditioner(r_factor=r, hd_signs=signs, n_pad=n_pad, hda=hda, hdb=hdb)
+    _, hda, hdb, n_pad = build_hd(a, b, seed)
+    return Preconditioner(r_factor=r, n_pad=n_pad, hda=hda, hdb=hdb)
 
 
 def row_norm_spread(row_norms: np.ndarray, c: float = 10.0) -> tuple[float, float]:

@@ -8,10 +8,11 @@ Four preconditioned methods plus one baseline:
   stochastic gradient with geometric error halving across epochs.
 * ``pw_gradient``       -- one sketch, full-gradient R-metric descent;
   linearly convergent for the high precision regime.
-* ``ihs``               -- the iterative-Hessian-sketch baseline; with a
-  fixed sketch and unit step it reproduces pw_gradient at eta = 1/2.
+* ``ihs``               -- the iterative-Hessian-sketch baseline, a fresh
+  sketch per iteration; ``ihs_fixed`` keeps one sketch and reproduces
+  pw_gradient at eta = 1/2.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
-  problem, for comparison runs.
+  problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
 
 All solvers are deterministic given the config seed: independent RNG
 streams are derived for the sketch, the Hadamard signs, the sampled
@@ -19,16 +20,21 @@ batch indices, and the auto step-size estimators.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EpochBudgetError, UnboundedSetError
+from .errors import (
+    DegenerateOptimumError,
+    DimensionMismatchError,
+    EpochBudgetError,
+    UnboundedSetError,
+)
 from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidean
 from .linalg import qr_thin, tri_solve
 from .precond import Preconditioner, build_preconditioner
-from .sketches import apply, default_sketch_size, make_sketch
+from .sketches import KINDS, apply, default_sketch_size, make_sketch
 
 __all__ = [
     "SolverConfig",
@@ -40,9 +46,12 @@ __all__ = [
     "hd_pw_acc_batch_sgd",
     "pw_gradient",
     "ihs",
+    "ihs_fixed",
     "plain_sgd_baseline",
     "batch_index_stream",
+    "resolve_sketch_size",
     "objective_value",
+    "relative_error",
     "SOLVERS",
 ]
 
@@ -90,6 +99,14 @@ class SolverConfig:
             raise ValueError("batch_size must be >= 1")
         if not isinstance(self.step_size, str) and self.step_size <= 0.0:
             raise ValueError("explicit step_size must be > 0")
+        for name in ("step_size", "sigma2", "v0"):
+            value = getattr(self, name)
+            if isinstance(value, str) and value != "auto":
+                raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValueError("record_every must be >= 1 (None picks the default)")
+        if self.sketch_kind not in KINDS:
+            raise ValueError(f"unknown sketch_kind {self.sketch_kind!r}; pick one of {KINDS}")
 
 
 class TracePoint(NamedTuple):
@@ -126,10 +143,17 @@ def objective_value(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _rel_err(f: float, f_star: float | None) -> float:
+def relative_error(f_x: float, f_star: float | None) -> float:
+    """(f(x) - f(x*)) / f(x*), clipped at zero (float fuzz can put f(x)
+    just below the oracle optimum); NaN when f_star is None.
+
+    Raises DegenerateOptimumError when f_star is ~0 (noiseless data).
+    """
     if f_star is None:
         return float("nan")
-    return max((f - f_star) / f_star, 0.0)
+    if f_star <= 1e-14:
+        raise DegenerateOptimumError(f"optimal objective {f_star:.3e} is ~0")
+    return max((f_x - f_star) / f_star, 0.0)
 
 
 def sgd_step_size(L: float, d_w: float, T: int, sigma2: float) -> float:
@@ -138,11 +162,6 @@ def sgd_step_size(L: float, d_w: float, T: int, sigma2: float) -> float:
     if sigma2 <= 0.0:
         return cap
     return min(cap, float(np.sqrt(d_w * d_w / (2.0 * T * sigma2))))
-
-
-def acc_momentum_weight(t: int) -> float:
-    """Averaging weight of the accelerated inner recursion: 2/(t+1)."""
-    return 2.0 / (t + 1.0)
 
 
 def acc_epoch_schedule(L: float, mu: float, sigma2: float, v0: float,
@@ -200,8 +219,11 @@ def _start_point(cfg: SolverConfig, d: int) -> np.ndarray:
     return x0
 
 
-def _resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
-                         high_precision: bool) -> int:
+def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
+                        high_precision: bool) -> int:
+    """Sketch rows a solver uses on an n x d problem: ``cfg.sketch_size``
+    if set, else the default for its kind (larger for the full-gradient
+    high-precision methods), kept between d + 1 and n - 1."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
     if cfg.sketch_kind == "identity":
@@ -276,19 +298,117 @@ def _stochastic_smoothness(rows: np.ndarray, r_factor: np.ndarray | None) -> flo
     return 2.0 * rows.shape[0] * float(np.max(np.sum(rows**2, axis=1)))
 
 
-def _auto_eta(cfg: SolverConfig, w: FeasibleSet, L: float,
-              sigma2_batch: float, l_stoch: float, r: int) -> float:
+def _sigma2(cfg: SolverConfig, rows: np.ndarray, rhs: np.ndarray,
+            r_factor: np.ndarray | None, x0: np.ndarray) -> float:
+    if cfg.sigma2 != "auto":
+        return float(cfg.sigma2)
+    return _sampled_gradient_variance(rows, rhs, r_factor, x0, cfg.seed)
+
+
+def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, a: np.ndarray, rows: np.ndarray,
+             rhs: np.ndarray, r_factor: np.ndarray | None) -> float:
+    """Explicit ``step_size``, or the auto rule on the sampled problem
+    (rows, rhs) measured in the metric of ``r_factor``."""
+    if cfg.step_size != "auto":
+        return float(cfg.step_size)
+    r = cfg.batch_size
+    L, _ = _smoothness_bounds(a, r_factor, cfg.seed)
+    sigma2 = _sigma2(cfg, rows, rhs, r_factor, _start_point(cfg, a.shape[1]))
     # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))), additionally
     # capped for stochastic stability: with L the full-gradient
     # smoothness alone, single-row steps are wildly unstable (the
     # per-row smoothness L_stoch >> L). A batch of r rows concentrates
     # toward the full Hessian, so the cap relaxes as 1/(L_stoch/r + L).
-    cap = min(1.0 / (2.0 * L), 1.0 / (l_stoch / r + L))
+    cap = min(1.0 / (2.0 * L), 1.0 / (_stochastic_smoothness(rows, r_factor) / r + L))
     try:
         d_w = diameter_param(w, cfg.diameter_bound)
     except UnboundedSetError:
         return cap
-    return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2_batch))
+    return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2 / r))
+
+
+def _precondition(a: np.ndarray, b: np.ndarray,
+                  cfg: SolverConfig) -> tuple[Preconditioner, float]:
+    """Both preconditioning steps at the SGD sketch size, and their time."""
+    n, d = a.shape
+    tic = time.perf_counter()
+    pre = build_preconditioner(
+        a, b, cfg.sketch_kind, resolve_sketch_size(cfg, n, d, False), cfg.seed
+    )
+    return pre, time.perf_counter() - tic
+
+
+class _Recorder:
+    """Trace, stop rules and time budget shared by every solver loop.
+
+    The clock starts at construction; ``stop`` traces a point when its
+    iteration is due and applies ``max_seconds``, ``stop_below_rel`` and
+    (given the previous objective) ``objective_tol``; ``report`` adds the
+    final point when the loop ended between due iterations.
+    """
+
+    def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
+                 dense: bool = False):
+        self.cfg = cfg
+        self.f_star = f_star
+        # Full-gradient loops get each objective for free and trace every
+        # iteration by default; SGD loops pay O(nd) a point and trace ~512.
+        self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
+        self.trace = [TracePoint(0, 0.0, f0, relative_error(f0, f_star))]
+        self.start = time.perf_counter()
+
+    def due(self, t: int) -> bool:
+        return t % self.every == 0 or t == self.cfg.iterations
+
+    def stop(self, t: int, f: float, f_prev: float | None = None) -> bool:
+        cfg = self.cfg
+        elapsed = time.perf_counter() - self.start
+        rel = relative_error(f, self.f_star)
+        if self.due(t):
+            self.trace.append(TracePoint(t, elapsed, f, rel))
+        return ((f_prev is not None and cfg.objective_tol is not None
+                 and f_prev - f <= cfg.objective_tol * max(f, 1.0))
+                or (cfg.max_seconds is not None and elapsed > cfg.max_seconds)
+                or (cfg.stop_below_rel is not None and rel <= cfg.stop_below_rel))
+
+    def report(self, solver: str, ran: int, x: np.ndarray, x_avg: np.ndarray,
+               pre_seconds: float, final_objective) -> SolveReport:
+        """The run's report; ``final_objective()`` is only evaluated when
+        iteration ``ran`` is not traced yet."""
+        if self.trace[-1].iteration != ran:
+            f = final_objective()
+            self.trace.append(TracePoint(ran, time.perf_counter() - self.start, f,
+                                         relative_error(f, self.f_star)))
+        return SolveReport(solver=solver, trace=self.trace, final_x=x, final_x_avg=x_avg,
+                           iterations_run=ran, preconditioning_seconds=pre_seconds)
+
+
+def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | None,
+               rows: np.ndarray, rhs: np.ndarray, step, solver: str,
+               pre_seconds: float) -> SolveReport:
+    """Shared loop of hdpwbatch and sgd: T updates x <- step(x, v, scale)
+    on i.i.d. uniform batches of ``batch_size`` rows of (rows, rhs), where
+    scale * v is the unbiased batch gradient. The trace follows the
+    averaged iterate."""
+    m, r = rows.shape[0], cfg.batch_size
+    scale = 2.0 * m / r
+    x = _start_point(cfg, a.shape[1])
+    x_sum = np.zeros_like(x)
+    indices = batch_index_stream(cfg.seed, m, r)
+    rec = _Recorder(cfg, f_star, objective_value(a, b, x))
+    ran = 0
+    for t in range(1, cfg.iterations + 1):
+        idx = next(indices)
+        batch = rows[idx]
+        resid = batch @ x - rhs[idx]
+        x = step(x, batch.T @ resid, scale)
+        x_sum += x
+        ran = t
+        if rec.due(t) and rec.stop(t, objective_value(a, b, x_sum / t)):
+            break
+    x_avg = x_sum / ran if ran else x.copy()
+    return rec.report(solver, ran, x, x_avg, pre_seconds,
+                      lambda: objective_value(a, b, x_avg))
 
 
 def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -303,57 +423,12 @@ def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     iterate.
     """
     a, b = _validate_problem(a, b, w)
-    n, d = a.shape
-    tic = time.perf_counter()
-    pre = build_preconditioner(
-        a, b, cfg.sketch_kind, _resolve_sketch_size(cfg, n, d, False), cfg.seed
-    )
-    pre_seconds = time.perf_counter() - tic
-
-    r = cfg.batch_size
-    if cfg.step_size == "auto":
-        L, _ = _smoothness_bounds(a, pre.r_factor, cfg.seed)
-        sigma2 = (
-            _sampled_gradient_variance(pre.hda, pre.hdb, pre.r_factor,
-                                       _start_point(cfg, d), cfg.seed)
-            if cfg.sigma2 == "auto" else float(cfg.sigma2)
-        )
-        eta = _auto_eta(cfg, w, L, sigma2 / r,
-                        _stochastic_smoothness(pre.hda, pre.r_factor), r)
-    else:
-        eta = float(cfg.step_size)
-
+    pre, pre_seconds = _precondition(a, b, cfg)
+    eta = _sgd_eta(cfg, w, a, pre.hda, pre.hdb, pre.r_factor)
     prox = RMetricProx(pre.r_factor, w)
-    x = _start_point(cfg, d)
-    x_sum = np.zeros(d)
-    scale = 2.0 * pre.n_pad / r
-    hda, hdb = pre.hda, pre.hdb
-    indices = batch_index_stream(cfg.seed, pre.n_pad, r)
-    record_every = cfg.record_every or max(1, cfg.iterations // 512)
-    trace = [TracePoint(0, 0.0, f0 := objective_value(a, b, x), _rel_err(f0, f_star))]
-    ran = 0
-    start = time.perf_counter()
-    for t in range(1, cfg.iterations + 1):
-        idx = next(indices)
-        rows = hda[idx]
-        resid = rows @ x - hdb[idx]
-        x = prox.solve(x, scale * (rows.T @ resid), eta)
-        x_sum += x
-        ran = t
-        if t % record_every == 0 or t == cfg.iterations:
-            elapsed = time.perf_counter() - start
-            f_avg = objective_value(a, b, x_sum / t)
-            rel = _rel_err(f_avg, f_star)
-            trace.append(TracePoint(t, elapsed, f_avg, rel))
-            if cfg.max_seconds is not None and elapsed > cfg.max_seconds:
-                break
-            if cfg.stop_below_rel is not None and rel <= cfg.stop_below_rel:
-                break
-    return SolveReport(
-        solver="hdpwbatch", trace=trace, final_x=x,
-        final_x_avg=x_sum / ran if ran else x.copy(),
-        iterations_run=ran, preconditioning_seconds=pre_seconds,
-    )
+    return _batch_sgd(a, b, cfg, f_star, pre.hda, pre.hdb,
+                      lambda x, v, scale: prox.solve(x, scale * v, eta),
+                      "hdpwbatch", pre_seconds)
 
 
 def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -362,80 +437,52 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     problem.
 
     Epoch s runs N_s inner accelerated steps sized to halve the error
-    bound V_0 2^-s, warm starting from the previous epoch's output.
-    ``iterations`` acts as a cap on the total number of inner steps;
-    a single epoch demanding more than ``epoch_iter_cap`` steps raises
-    EpochBudgetError.
+    bound V_0 2^-s, warm starting from the previous epoch's output; the
+    inner recursion averages with weights 2/(t+1). ``iterations`` acts
+    as a cap on the total number of inner steps; a single epoch
+    demanding more than ``epoch_iter_cap`` steps raises EpochBudgetError.
     """
     a, b = _validate_problem(a, b, w)
-    n, d = a.shape
-    tic = time.perf_counter()
-    pre = build_preconditioner(
-        a, b, cfg.sketch_kind, _resolve_sketch_size(cfg, n, d, False), cfg.seed
-    )
-    pre_seconds = time.perf_counter() - tic
+    pre, pre_seconds = _precondition(a, b, cfg)
 
     r = cfg.batch_size
-    x0 = _start_point(cfg, d)
+    x0 = _start_point(cfg, a.shape[1])
     L, mu = _smoothness_bounds(a, pre.r_factor, cfg.seed)
-    sigma2 = (
-        _sampled_gradient_variance(pre.hda, pre.hdb, pre.r_factor, x0, cfg.seed)
-        if cfg.sigma2 == "auto" else float(cfg.sigma2)
-    )
-    sigma2_batch = sigma2 / r
+    sigma2_batch = _sigma2(cfg, pre.hda, pre.hdb, pre.r_factor, x0) / r
     f0 = objective_value(a, b, x0)
     v0 = f0 if cfg.v0 == "auto" else float(cfg.v0)
 
     prox = RMetricProx(pre.r_factor, w)
     x_hat = x0.copy()
     scale = 2.0 * pre.n_pad / r
-    hda, hdb = pre.hda, pre.hdb
     indices = batch_index_stream(cfg.seed, pre.n_pad, r)
-    record_every = cfg.record_every or max(1, cfg.iterations // 512)
-    trace = [TracePoint(0, 0.0, f0, _rel_err(f0, f_star))]
+    rec = _Recorder(cfg, f_star, f0)
     total = 0
-    start = time.perf_counter()
-    stop = False
+    stopped = False
     for s in range(1, cfg.epochs + 1):
+        if stopped or total >= cfg.iterations:
+            break
         n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_batch, v0, s)
         if n_s > cfg.epoch_iter_cap:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         x = x_hat.copy()
-        for t in range(1, n_s + 1):
-            alpha = acc_momentum_weight(t)
+        for t in range(1, min(n_s, cfg.iterations - total) + 1):
+            alpha = 2.0 / (t + 1.0)
             x_tilde = (1.0 - alpha) * x_hat + alpha * x
             idx = next(indices)
-            rows = hda[idx]
-            resid = rows @ x_tilde - hdb[idx]
+            rows = pre.hda[idx]
+            resid = rows @ x_tilde - pre.hdb[idx]
             c = scale * (rows.T @ resid)
             eta_t = eta_s * t
             denom = 1.0 + eta_t * mu
             x = prox.solve((x + eta_t * mu * x_tilde) / denom, c, eta_t / denom)
             x_hat = (1.0 - alpha) * x_hat + alpha * x
             total += 1
-            if total % record_every == 0:
-                elapsed = time.perf_counter() - start
-                f_hat = objective_value(a, b, x_hat)
-                rel = _rel_err(f_hat, f_star)
-                trace.append(TracePoint(total, elapsed, f_hat, rel))
-                if cfg.max_seconds is not None and elapsed > cfg.max_seconds:
-                    stop = True
-                if cfg.stop_below_rel is not None and rel <= cfg.stop_below_rel:
-                    stop = True
-            if total >= cfg.iterations:
-                stop = True
-            if stop:
+            if rec.due(total) and rec.stop(total, objective_value(a, b, x_hat)):
+                stopped = True
                 break
-        if stop:
-            break
-    f_final = objective_value(a, b, x_hat)
-    if not trace or trace[-1].iteration != total:
-        trace.append(TracePoint(total, time.perf_counter() - start, f_final,
-                                _rel_err(f_final, f_star)))
-    return SolveReport(
-        solver="hdpwacc", trace=trace, final_x=x_hat, final_x_avg=x_hat,
-        iterations_run=total, preconditioning_seconds=pre_seconds,
-    )
+    return rec.report("hdpwacc", total, x_hat, x_hat, pre_seconds,
+                      lambda: objective_value(a, b, x_hat))
 
 
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
@@ -444,46 +491,31 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     """Shared loop of pw_gradient and IHS: full gradient, R-metric prox."""
     a, b = _validate_problem(a, b, w)
     n, d = a.shape
-    s = _resolve_sketch_size(cfg, n, d, True)
+    s = resolve_sketch_size(cfg, n, d, True)
+
+    def sketched_prox(seed: int) -> RMetricProx:
+        return RMetricProx(qr_thin(apply(make_sketch(cfg.sketch_kind, s, n, seed), a)).r, w)
+
     tic = time.perf_counter()
-    prox = None
-    if not fresh_sketch:
-        sk = make_sketch(cfg.sketch_kind, s, n, cfg.seed)
-        prox = RMetricProx(qr_thin(apply(sk, a)).r, w)
+    prox = None if fresh_sketch else sketched_prox(cfg.seed)
     pre_seconds = time.perf_counter() - tic
 
     x = _start_point(cfg, d)
     resid = a @ x - b
     f = float(resid @ resid)
-    record_every = cfg.record_every or 1
-    trace = [TracePoint(0, 0.0, f, _rel_err(f, f_star))]
+    rec = _Recorder(cfg, f_star, f, dense=True)
     ran = 0
-    start = time.perf_counter()
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch:
-            seed_t = int(np.random.SeedSequence(
-                [int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0])
-            sk = make_sketch(cfg.sketch_kind, s, n, seed_t)
-            prox = RMetricProx(qr_thin(apply(sk, a)).r, w)
+            prox = sketched_prox(int(np.random.SeedSequence(
+                [int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]))
         x = prox.solve(x, grad_scale * (a.T @ resid), eta)
         resid = a @ x - b
         f_prev, f = f, float(resid @ resid)
         ran = t
-        elapsed = time.perf_counter() - start
-        if t % record_every == 0 or t == cfg.iterations:
-            trace.append(TracePoint(t, elapsed, f, _rel_err(f, f_star)))
-        if cfg.objective_tol is not None and f_prev - f <= cfg.objective_tol * max(f, 1.0):
+        if rec.stop(t, f, f_prev):
             break
-        if cfg.max_seconds is not None and elapsed > cfg.max_seconds:
-            break
-        if cfg.stop_below_rel is not None and _rel_err(f, f_star) <= cfg.stop_below_rel:
-            break
-    if trace[-1].iteration != ran:
-        trace.append(TracePoint(ran, time.perf_counter() - start, f, _rel_err(f, f_star)))
-    return SolveReport(
-        solver=solver, trace=trace, final_x=x, final_x_avg=x.copy(),
-        iterations_run=ran, preconditioning_seconds=pre_seconds,
-    )
+    return rec.report(solver, ran, x, x.copy(), pre_seconds, lambda: f)
 
 
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -495,21 +527,20 @@ def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                                   eta=eta, grad_scale=2.0, fresh_sketch=False)
 
 
-def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
-        fresh_sketch_per_iter: bool = True,
-        f_star: float | None = None) -> SolveReport:
-    """Iterative Hessian sketch.
+def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
+        cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
+    """Iterative Hessian sketch: a new seeded sketch every iteration."""
+    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs",
+                                  eta=1.0, grad_scale=1.0, fresh_sketch=True)
 
-    With ``fresh_sketch_per_iter`` a new seeded sketch is drawn every
-    iteration (the classic scheme). With a fixed sketch the update is
-    algebraically identical to pw_gradient with eta = 1/2, since the
-    inner argmin depends on M = SA only through R^T R.
-    """
-    return _full_gradient_descent(
-        a, b, w, cfg, f_star,
-        solver="ihs" if fresh_sketch_per_iter else "ihs-fixed",
-        eta=1.0, grad_scale=1.0, fresh_sketch=fresh_sketch_per_iter,
-    )
+
+def ihs_fixed(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
+              cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
+    """Iterative Hessian sketch with one sketch for all iterations. The
+    update is algebraically identical to pw_gradient with eta = 1/2,
+    since the inner argmin depends on M = SA only through R^T R."""
+    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed",
+                                  eta=1.0, grad_scale=1.0, fresh_sketch=False)
 
 
 def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -517,51 +548,10 @@ def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     """Uniform mini-batch SGD on the raw problem with Euclidean
     projection; no preconditioning. Reports the averaged iterate."""
     a, b = _validate_problem(a, b, w)
-    n, d = a.shape
-    r = cfg.batch_size
-    x = _start_point(cfg, d)
-    if cfg.step_size == "auto":
-        L, _ = _smoothness_bounds(a, None, cfg.seed)
-        sigma2 = (
-            _sampled_gradient_variance(a, b, None, x, cfg.seed)
-            if cfg.sigma2 == "auto" else float(cfg.sigma2)
-        )
-        eta = _auto_eta(cfg, w, L, sigma2 / r, _stochastic_smoothness(a, None), r)
-    else:
-        eta = float(cfg.step_size)
-
-    x_sum = np.zeros(d)
-    scale = 2.0 * n / r
-    indices = batch_index_stream(cfg.seed, n, r)
-    record_every = cfg.record_every or max(1, cfg.iterations // 512)
-    trace = [TracePoint(0, 0.0, f0 := objective_value(a, b, x), _rel_err(f0, f_star))]
-    ran = 0
-    start = time.perf_counter()
-    for t in range(1, cfg.iterations + 1):
-        idx = next(indices)
-        rows = a[idx]
-        resid = rows @ x - b[idx]
-        x = project_euclidean(w, x - eta * scale * (rows.T @ resid))
-        x_sum += x
-        ran = t
-        if t % record_every == 0 or t == cfg.iterations:
-            elapsed = time.perf_counter() - start
-            f_avg = objective_value(a, b, x_sum / t)
-            rel = _rel_err(f_avg, f_star)
-            trace.append(TracePoint(t, elapsed, f_avg, rel))
-            if cfg.max_seconds is not None and elapsed > cfg.max_seconds:
-                break
-            if cfg.stop_below_rel is not None and rel <= cfg.stop_below_rel:
-                break
-    return SolveReport(
-        solver="sgd", trace=trace, final_x=x,
-        final_x_avg=x_sum / ran if ran else x.copy(),
-        iterations_run=ran, preconditioning_seconds=0.0,
-    )
-
-
-def _ihs_fixed(a, b, w, cfg, f_star=None):
-    return ihs(a, b, w, cfg, fresh_sketch_per_iter=False, f_star=f_star)
+    eta = _sgd_eta(cfg, w, a, a, b, None)
+    return _batch_sgd(a, b, cfg, f_star, a, b,
+                      lambda x, v, scale: project_euclidean(w, x - eta * scale * v),
+                      "sgd", 0.0)
 
 
 SOLVERS = {
@@ -569,6 +559,6 @@ SOLVERS = {
     "hdpwacc": hd_pw_acc_batch_sgd,
     "pwgrad": pw_gradient,
     "ihs": ihs,
-    "ihs-fixed": _ihs_fixed,
+    "ihs-fixed": ihs_fixed,
     "sgd": plain_sgd_baseline,
 }

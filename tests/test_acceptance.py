@@ -28,7 +28,7 @@ from sketchreg.solvers import (
     batch_index_stream,
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
-    ihs,
+    ihs_fixed,
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
@@ -102,7 +102,7 @@ def test_criterion_02_pw_gradient_ihs_equivalence():
               make_feasible_set(a, b, "l2", radius_scale=0.8)):
         cfg = SolverConfig(iterations=10, seed=5)
         pw = pw_gradient(a, b, w, cfg)
-        fixed = ihs(a, b, w, cfg, fresh_sketch_per_iter=False)
+        fixed = ihs_fixed(a, b, w, cfg)
         worst = max(worst, float(np.max(np.abs(pw.final_x - fixed.final_x))))
     criterion(2, worst <= 1e-9, f"max coordinate difference {worst:.2e}")
 

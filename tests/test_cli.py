@@ -65,8 +65,8 @@ class TestSolve:
     def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path):
         data = write_dataset(tmp_path)
         t1, t2 = tmp_path / "ihs.csv", tmp_path / "pw.csv"
-        assert main(["solve", "--data", str(data), "--solver", "ihs",
-                     "--fixed-sketch", "--iters", "10", "--seed", "1",
+        assert main(["solve", "--data", str(data), "--solver", "ihs-fixed",
+                     "--iters", "10", "--seed", "1",
                      "--trace-out", str(t1)]) == 0
         assert main(["solve", "--data", str(data), "--solver", "pwgrad",
                      "--eta", "0.5", "--iters", "10", "--seed", "1",
@@ -95,6 +95,12 @@ class TestSolve:
                      "--constraint", "l1", "--radius-scale", "0.3",
                      "--iters", "20", "--seed", "1"])
         assert code == 3
+
+    def test_noiseless_data_exits_3(self, tmp_path):
+        # f* ~ 0 leaves the relative error undefined.
+        data = write_dataset(tmp_path, n=256, d=4, noise=0.0)
+        assert main(["solve", "--data", str(data), "--solver", "hdpwbatch",
+                     "--iters", "10"]) == 3
 
     def test_sgd_solver_runs(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=512, d=6)

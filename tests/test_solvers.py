@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
+from sketchreg.errors import DegenerateOptimumError
 from sketchreg.feasible import FeasibleSet
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
 from sketchreg.solvers import (
+    SOLVERS,
     SolverConfig,
     acc_epoch_schedule,
-    acc_momentum_weight,
     batch_index_stream,
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs,
+    ihs_fixed,
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
@@ -27,6 +29,104 @@ def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
     w = make_feasible_set(a, b, constraint, radius_scale=radius_scale)
     _, f_star = ground_truth(a, b, w, seed=seed)
     return a, b, w, f_star
+
+
+# Iterates of every solver on one seeded problem, unconstrained and on an
+# active l2 ball: (final_x, final_x_avg, iterations_run, trace iterations).
+# Any change to an update rule, the sample stream or the trace schedule
+# shows up here.
+PINNED = {
+    ('hdpwbatch', 'none'): (
+        [-0.22262885548998967, -0.40272642931360597, 3.0084820156976786, 0.049060703464331445],
+        [0.06976865562668212, -0.15403450933646257, 2.189275626747953, -0.17263294018978306],
+        60, [0, 20, 40, 60]),
+    ('hdpwacc', 'none'): (
+        [-0.37969764105183035, 0.5454116404048127, 2.0206354732708305, -0.32658814988949136],
+        [-0.37969764105183035, 0.5454116404048127, 2.0206354732708305, -0.32658814988949136],
+        60, [0, 20, 40, 60]),
+    ('pwgrad', 'none'): (
+        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
+        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
+        60, [0, 20, 40, 60]),
+    ('ihs', 'none'): (
+        [0.07645025764314364, 0.06993066096462057, 2.1197185310534588, -0.8488582811922879],
+        [0.07645025764314364, 0.06993066096462057, 2.1197185310534588, -0.8488582811922879],
+        60, [0, 20, 40, 60]),
+    ('ihs-fixed', 'none'): (
+        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
+        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
+        60, [0, 20, 40, 60]),
+    ('sgd', 'none'): (
+        [0.11211595826551074, -0.23798089279196347, 1.7689315017898362, -0.2384207941098728],
+        [0.4813852210327441, -0.4151476930258998, 1.6796283546989599, -0.30426976131657046],
+        60, [0, 20, 40, 60]),
+    ('hdpwbatch', 'l2'): (
+        [-0.22754400835078514, 0.28754141240484554, 0.8832968136514777, -0.14723002197503174],
+        [-0.15988941324492317, 0.1935959295562444, 0.48383402737564124, -0.12774437502777145],
+        60, [0, 20, 40, 60]),
+    ('hdpwacc', 'l2'): (
+        [0.2072435243379627, -0.004694473065150889, 1.160373826280351, -0.016235424420072364],
+        [0.2072435243379627, -0.004694473065150889, 1.160373826280351, -0.016235424420072364],
+        60, [0, 20, 40, 60]),
+    ('pwgrad', 'l2'): (
+        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
+        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
+        60, [0, 20, 40, 60]),
+    ('ihs', 'l2'): (
+        [0.5402170411311493, -0.4230290849993613, 1.1401450214456363, -0.33181618645341915],
+        [0.5402170411311493, -0.4230290849993613, 1.1401450214456363, -0.33181618645341915],
+        60, [0, 20, 40, 60]),
+    ('ihs-fixed', 'l2'): (
+        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
+        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
+        60, [0, 20, 40, 60]),
+    ('sgd', 'l2'): (
+        [0.5742573387989636, -0.40953429148260057, 1.1135028574335708, -0.3368053712127747],
+        [0.5465538026894561, -0.4000941909727071, 0.9427715787380926, -0.3235769858324013],
+        60, [0, 20, 40, 60]),
+}
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(iterations=-1), dict(batch_size=0), dict(step_size=0.0),
+        dict(step_size="fast"), dict(sigma2="big"), dict(v0="Auto"),
+        dict(record_every=0), dict(record_every=-2), dict(sketch_kind="fourier"),
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_config(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+
+
+class TestAllSolvers:
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_zero_iterations_returns_start(self, name):
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=0, step_size=0.1, seed=0))
+        assert rep.iterations_run == 0
+        assert [p.iteration for p in rep.trace] == [0]
+        np.testing.assert_array_equal(rep.final_x, np.zeros(4))
+        np.testing.assert_array_equal(rep.final_x_avg, np.zeros(4))
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_zero_optimum_raises(self, name):
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        with pytest.raises(DegenerateOptimumError):
+            SOLVERS[name](a, b, w, SolverConfig(iterations=5, seed=0), f_star=0.0)
+
+    @pytest.mark.parametrize("name,constraint", sorted(PINNED))
+    def test_pinned_iterates(self, name, constraint):
+        # hdpwacc's pins also fix its 2/(t+1) averaging weights.
+        a, b, _ = gen_synthetic(DatasetSpec(n=256, d=4, target_kappa=10.0,
+                                            noise_std=1.0, seed=31))
+        w = make_feasible_set(a, b, constraint, radius_scale=0.6)
+        cfg = SolverConfig(iterations=60, batch_size=16, seed=3, record_every=20)
+        rep = SOLVERS[name](a, b, w, cfg)
+        final_x, final_x_avg, iterations_run, trace_iterations = PINNED[name, constraint]
+        np.testing.assert_allclose(rep.final_x, final_x, rtol=1e-12)
+        np.testing.assert_allclose(rep.final_x_avg, final_x_avg, rtol=1e-12)
+        assert rep.iterations_run == iterations_run
+        assert [p.iteration for p in rep.trace] == trace_iterations
 
 
 class TestStepSize:
@@ -45,11 +145,6 @@ class TestAccSchedule:
         # max(4 sqrt 2, 64 * 2 / 3) = 42.67 rounds up to 43.
         n_1, _ = acc_epoch_schedule(L=1.0, mu=1.0, sigma2=1.0, v0=1.0, s=1)
         assert n_1 == 43
-
-    def test_momentum_weights(self):
-        assert [acc_momentum_weight(t) for t in (1, 2, 3, 4)] == [
-            1.0, pytest.approx(2.0 / 3.0), 0.5, 0.4,
-        ]
 
     def test_zero_variance_uses_smoothness_step(self):
         n_s, eta_s = acc_epoch_schedule(L=2.0, mu=1.0, sigma2=0.0, v0=1.0, s=1)
@@ -134,13 +229,6 @@ class TestHdPwBatchSgd:
             sigma2_r = float(np.mean(np.sum((batch_means - mean_grad) ** 2, axis=1)))
             assert abs(sigma2_r * r / sigma2_exact - 1.0) <= 0.15
 
-    def test_zero_iterations_returns_start(self):
-        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
-        cfg = SolverConfig(iterations=0, step_size=0.1, seed=0)
-        rep = hd_pw_batch_sgd(a, b, w, cfg)
-        np.testing.assert_array_equal(rep.final_x, np.zeros(4))
-        np.testing.assert_array_equal(rep.final_x_avg, np.zeros(4))
-
     def test_deterministic_given_seed(self):
         a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
         cfg = SolverConfig(iterations=300, batch_size=2, seed=3)
@@ -215,7 +303,7 @@ class TestIhs:
         a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=16)
         cfg = SolverConfig(iterations=5, seed=7)
         pw = pw_gradient(a, b, w, cfg, f_star=f_star)
-        fixed = ihs(a, b, w, cfg, fresh_sketch_per_iter=False, f_star=f_star)
+        fixed = ihs_fixed(a, b, w, cfg, f_star=f_star)
         assert np.max(np.abs(pw.final_x - fixed.final_x)) <= 1e-10
 
     def test_fresh_sketch_converges(self):
@@ -232,11 +320,6 @@ class TestIhs:
 
 
 class TestPlainSgd:
-    def test_zero_iterations_returns_start(self):
-        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=19)
-        rep = plain_sgd_baseline(a, b, w, SolverConfig(iterations=0, step_size=0.1))
-        np.testing.assert_array_equal(rep.final_x, np.zeros(4))
-
     def test_comparable_on_well_conditioned_data(self):
         a, b, w, f_star = make_problem(n=1024, d=8, kappa=1.0, noise=1.0, seed=20)
         cfg = SolverConfig(iterations=4000, batch_size=1, seed=2)
