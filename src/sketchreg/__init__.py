@@ -15,6 +15,7 @@ from .errors import (
     CsvParseError,
     DegenerateOptimumError,
     DimensionMismatchError,
+    DivergenceError,
     EpochBudgetError,
     InnerSolverStallError,
     NotPowerOfTwoError,

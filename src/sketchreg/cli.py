@@ -16,6 +16,7 @@ import yaml
 from . import bench
 from .errors import (
     DegenerateOptimumError,
+    DivergenceError,
     EpochBudgetError,
     InnerSolverStallError,
     OracleDisagreementError,
@@ -33,7 +34,8 @@ DEFAULT_SEED = 1729
 _INPUT_ERRORS = (OSError, ValueError)
 _NUMERICAL_ERRORS = (RankDeficientError, SingularFactorError,
                      InnerSolverStallError, EpochBudgetError,
-                     OracleDisagreementError, DegenerateOptimumError)
+                     OracleDisagreementError, DegenerateOptimumError,
+                     DivergenceError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--batch", type=int, default=1, help="mini-batch size r")
     solve.add_argument("--iters", type=int, default=1000)
     solve.add_argument("--eta", default="auto",
-                       help="step size (float or 'auto'; pwgrad auto = 1/2)")
+                       help="step size (float or 'auto'; pwgrad auto = 1/2, ihs auto = 1)")
     solve.add_argument("--epochs", type=int, default=8)
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     solve.add_argument("--diameter-bound", type=float, default=None,

@@ -45,6 +45,10 @@ class RaggedRowsError(CsvParseError):
     """Rows of a dataset file have inconsistent column counts."""
 
 
+class DivergenceError(SketchRegError):
+    """A solver's objective became non-finite (inf or NaN): the step is too large."""
+
+
 class DegenerateOptimumError(SketchRegError):
     """Relative error is undefined because the optimal objective is ~0."""
 

@@ -16,7 +16,8 @@ Four preconditioned methods plus one baseline:
 
 All solvers are deterministic given the config seed: independent RNG
 streams are derived for the sketch, the Hadamard signs, the sampled
-batch indices, and the auto step-size estimators.
+batch indices, and the sampled gradient-variance estimate. The
+smoothness constants are exact and draw no random numbers.
 """
 
 import time
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     DegenerateOptimumError,
     DimensionMismatchError,
+    DivergenceError,
     EpochBudgetError,
     UnboundedSetError,
 )
@@ -62,6 +64,9 @@ _STREAM_ESTIMATE = 1003
 _STREAM_IHS = 1005
 
 _INDEX_CHUNK = 8192
+# Rows per block of the constant estimators' pass: large enough that each
+# block is one efficient GEMM, small enough to bound the temporaries.
+_GRAM_BLOCK = 4096
 
 
 @dataclass
@@ -71,8 +76,10 @@ class SolverConfig:
 
     ``step_size``, ``sigma2`` and ``v0`` accept the string ``"auto"``:
     the step size then follows the min(1/(2L), sqrt(D^2/(2 T sigma^2)))
-    rule with power-iteration estimates of the smoothness constants and
-    a sampled variance estimate at x0.
+    rule with the exact smoothness constants of the preconditioned
+    objective (one blocked pass over the rows) and a sampled variance
+    estimate at x0. ``ihs`` and ``ihs_fixed`` take the unit step when
+    ``step_size`` is "auto".
     """
 
     iterations: int = 1000
@@ -157,9 +164,10 @@ def relative_error(f_x: float, f_star: float | None) -> float:
 
 
 def sgd_step_size(L: float, d_w: float, T: int, sigma2: float) -> float:
-    """Fixed SGD step: min(1/(2L), sqrt(D_W^2 / (2 T sigma^2)))."""
+    """Fixed SGD step: min(1/(2L), sqrt(D_W^2 / (2 T sigma^2))); just the
+    1/(2L) cap when there is no noise or no step to take (T < 1)."""
     cap = 1.0 / (2.0 * L)
-    if sigma2 <= 0.0:
+    if sigma2 <= 0.0 or T < 1:
         return cap
     return min(cap, float(np.sqrt(d_w * d_w / (2.0 * T * sigma2))))
 
@@ -237,39 +245,28 @@ def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
     return max(min(s, n - 1), min(d + 1, n - 1))
 
 
-def _estimate_extreme_eigs(matvec, d: int, rng: np.random.Generator,
-                           steps: int = 20) -> tuple[float, float]:
-    """Power-iteration estimates of the extreme eigenvalues of a PSD
-    operator given by ``matvec``; returns (lam_max, lam_min)."""
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    for _ in range(steps):
-        v = matvec(v)
-        v /= np.linalg.norm(v)
-    lam_max = float(v @ matvec(v))
-    shift = 1.05 * lam_max
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    for _ in range(steps):
-        u = shift * u - matvec(u)
-        u /= np.linalg.norm(u)
-    lam_min = float(shift - u @ (shift * u - matvec(u)))
-    return lam_max, max(lam_min, 0.0)
+def _preconditioned_blocks(rows: np.ndarray,
+                           r_factor: np.ndarray | None) -> Iterator[np.ndarray]:
+    """``rows @ R^-1`` in consecutive blocks of ``_GRAM_BLOCK`` rows, one
+    GEMM against an explicit d x d inverse each (``rows`` itself when
+    r_factor is None), so no n x d temporary is formed."""
+    r_inv = None if r_factor is None else tri_solve(r_factor, np.eye(rows.shape[1]))
+    for start in range(0, rows.shape[0], _GRAM_BLOCK):
+        block = rows[start:start + _GRAM_BLOCK]
+        yield block if r_inv is None else block @ r_inv
 
 
-def _smoothness_bounds(a: np.ndarray, r_factor: np.ndarray | None,
-                       seed: int) -> tuple[float, float]:
-    """(L, mu) of the objective after preconditioning by R (raw problem
-    when r_factor is None); conservative by 10% each way."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_ESTIMATE]))
-    if r_factor is None:
-        matvec = lambda v: a.T @ (a @ v)
-    else:
-        def matvec(v):
-            u = tri_solve(r_factor, v)
-            return tri_solve(r_factor, a.T @ (a @ u), transposed=True)
-    lam_max, lam_min = _estimate_extreme_eigs(matvec, a.shape[1], rng)
-    return 2.0 * lam_max * 1.1, 2.0 * lam_min * 0.9
+def _smoothness_bounds(a: np.ndarray,
+                       r_factor: np.ndarray | None) -> tuple[float, float]:
+    """Exact (L, mu) = 2 (sigma_max^2, sigma_min^2) of A R^-1 (of A when
+    r_factor is None), from the eigenvalues of its d x d Gram matrix
+    accumulated in one blocked pass over the rows."""
+    d = a.shape[1]
+    gram = np.zeros((d, d))
+    for u in _preconditioned_blocks(a, r_factor):
+        gram += u.T @ u
+    eigs = np.linalg.eigvalsh(gram)
+    return 2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0)
 
 
 def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray,
@@ -293,9 +290,9 @@ def _stochastic_smoothness(rows: np.ndarray, r_factor: np.ndarray | None) -> flo
     """Worst per-row smoothness 2 n max_i ||row_i||^2, measured in the
     preconditioned metric when r_factor is given. The average-case SGD
     step must stay below its inverse or single-row updates explode."""
-    if r_factor is not None:
-        rows = tri_solve(r_factor, rows.T, transposed=True).T
-    return 2.0 * rows.shape[0] * float(np.max(np.sum(rows**2, axis=1)))
+    worst = max(float(np.max(np.sum(u * u, axis=1)))
+                for u in _preconditioned_blocks(rows, r_factor))
+    return 2.0 * rows.shape[0] * worst
 
 
 def _sigma2(cfg: SolverConfig, rows: np.ndarray, rhs: np.ndarray,
@@ -312,7 +309,7 @@ def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, a: np.ndarray, rows: np.ndarray,
     if cfg.step_size != "auto":
         return float(cfg.step_size)
     r = cfg.batch_size
-    L, _ = _smoothness_bounds(a, r_factor, cfg.seed)
+    L, _ = _smoothness_bounds(a, r_factor)
     sigma2 = _sigma2(cfg, rows, rhs, r_factor, _start_point(cfg, a.shape[1]))
     # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))), additionally
     # capped for stochastic stability: with L the full-gradient
@@ -344,7 +341,8 @@ class _Recorder:
     The clock starts at construction; ``stop`` traces a point when its
     iteration is due and applies ``max_seconds``, ``stop_below_rel`` and
     (given the previous objective) ``objective_tol``; ``report`` adds the
-    final point when the loop ended between due iterations.
+    final point when the loop ended between due iterations. A non-finite
+    objective, checked or traced, raises DivergenceError.
     """
 
     def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
@@ -354,31 +352,36 @@ class _Recorder:
         # Full-gradient loops get each objective for free and trace every
         # iteration by default; SGD loops pay O(nd) a point and trace ~512.
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
-        self.trace = [TracePoint(0, 0.0, f0, relative_error(f0, f_star))]
+        self.trace = [self._point(0, 0.0, f0)]
         self.start = time.perf_counter()
+
+    def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
+        if not np.isfinite(f):
+            raise DivergenceError(f"objective is {f} at iteration {t}")
+        return TracePoint(t, elapsed, f, relative_error(f, self.f_star))
 
     def due(self, t: int) -> bool:
         return t % self.every == 0 or t == self.cfg.iterations
 
     def stop(self, t: int, f: float, f_prev: float | None = None) -> bool:
         cfg = self.cfg
-        elapsed = time.perf_counter() - self.start
-        rel = relative_error(f, self.f_star)
+        point = self._point(t, time.perf_counter() - self.start, f)
         if self.due(t):
-            self.trace.append(TracePoint(t, elapsed, f, rel))
+            self.trace.append(point)
         return ((f_prev is not None and cfg.objective_tol is not None
                  and f_prev - f <= cfg.objective_tol * max(f, 1.0))
-                or (cfg.max_seconds is not None and elapsed > cfg.max_seconds)
-                or (cfg.stop_below_rel is not None and rel <= cfg.stop_below_rel))
+                or (cfg.max_seconds is not None
+                    and point.elapsed_seconds > cfg.max_seconds)
+                or (cfg.stop_below_rel is not None
+                    and point.relative_error <= cfg.stop_below_rel))
 
     def report(self, solver: str, ran: int, x: np.ndarray, x_avg: np.ndarray,
                pre_seconds: float, final_objective) -> SolveReport:
         """The run's report; ``final_objective()`` is only evaluated when
         iteration ``ran`` is not traced yet."""
         if self.trace[-1].iteration != ran:
-            f = final_objective()
-            self.trace.append(TracePoint(ran, time.perf_counter() - self.start, f,
-                                         relative_error(f, self.f_star)))
+            self.trace.append(self._point(ran, time.perf_counter() - self.start,
+                                          final_objective()))
         return SolveReport(solver=solver, trace=self.trace, final_x=x, final_x_avg=x_avg,
                            iterations_run=ran, preconditioning_seconds=pre_seconds)
 
@@ -447,7 +450,7 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 
     r = cfg.batch_size
     x0 = _start_point(cfg, a.shape[1])
-    L, mu = _smoothness_bounds(a, pre.r_factor, cfg.seed)
+    L, mu = _smoothness_bounds(a, pre.r_factor)
     sigma2_batch = _sigma2(cfg, pre.hda, pre.hdb, pre.r_factor, x0) / r
     f0 = objective_value(a, b, x0)
     v0 = f0 if cfg.v0 == "auto" else float(cfg.v0)
@@ -486,9 +489,11 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 
 
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
-                           eta: float, grad_scale: float,
+                           auto_eta: float, grad_scale: float,
                            fresh_sketch: bool) -> SolveReport:
-    """Shared loop of pw_gradient and IHS: full gradient, R-metric prox."""
+    """Shared loop of pw_gradient and IHS: full gradient, R-metric prox,
+    step ``auto_eta`` unless ``step_size`` is given."""
+    eta = auto_eta if cfg.step_size == "auto" else float(cfg.step_size)
     a, b = _validate_problem(a, b, w)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
@@ -522,25 +527,26 @@ def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                 cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Preconditioned projected gradient descent: one sketch, one R,
     full gradient 2 A^T (Ax - b) each iteration. Default step 1/2."""
-    eta = 0.5 if cfg.step_size == "auto" else float(cfg.step_size)
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad",
-                                  eta=eta, grad_scale=2.0, fresh_sketch=False)
+                                  auto_eta=0.5, grad_scale=2.0, fresh_sketch=False)
 
 
 def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
         cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Iterative Hessian sketch: a new seeded sketch every iteration."""
+    """Iterative Hessian sketch: a new seeded sketch every iteration.
+    Default step 1."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs",
-                                  eta=1.0, grad_scale=1.0, fresh_sketch=True)
+                                  auto_eta=1.0, grad_scale=1.0, fresh_sketch=True)
 
 
 def ihs_fixed(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
               cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Iterative Hessian sketch with one sketch for all iterations. The
     update is algebraically identical to pw_gradient with eta = 1/2,
-    since the inner argmin depends on M = SA only through R^T R."""
+    since the inner argmin depends on M = SA only through R^T R.
+    Default step 1."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed",
-                                  eta=1.0, grad_scale=1.0, fresh_sketch=False)
+                                  auto_eta=1.0, grad_scale=1.0, fresh_sketch=False)
 
 
 def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,

@@ -56,7 +56,7 @@ def tuned_step(a, b, f_star, target_rel, seed=0):
     d = a.shape[1]
     f0 = float(b @ b)
     pre = build_preconditioner(a, b, "srht", default_sketch_size("srht", d), seed)
-    _, mu = _smoothness_bounds(a, pre.r_factor, seed)
+    _, mu = _smoothness_bounds(a, pre.r_factor)
     sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, pre.r_factor,
                                              np.zeros(d), seed) * f_star / f0)
     eps = target_rel * f_star

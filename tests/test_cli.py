@@ -102,6 +102,13 @@ class TestSolve:
         assert main(["solve", "--data", str(data), "--solver", "hdpwbatch",
                      "--iters", "10"]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, n=256, d=4, kappa=100.0)
+        assert main(["solve", "--data", str(data), "--solver", "pwgrad",
+                     "--eta", "5", "--iters", "300", "--seed", "1"]) == 3
+        assert "iteration" in capsys.readouterr().err
+
     def test_sgd_solver_runs(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=512, d=6)
         assert main(["solve", "--data", str(data), "--solver", "hdpwbatch",

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
-from sketchreg.errors import DegenerateOptimumError
+from sketchreg.errors import DegenerateOptimumError, DivergenceError
 from sketchreg.feasible import FeasibleSet
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
 from sketchreg.solvers import (
+    _GRAM_BLOCK,
     SOLVERS,
     SolverConfig,
+    _smoothness_bounds,
+    _stochastic_smoothness,
     acc_epoch_schedule,
     batch_index_stream,
     hd_pw_acc_batch_sgd,
@@ -37,12 +40,12 @@ def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
 # shows up here.
 PINNED = {
     ('hdpwbatch', 'none'): (
-        [-0.22262885548998967, -0.40272642931360597, 3.0084820156976786, 0.049060703464331445],
-        [0.06976865562668212, -0.15403450933646257, 2.189275626747953, -0.17263294018978306],
+        [-0.3096288268102892, -0.33274744333845624, 3.0840852283477864, -0.057852525369685104],
+        [0.07564284677124201, -0.1621578556366021, 2.200983123263598, -0.18137757286721126],
         60, [0, 20, 40, 60]),
     ('hdpwacc', 'none'): (
-        [-0.37969764105183035, 0.5454116404048127, 2.0206354732708305, -0.32658814988949136],
-        [-0.37969764105183035, 0.5454116404048127, 2.0206354732708305, -0.32658814988949136],
+        [-0.3617917779839094, 0.5254082396968903, 2.0509845989881383, -0.3140899371021406],
+        [-0.3617917779839094, 0.5254082396968903, 2.0509845989881383, -0.3140899371021406],
         60, [0, 20, 40, 60]),
     ('pwgrad', 'none'): (
         [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
@@ -57,16 +60,16 @@ PINNED = {
         [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
         60, [0, 20, 40, 60]),
     ('sgd', 'none'): (
-        [0.11211595826551074, -0.23798089279196347, 1.7689315017898362, -0.2384207941098728],
-        [0.4813852210327441, -0.4151476930258998, 1.6796283546989599, -0.30426976131657046],
+        [0.08500862488398592, -0.22546479364998123, 1.7799435925763671, -0.24934786250980162],
+        [0.46979222169690116, -0.40848632030284615, 1.7023513233861103, -0.3048987640155063],
         60, [0, 20, 40, 60]),
     ('hdpwbatch', 'l2'): (
         [-0.22754400835078514, 0.28754141240484554, 0.8832968136514777, -0.14723002197503174],
         [-0.15988941324492317, 0.1935959295562444, 0.48383402737564124, -0.12774437502777145],
         60, [0, 20, 40, 60]),
     ('hdpwacc', 'l2'): (
-        [0.2072435243379627, -0.004694473065150889, 1.160373826280351, -0.016235424420072364],
-        [0.2072435243379627, -0.004694473065150889, 1.160373826280351, -0.016235424420072364],
+        [0.22544442918669436, -0.021926246401566138, 1.1683951727071735, -0.022364824823066922],
+        [0.22544442918669436, -0.021926246401566138, 1.1683951727071735, -0.022364824823066922],
         60, [0, 20, 40, 60]),
     ('pwgrad', 'l2'): (
         [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
@@ -114,6 +117,24 @@ class TestAllSolvers:
         with pytest.raises(DegenerateOptimumError):
             SOLVERS[name](a, b, w, SolverConfig(iterations=5, seed=0), f_star=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["hdpwbatch", "sgd"])
+    def test_zero_iterations_auto_step_on_ball(self, name):
+        # The auto step's variance term divides by T; T = 0 must not.
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9, constraint="l2",
+                                  radius_scale=0.6)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=0, seed=0))
+        assert rep.iterations_run == 0
+        np.testing.assert_array_equal(rep.final_x, np.zeros(4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name,step", [("hdpwbatch", 10.0), ("pwgrad", 5.0)])
+    def test_divergence_raises(self, name, step):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
+        cfg = SolverConfig(iterations=300, step_size=step, seed=1)
+        with pytest.raises(DivergenceError, match="at iteration"):
+            SOLVERS[name](a, b, w, cfg, f_star=f_star)
+
     @pytest.mark.parametrize("name,constraint", sorted(PINNED))
     def test_pinned_iterates(self, name, constraint):
         # hdpwacc's pins also fix its 2/(t+1) averaging weights.
@@ -138,6 +159,46 @@ class TestStepSize:
 
     def test_singleton_set(self):
         assert sgd_step_size(2.0, 0.0, 100, 8.0) == 0.0
+
+    def test_no_steps_gives_smoothness_cap(self):
+        assert sgd_step_size(2.0, 1.0, 0, 8.0) == 0.25
+
+
+class TestSmoothnessConstants:
+    # One full block plus a ragged tail, so the blocking itself is tested.
+    N = _GRAM_BLOCK + 905
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e8])
+    def test_match_singular_values_of_preconditioned_matrix(self, kappa):
+        a, b, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=kappa,
+                                            noise_std=1.0, seed=6))
+        pre = build_preconditioner(a, b, "srht", 240, seed=6)
+        sv = np.linalg.svd(tri_solve(pre.r_factor, a.T, transposed=True).T,
+                           compute_uv=False)
+        L, mu = _smoothness_bounds(a, pre.r_factor)
+        np.testing.assert_allclose([L, mu], [2.0 * sv[0] ** 2, 2.0 * sv[-1] ** 2],
+                                   rtol=1e-8)
+        # H D is orthogonal on the zero-padded rows: same Gram matrix.
+        np.testing.assert_allclose(_smoothness_bounds(pre.hda, pre.r_factor), [L, mu],
+                                   rtol=1e-8)
+
+    def test_raw_problem_uses_a_itself(self):
+        a, _, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e3,
+                                            noise_std=1.0, seed=7))
+        L, _ = _smoothness_bounds(a, None)
+        assert L == pytest.approx(2.0 * np.linalg.norm(a, 2) ** 2, rel=1e-12)
+
+    def test_blocked_row_norms_match_one_shot(self):
+        a, b, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e3,
+                                            noise_std=1.0, seed=8))
+        pre = build_preconditioner(a, b, "srht", 240, seed=8)
+        for rows in (a, pre.hda):
+            u = tri_solve(pre.r_factor, rows.T, transposed=True).T
+            one_shot = 2.0 * rows.shape[0] * np.max(np.sum(u**2, axis=1))
+            assert _stochastic_smoothness(rows, pre.r_factor) == pytest.approx(
+                one_shot, rel=1e-12)
+        assert _stochastic_smoothness(a, None) == pytest.approx(
+            2.0 * self.N * np.max(np.sum(a**2, axis=1)), rel=1e-12)
 
 
 class TestAccSchedule:
@@ -311,6 +372,16 @@ class TestIhs:
         cfg = SolverConfig(iterations=30, seed=8, sketch_size=80)  # 8d
         rep = ihs(a, b, w, cfg, f_star=f_star)
         assert rep.final_relative_error <= 1e-8
+
+    @pytest.mark.parametrize("solver", [ihs, ihs_fixed])
+    def test_explicit_step_changes_iterates(self, solver):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=10.0, seed=19)
+        auto = solver(a, b, w, SolverConfig(iterations=5, seed=4), f_star=f_star)
+        small = solver(a, b, w, SolverConfig(iterations=5, seed=4, step_size=0.01),
+                       f_star=f_star)
+        assert not np.allclose(auto.final_x, small.final_x)
+        # A hundredth of the unit step barely leaves x0 = 0 in five steps.
+        assert small.final_relative_error > auto.final_relative_error
 
     def test_fixed_point_at_optimum(self):
         a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=18)
