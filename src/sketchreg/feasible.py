@@ -1,5 +1,6 @@
 """Feasible sets: Euclidean projection, the R-metric prox step used by
-every solver, and the diameter parameter feeding the step-size rule.
+the full-gradient solvers and its y = R x form used by the SGD solvers,
+and the diameter parameter feeding the step-size rule.
 
 Supported sets are R^d, the l2 ball, and the l1 ball (all centered at
 the origin, so 0 is always feasible).
@@ -13,7 +14,7 @@ import scipy.linalg
 from .errors import InnerSolverStallError, SingularFactorError, UnboundedSetError
 
 __all__ = ["FeasibleSet", "project_euclidean", "project_l1_ball",
-           "prox_r_metric", "RMetricProx", "diameter_param"]
+           "RMetricProx", "diameter_param"]
 
 UNCONSTRAINED = "unconstrained"
 L2_BALL = "l2_ball"
@@ -106,10 +107,10 @@ class RMetricProx:
     One instance caches the factorizations of R (an SVD for the ball
     subproblems), so solvers construct it once per R and call it every
     iteration. The unconstrained solution is exact via two triangular
-    solves; the l2 ball is solved exactly by bisection on the KKT
-    multiplier; the l1 ball runs accelerated projected gradient on the
-    equivalent quadratic with Euclidean l1 projections as the inner
-    oracle.
+    solves; ``project`` is the same step in y = R x coordinates. The l2
+    ball is solved exactly by bisection on the KKT multiplier; the l1
+    ball runs accelerated projected gradient on the equivalent quadratic
+    with Euclidean l1 projections as the inner oracle.
     """
 
     def __init__(self, r_factor: np.ndarray, w: FeasibleSet):
@@ -138,6 +139,28 @@ class RMetricProx:
         z = x_prev - eta * self._trsv(self.r, self._trsv(self.r, c, trans=1))
         if self.w.kind == UNCONSTRAINED or self.w.contains(z, tol=0.0):
             return z
+        return self._ball_solve(z)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """argmin_{y' in R W} ||y' - y||, the prox in y = R x coordinates.
+
+        The identity on R^d. On a ball one triangular solve maps y to
+        x = R^-1 y; only an x outside W runs the ball solve, whose
+        result maps back through R.
+        """
+        if self.w.kind == UNCONSTRAINED:
+            return y
+        x = self.to_x(y)
+        if self.w.contains(x, tol=0.0):
+            return y
+        return self.r @ self._ball_solve(x)
+
+    def to_x(self, y: np.ndarray) -> np.ndarray:
+        """x = R^-1 y by one triangular solve."""
+        return self._trsv(self.r, y)
+
+    def _ball_solve(self, z: np.ndarray) -> np.ndarray:
+        """argmin_{x in W} ||R(x - z)|| for z outside the ball W."""
         if self.w.kind == L2_BALL:
             return self._l2_ball_exact(z)
         return self._l1_ball_apg(z)
@@ -191,10 +214,3 @@ class RMetricProx:
             f"l1 prox above KKT tolerance after {_MAX_INNER} iterations"
         )
 
-
-def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
-                  c: np.ndarray, eta: float) -> np.ndarray:
-    """One-shot form of :class:`RMetricProx` for callers without a loop."""
-    return RMetricProx(r_factor, w).solve(
-        np.asarray(x_prev, dtype=np.float64), np.asarray(c, dtype=np.float64), eta
-    )

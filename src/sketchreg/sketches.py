@@ -43,10 +43,6 @@ class SketchOperator:
     rows: np.ndarray | None = field(default=None, repr=False)
     n_pad: int = 0
 
-    def dense(self) -> np.ndarray:
-        """Materialize S as an s x n array (tests and diagnostics only)."""
-        return apply(self, np.eye(self.n))
-
 
 def default_sketch_size(kind: str, d: int) -> int:
     """Default sketch row count for a d-column problem.

@@ -56,9 +56,10 @@ def tuned_step(a, b, f_star, target_rel, seed=0):
     d = a.shape[1]
     f0 = float(b @ b)
     pre = build_preconditioner(a, b, "srht", default_sketch_size("srht", d), seed)
-    _, mu = _smoothness_bounds(a, pre.r_factor)
-    sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, pre.r_factor,
-                                             np.zeros(d), seed) * f_star / f0)
+    # The pass writes U = HDA R^-1 over pre.hda, as in the solvers.
+    mu = _smoothness_bounds(pre.hda, pre.r_factor).mu
+    sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, np.zeros(d), seed)
+                  * f_star / f0)
     eps = target_rel * f_star
     eta_base = 0.5 * eps * mu / sigma2_opt
     t_pred = float(np.log((f0 - f_star) / (0.5 * eps)) / (2.0 * eta_base * mu))

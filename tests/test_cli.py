@@ -61,6 +61,7 @@ class TestSolve:
                      if "final relative error" in ln][0].split("=")[1])
         assert rel <= 1e-10
         assert trace.exists()
+        assert "solver=pwgrad iterations=60 stop=iterations" in printed.splitlines()
 
     def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path):
         data = write_dataset(tmp_path)

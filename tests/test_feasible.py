@@ -10,8 +10,8 @@ from sketchreg.feasible import (
     RMetricProx,
     diameter_param,
     project_euclidean,
-    prox_r_metric,
 )
+from helpers import prox_r_metric
 
 
 def l1_projection_oracle(x, radius):
@@ -159,6 +159,22 @@ class TestProxRMetric:
             np.testing.assert_array_equal(
                 prox.solve(x_prev, c, 0.4), prox_r_metric(w, r, x_prev, c, 0.4)
             )
+
+    @pytest.mark.parametrize("w", [FeasibleSet.unconstrained(4), FeasibleSet.l2_ball(1.0, 4),
+                                   FeasibleSet.l1_ball(1.0, 4)], ids=lambda w: w.kind)
+    def test_project_is_the_step_in_y_coordinates(self, w):
+        # y = R x: P(R x_prev - eta R^-T c) = R prox(x_prev, c, eta).
+        rng = np.random.default_rng(4)
+        r = np.triu(rng.standard_normal((4, 4))) + 2.0 * np.eye(4)
+        prox = RMetricProx(r, w)
+        for scale in (0.1, 3.0):  # inside and outside the balls
+            x_prev = project_euclidean(w, scale * rng.standard_normal(4))
+            c = scale * rng.standard_normal(4)
+            y = r @ x_prev - 0.4 * np.linalg.solve(r.T, c)
+            np.testing.assert_allclose(prox.project(y), r @ prox.solve(x_prev, c, 0.4),
+                                       rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(prox.to_x(prox.project(y)),
+                                       prox.solve(x_prev, c, 0.4), rtol=1e-9, atol=1e-9)
 
 
 class TestDiameterParam:

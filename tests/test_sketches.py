@@ -15,6 +15,7 @@ from sketchreg.sketches import (
     embedding_distortion,
     make_sketch,
 )
+from helpers import dense_sketch
 
 
 class TestMakeSketch:
@@ -35,7 +36,7 @@ class TestMakeSketch:
     def test_gaussian_entry_distribution(self):
         # 1e5 sampled entries should look like N(0, 1/s).
         sk = make_sketch("gaussian", 100, 1000, seed=11)
-        entries = sk.dense().ravel()
+        entries = dense_sketch(sk).ravel()
         assert entries.size == 100_000
         assert abs(entries.mean()) <= 0.01
         assert abs(entries.var() * sk.s - 1.0) <= 0.10

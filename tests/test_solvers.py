@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sketchreg.solvers as solvers_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.errors import DegenerateOptimumError, DivergenceError
 from sketchreg.feasible import FeasibleSet
@@ -127,6 +130,25 @@ class TestAllSolvers:
         assert rep.iterations_run == 0
         np.testing.assert_array_equal(rep.final_x, np.zeros(4))
 
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_zero_iterations_runs_no_estimator(self, name, monkeypatch):
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9, constraint="l2",
+                                  radius_scale=0.6)
+        calls = []
+        for attr in ("_smoothness_bounds", "_sampled_gradient_variance",
+                     "_stochastic_smoothness"):
+            original = getattr(solvers_mod, attr)
+            monkeypatch.setattr(solvers_mod, attr, lambda *args, _f=original, _n=attr, **kw:
+                                calls.append(_n) or _f(*args, **kw))
+        x0 = np.array([0.1, -0.2, 0.0, 0.3])
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=0, seed=0, x0=x0))
+        assert calls == []
+        np.testing.assert_array_equal(rep.final_x, x0)
+        np.testing.assert_array_equal(rep.final_x_avg, x0)
+        # The same wrappers see the estimators of a solve that steps.
+        SOLVERS[name](a, b, w, SolverConfig(iterations=1, seed=0))
+        assert "_smoothness_bounds" in calls
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name,step", [("hdpwbatch", 10.0), ("pwgrad", 5.0)])
     def test_divergence_raises(self, name, step):
@@ -148,6 +170,83 @@ class TestAllSolvers:
         np.testing.assert_allclose(rep.final_x_avg, final_x_avg, rtol=1e-12)
         assert rep.iterations_run == iterations_run
         assert [p.iteration for p in rep.trace] == trace_iterations
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_iterations(self, name):
+        a, b, w, f_star = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=5, batch_size=4, seed=0),
+                            f_star=f_star)
+        assert (rep.stop_reason, rep.iterations_run) == ("iterations", 5)
+
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "pwgrad"])
+    def test_target(self, name):
+        a, b, w, f_star = make_problem(n=1024, d=6, kappa=10.0, seed=25)
+        cfg = SolverConfig(iterations=5000, batch_size=8, seed=2, record_every=10,
+                           stop_below_rel=0.5)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        assert rep.stop_reason == "target"
+        assert rep.iterations_run < 5000
+        # The point that ends the run is evaluated exactly.
+        x = rep.final_x if name == "pwgrad" else rep.final_x_avg
+        assert rep.trace[-1].iteration == rep.iterations_run
+        assert rep.trace[-1].objective == objective_value(a, b, x)
+        assert rep.final_relative_error <= 0.5
+
+    @pytest.mark.parametrize("name", ["hdpwacc", "sgd", "ihs"])
+    def test_time(self, name):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=10.0, seed=26)
+        cfg = SolverConfig(iterations=1000, seed=3, record_every=1, max_seconds=0.0)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        assert (rep.stop_reason, rep.iterations_run) == ("time", 1)
+
+    def test_objective_tol(self):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=10.0, seed=27)
+        cfg = SolverConfig(iterations=500, seed=4, objective_tol=1e-6)
+        rep = pw_gradient(a, b, w, cfg, f_star=f_star)
+        assert rep.stop_reason == "objective_tol"
+        assert rep.iterations_run < 500
+
+
+class TestAnchoredTrace:
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e8])
+    @pytest.mark.parametrize("constraint", ["none", "l2"])
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_traced_objective_is_exact_at_traced_iterate(self, name, constraint, kappa):
+        n = 1024
+        a, b, _ = gen_synthetic(DatasetSpec(n=n, d=6, target_kappa=kappa,
+                                            noise_std=1.0, seed=41))
+        w = make_feasible_set(a, b, constraint, radius_scale=0.6)
+        # An explicit step keeps the iterates independent of the cap T
+        # (hdpwacc's epoch schedule does not depend on it).
+        step = 0.02
+        if name == "sgd":
+            raw = _smoothness_bounds(a, None)
+            step = 0.5 / (_stochastic_smoothness(raw, n) / 4 + raw.L)
+        cfg = SolverConfig(iterations=200, batch_size=4, step_size=step, seed=5,
+                           record_every=40)
+        rep = SOLVERS[name](a, b, w, cfg)
+        assert [p.iteration for p in rep.trace] == list(range(0, 201, 40))
+        for point in rep.trace:
+            rerun = SOLVERS[name](a, b, w, replace(cfg, iterations=point.iteration))
+            exact = objective_value(a, b, rerun.final_x_avg)
+            rtol = 1e-5 if kappa == 1e8 and point.iteration not in (0, 200) else 1e-10
+            if kappa == 1e8 and point.iteration == 200:
+                rtol = 1e-12
+            assert point.objective == pytest.approx(exact, rel=rtol), point.iteration
+
+    def test_few_exact_evaluations(self, monkeypatch):
+        a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=28)
+        calls = []
+        original = solvers_mod.objective_value
+        monkeypatch.setattr(solvers_mod, "objective_value",
+                            lambda *args: calls.append(1) or original(*args))
+        rep = hd_pw_batch_sgd(a, b, w, SolverConfig(iterations=2000, batch_size=4,
+                                                    record_every=10, seed=6),
+                              f_star=f_star)
+        assert len(rep.trace) == 201
+        assert len(calls) <= 5
 
 
 class TestStepSize:
@@ -175,18 +274,32 @@ class TestSmoothnessConstants:
         pre = build_preconditioner(a, b, "srht", 240, seed=6)
         sv = np.linalg.svd(tri_solve(pre.r_factor, a.T, transposed=True).T,
                            compute_uv=False)
-        L, mu = _smoothness_bounds(a, pre.r_factor)
+        L, mu, _, _ = _smoothness_bounds(a.copy(), pre.r_factor)
         np.testing.assert_allclose([L, mu], [2.0 * sv[0] ** 2, 2.0 * sv[-1] ** 2],
                                    rtol=1e-8)
         # H D is orthogonal on the zero-padded rows: same Gram matrix.
-        np.testing.assert_allclose(_smoothness_bounds(pre.hda, pre.r_factor), [L, mu],
+        np.testing.assert_allclose(_smoothness_bounds(pre.hda, pre.r_factor)[:2], [L, mu],
                                    rtol=1e-8)
 
     def test_raw_problem_uses_a_itself(self):
         a, _, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e3,
                                             noise_std=1.0, seed=7))
-        L, _ = _smoothness_bounds(a, None)
+        L = _smoothness_bounds(a, None).L
         assert L == pytest.approx(2.0 * np.linalg.norm(a, 2) ** 2, rel=1e-12)
+
+    def test_pass_writes_u_and_matches_one_shot(self):
+        a, b, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e4,
+                                            noise_std=1.0, seed=9))
+        pre = build_preconditioner(a, b, "srht", 240, seed=9)
+        u = tri_solve(pre.r_factor, pre.hda.T, transposed=True).T
+        gram = u.T @ u
+        consts = _smoothness_bounds(pre.hda, pre.r_factor)
+        np.testing.assert_allclose(pre.hda, u, rtol=1e-12, atol=1e-12 * np.abs(u).max())
+        np.testing.assert_allclose(consts.gram, gram, rtol=1e-12,
+                                   atol=1e-12 * np.abs(gram).max())
+        assert consts.worst_row_sq == pytest.approx(np.max(np.sum(u**2, axis=1)), rel=1e-12)
+        eigs = np.linalg.eigvalsh(gram)
+        np.testing.assert_allclose([consts.L, consts.mu], 2.0 * eigs[[-1, 0]], rtol=1e-12)
 
     def test_blocked_row_norms_match_one_shot(self):
         a, b, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e3,
@@ -195,9 +308,10 @@ class TestSmoothnessConstants:
         for rows in (a, pre.hda):
             u = tri_solve(pre.r_factor, rows.T, transposed=True).T
             one_shot = 2.0 * rows.shape[0] * np.max(np.sum(u**2, axis=1))
-            assert _stochastic_smoothness(rows, pre.r_factor) == pytest.approx(
+            consts = _smoothness_bounds(rows.copy(), pre.r_factor)
+            assert _stochastic_smoothness(consts, rows.shape[0]) == pytest.approx(
                 one_shot, rel=1e-12)
-        assert _stochastic_smoothness(a, None) == pytest.approx(
+        assert _stochastic_smoothness(_smoothness_bounds(a, None), self.N) == pytest.approx(
             2.0 * self.N * np.max(np.sum(a**2, axis=1)), rel=1e-12)
 
 
