@@ -26,7 +26,8 @@ class DimensionMismatchError(SketchRegError):
 
 
 class InnerSolverStallError(SketchRegError):
-    """The constrained prox subproblem failed to reach its KKT tolerance."""
+    """A ball prox step failed: a non-finite input, an exhausted step
+    budget, or a result that fails its KKT self-check."""
 
 
 class UnboundedSetError(SketchRegError):

@@ -91,9 +91,11 @@ class SolverConfig:
     ``step_size``, ``sigma2`` and ``v0`` accept the string ``"auto"``:
     the step size then follows the min(1/(2L), sqrt(D^2/(2 T sigma^2)))
     rule with the exact smoothness constants of the preconditioned
-    objective (the SGD solvers' one blocked pass over the rows) and a
-    sampled variance estimate at x0. ``ihs`` and ``ihs_fixed`` take the
-    unit step when ``step_size`` is "auto".
+    objective (the SGD solvers' one blocked pass over the rows), a
+    sampled variance estimate at x0 and D = D_W measured in y = R x, the
+    coordinates of sigma^2 and of the prox (``feasible.diameter_param``).
+    ``ihs`` and ``ihs_fixed`` take the unit step when ``step_size`` is
+    "auto".
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -320,7 +322,8 @@ def _stochastic_smoothness(consts: _Constants, n: int) -> float:
 
 class _YProblem(NamedTuple):
     """An SGD solver's problem in y = R x coordinates: min ||U y - rhs||^2
-    over y in R W, started at y0 = R x0 with f0 = f(x0)."""
+    over y in R W, started at y0 = R x0 with f0 = f(x0); ``r_factor`` is
+    R (None for plain SGD, where R = I)."""
 
     u: np.ndarray
     rhs: np.ndarray
@@ -329,6 +332,7 @@ class _YProblem(NamedTuple):
     f0: float
     project: Callable[[np.ndarray], np.ndarray]
     to_x: Callable[[np.ndarray], np.ndarray]
+    r_factor: np.ndarray | None
 
 
 def _y_problem(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
@@ -340,11 +344,11 @@ def _y_problem(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     f0 = objective_value(a, b, x0)
     if pre is None:
         return _YProblem(a, b, _smoothness_bounds(a, None), x0, f0,
-                         lambda y: project_euclidean(w, y), lambda y: y)
+                         lambda y: project_euclidean(w, y), lambda y: y, None)
     prox = RMetricProx(pre.r_factor, w)
     consts = _smoothness_bounds(pre.hda, pre.r_factor)
     return _YProblem(pre.hda, pre.hdb, consts, pre.r_factor @ x0, f0,
-                     prox.project, prox.to_x)
+                     prox.project, prox.to_x, pre.r_factor)
 
 
 def _sigma2(cfg: SolverConfig, prob: _YProblem) -> float:
@@ -368,7 +372,8 @@ def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
     l_stoch = _stochastic_smoothness(prob.consts, prob.u.shape[0])
     cap = min(1.0 / (2.0 * L), 1.0 / (l_stoch / r + L))
     try:
-        d_w = diameter_param(w, cfg.diameter_bound)
+        # D_W in y = R x coordinates, the metric sigma^2 and the prox use.
+        d_w = diameter_param(w, cfg.diameter_bound, prob.r_factor)
     except UnboundedSetError:
         return cap
     return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2 / r))

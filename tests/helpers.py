@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sketchreg.feasible import FeasibleSet, RMetricProx
+from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.sketches import SketchOperator, apply
 
 
@@ -18,3 +18,80 @@ def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
 def dense_sketch(sk: SketchOperator) -> np.ndarray:
     """S materialized as an s x n array."""
     return apply(sk, np.eye(sk.n))
+
+
+def l2_ball_bisection(r_factor: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
+    """Reference l2-ball step argmin_{||x|| <= radius} ||R(x - z)||: 80
+    bisection steps on the KKT multiplier in the SVD coordinates of R,
+    then a snap onto the sphere (the package's solve before Newton)."""
+    _, sv, vt = np.linalg.svd(r_factor)
+    sv2 = sv**2
+    wz = vt @ z
+    lo, hi = 0.0, float(sv2[0] * np.linalg.norm(wz) / radius)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(sv2 * wz / (sv2 + mid)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    u = sv2 * wz / (sv2 + 0.5 * (lo + hi))
+    u *= radius / np.linalg.norm(u)
+    return vt.T @ u
+
+
+def l1_ball_apg(r_factor: np.ndarray, radius: float, z: np.ndarray,
+                max_iter: int = 10_000) -> np.ndarray:
+    """Reference l1-ball step argmin_{||x||_1 <= radius} ||R(x - z)||:
+    accelerated projected gradient on 0.5 (x - z)^T R^T R (x - z) with
+    monotone restarts (the package's solve before the homotopy), run to a
+    1e-13 projected-gradient test where the package stopped at 1e-10, so
+    it is accurate to about 1e-11. Its rate degrades with kappa(R)^2, so
+    it is a reference at small kappa only; returns None when the test is
+    not met in ``max_iter`` steps."""
+    gram = r_factor.T @ r_factor
+    sv = np.linalg.svd(r_factor, compute_uv=False)
+    lip = float(sv[0] ** 2)
+    kappa = float(sv[0] / sv[-1])
+    beta = (kappa - 1.0) / (kappa + 1.0)
+    x = v = project_l1_ball(z, radius)
+    scale = 1.0 + np.linalg.norm(gram @ z)
+    prev_q = np.inf
+    for _ in range(max_iter):
+        x_new = project_l1_ball(v - gram @ (v - z) / lip, radius)
+        grad_x = gram @ (x_new - z)
+        if np.linalg.norm(x_new - project_l1_ball(x_new - grad_x, radius)) <= 1e-13 * scale:
+            return x_new
+        q_new = 0.5 * float((x_new - z) @ grad_x)
+        v = x_new if q_new > prev_q else x_new + beta * (x_new - x)
+        prev_q = q_new
+        x = x_new
+    return None
+
+
+def l2_kkt_residual(r_factor: np.ndarray, radius: float, z: np.ndarray,
+                    x: np.ndarray) -> float:
+    """Relative KKT residual of x as argmin_{||x|| <= radius} ||R(x - z)||
+    for z outside the ball: with g = R^T R (z - x) and the multiplier
+    lam = g^T x / radius^2 >= 0, the larger of ||g - lam x|| / ||R^T R z||
+    and | ||x|| - radius | / radius (inf for a negative multiplier)."""
+    g = r_factor.T @ (r_factor @ (z - x))
+    lam = float(g @ x) / radius**2
+    if lam < 0.0:
+        return float("inf")
+    scale = float(np.linalg.norm(r_factor.T @ (r_factor @ z)))
+    return max(float(np.linalg.norm(g - lam * x)) / scale,
+               abs(float(np.linalg.norm(x)) - radius) / radius)
+
+
+def l1_kkt_residual(r_factor: np.ndarray, radius: float, z: np.ndarray,
+                    x: np.ndarray) -> float:
+    """Relative KKT residual of x as argmin_{||x||_1 <= radius} ||R(x - z)||
+    for z outside the ball: with g = R^T R (z - x) and lam = max_j |g_j|,
+    the larger of max_{x_j != 0} |g_j - lam sign(x_j)| / ||R^T R z||_inf
+    (the correlation scale of the problem) and | ||x||_1 - radius | / radius."""
+    g = r_factor.T @ (r_factor @ (z - x))
+    lam = float(np.max(np.abs(g)))
+    on = x != 0.0
+    scale = float(np.max(np.abs(r_factor.T @ (r_factor @ z))))
+    sign_gap = float(np.max(np.abs(g[on] - lam * np.sign(x[on])), initial=0.0))
+    return max(sign_gap / scale, abs(float(np.sum(np.abs(x))) - radius) / radius)

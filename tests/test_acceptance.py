@@ -204,8 +204,8 @@ def test_criterion_07_oracle_equivalence():
     sgd = hd_pw_batch_sgd(a, b, w, cfg, f_star=f_star)
     rel_sgd = sgd.final_relative_error
 
-    # Constrained oracles on a milder instance: the l1 ball prox runs
-    # accelerated projected gradient, whose rate degrades with kappa(R).
+    # Constrained oracles: two pwgrad starts must agree on an l1 and an
+    # l2 ball, whose R-metric proxes are both solved exactly.
     ac, bc = syn_instance(n=2**12, d=16, kappa=30.0, noise=1.0, seed=6)
     diffs = []
     for constraint, scale in (("l1", 0.5), ("l2", 0.7)):

@@ -66,9 +66,10 @@ PINNED = {
         [0.08500862488398592, -0.22546479364998123, 1.7799435925763671, -0.24934786250980162],
         [0.46979222169690116, -0.40848632030284615, 1.7023513233861103, -0.3048987640155063],
         60, [0, 20, 40, 60]),
+    # Re-captured when D_W in the auto step moved to y = R x coordinates.
     ('hdpwbatch', 'l2'): (
-        [-0.22754400835078514, 0.28754141240484554, 0.8832968136514777, -0.14723002197503174],
-        [-0.15988941324492317, 0.1935959295562444, 0.48383402737564124, -0.12774437502777145],
+        [0.5315647693986069, -0.41325726732507795, 1.171128454391173, -0.23650830864096425],
+        [0.19044035382549143, -0.09097737065461016, 1.213950239659258, -0.11422096415479574],
         60, [0, 20, 40, 60]),
     ('hdpwacc', 'l2'): (
         [0.22544442918669436, -0.021926246401566138, 1.1683951727071735, -0.022364824823066922],
@@ -403,6 +404,21 @@ class TestHdPwBatchSgd:
             batch_means = singles[idx].mean(axis=1)
             sigma2_r = float(np.mean(np.sum((batch_means - mean_grad) ** 2, axis=1)))
             assert abs(sigma2_r * r / sigma2_exact - 1.0) <= 0.15
+
+    @pytest.mark.parametrize("constraint", ["l2", "l1"])
+    def test_auto_step_is_invariant_to_scaling_a(self, constraint):
+        # A -> cA with radius -> radius / c leaves the y = R x problem
+        # (U, HDb and R W) unchanged, so the auto step, which measures D_W
+        # in y, and the y iterates are unchanged too: x(cA) = x(A) / c.
+        a, b, _ = gen_synthetic(DatasetSpec(n=512, d=6, target_kappa=100.0,
+                                            noise_std=1.0, seed=11))
+        w = make_feasible_set(a, b, constraint, radius_scale=0.6)
+        c = 1e3
+        w_c = FeasibleSet(kind=w.kind, dim=w.dim, radius=w.radius / c)
+        cfg = SolverConfig(iterations=400, batch_size=4, seed=2)
+        rep = hd_pw_batch_sgd(a, b, w, cfg)
+        rep_c = hd_pw_batch_sgd(c * a, b, w_c, cfg)
+        np.testing.assert_allclose(c * rep_c.final_x_avg, rep.final_x_avg, rtol=1e-8)
 
     def test_deterministic_given_seed(self):
         a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
