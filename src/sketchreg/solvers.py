@@ -19,8 +19,9 @@ The three SGD solvers step in y = R x coordinates over U = HDA R^-1
 a step costs O(batch * d) with no triangular solve on R^d, and on a
 ball only a step that leaves W pays for the R-metric projection. One
 blocked pass writes U over the Hadamard-transformed rows and yields the
-exact smoothness constants and G = U^T U, so trace points cost O(d^2)
-each (see ``_AnchoredObjective``); the returned iterates are x = R^-1 y.
+exact smoothness constants and the eigendecomposition of G = U^T U, so
+trace points cost O(d^2) each (see ``_trace_objective``); the returned
+iterates are x = R^-1 y.
 
 All solvers are deterministic given the config seed: independent RNG
 streams are derived for the sketch, the Hadamard signs, the sampled
@@ -75,12 +76,11 @@ _INDEX_CHUNK = 8192
 # Rows per block of the constant estimators' pass: large enough that each
 # block is one efficient GEMM, small enough to bound the temporaries.
 _GRAM_BLOCK = 4096
-# An SGD trace point estimated from the anchored quadratic is trusted
-# while its rounding bound, _TRACE_ROUNDING * (f0 + 2 |g0^T delta| +
-# lambda_max ||delta||^2), stays below _TRACE_RTOL * f; otherwise it is
-# evaluated exactly and becomes the new anchor.
-_TRACE_ROUNDING = 64.0 * float(np.finfo(np.float64).eps)
-_TRACE_RTOL = 1e-11
+# Above this kappa(G) the minimiser y_c of the centred quadratic cannot
+# be trusted, so SGD trace points are evaluated exactly.
+_CENTRED_MAX_COND = 1e8
+# hdpwacc raises EpochBudgetError for an epoch that wants more steps.
+_EPOCH_ITER_CAP = 10_000_000
 
 
 @dataclass
@@ -102,6 +102,8 @@ class SolverConfig:
     whose points cost O(d^2) each). ``max_seconds``, ``objective_tol``
     (full-gradient solvers) and ``stop_below_rel`` (needs ``f_star``)
     end a run early; ``SolveReport.stop_reason`` says which rule did.
+    The SGD solvers' stop rules read the trace value, and the last trace
+    point is always the exact objective of the returned iterate.
     """
 
     iterations: int = 1000
@@ -119,7 +121,6 @@ class SolverConfig:
     objective_tol: float | None = None
     stop_below_rel: float | None = None
     x0: np.ndarray | None = None
-    epoch_iter_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -217,13 +218,12 @@ def acc_epoch_schedule(L: float, mu: float, sigma2: float, v0: float,
     return n_s, float(eta_s)
 
 
-def batch_index_stream(seed: int, n: int, batch: int,
-                       chunk: int = _INDEX_CHUNK) -> Iterator[np.ndarray]:
+def batch_index_stream(seed: int, n: int, batch: int) -> Iterator[np.ndarray]:
     """The exact uniform-with-replacement index stream the SGD solvers
     consume, exposed so tests can replay a run's sample sequence."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SAMPLE]))
     while True:
-        block = rng.integers(0, n, size=(chunk, batch))
+        block = rng.integers(0, n, size=(_INDEX_CHUNK, batch))
         yield from block
 
 
@@ -276,16 +276,17 @@ class _Constants(NamedTuple):
     L: float  # 2 lambda_max(G)
     mu: float  # 2 lambda_min(G), clipped at 0
     worst_row_sq: float  # max_i ||u_i||^2
-    gram: np.ndarray  # G = U^T U
+    eigvals: np.ndarray  # ascending eigenvalues of G = U^T U
+    eigvecs: np.ndarray  # G = eigvecs @ diag(eigvals) @ eigvecs.T
 
 
 def _smoothness_bounds(rows: np.ndarray, r_factor: np.ndarray | None) -> _Constants:
     """Exact (L, mu) = 2 (sigma_max^2, sigma_min^2) of U = rows R^-1
-    (rows itself when r_factor is None), its Gram matrix and its largest
-    squared row norm, from one pass over consecutive blocks of
-    ``_GRAM_BLOCK`` rows. Given r_factor, each block is overwritten by
-    its GEMM against an explicit d x d inverse, so ``rows`` ends as U and
-    no n x d array is allocated."""
+    (rows itself when r_factor is None), the eigendecomposition of its
+    Gram matrix and its largest squared row norm, from one pass over
+    consecutive blocks of ``_GRAM_BLOCK`` rows. Given r_factor, each block
+    is overwritten by its GEMM against an explicit d x d inverse, so
+    ``rows`` ends as U and no n x d array is allocated."""
     n, d = rows.shape
     r_inv = None if r_factor is None else tri_solve(r_factor, np.eye(d))
     gram = np.zeros((d, d))
@@ -296,8 +297,9 @@ def _smoothness_bounds(rows: np.ndarray, r_factor: np.ndarray | None) -> _Consta
             u[...] = u @ r_inv
         gram += u.T @ u
         worst = max(worst, float(np.max(np.sum(u * u, axis=1))))
-    eigs = np.linalg.eigvalsh(gram)
-    return _Constants(2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0), worst, gram)
+    eigs, vecs = np.linalg.eigh(gram)
+    return _Constants(2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0), worst,
+                      eigs, vecs)
 
 
 def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray,
@@ -379,39 +381,23 @@ def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
     return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2 / r))
 
 
-class _AnchoredObjective:
-    """f(y) = ||U y - rhs||^2 of a ``_YProblem`` in O(d^2) a point.
+def _trace_objective(a: np.ndarray, b: np.ndarray,
+                     prob: _YProblem) -> Callable[[np.ndarray], float]:
+    """y -> f(y) = ||U y - rhs||^2 of a ``_YProblem``, for trace points.
 
-    With G = U^T U, an anchor y0, its exact objective f0 and
-    g0 = U^T (rhs - U y0): f(y0 + delta) = f0 - 2 g0^T delta + delta^T G delta.
-    A point whose rounding bound (module constants ``_TRACE_ROUNDING``,
-    ``_TRACE_RTOL``) is too large for its value is evaluated exactly
-    instead and becomes the new anchor; ``exact`` evaluates a point
-    without moving the anchor.
+    With G = V diag(lam) V^T and its minimiser y_c = G^-1 U^T rhs,
+    f(y) = f(y_c) + ||lam^1/2 V^T (y - y_c)||^2: two nonnegative terms, so
+    a point costs O(d^2) and suffers no cancellation. When kappa(G)
+    exceeds ``_CENTRED_MAX_COND`` (plain SGD on an ill-conditioned A), y_c
+    is not trustworthy and each point is evaluated exactly instead.
     """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, prob: _YProblem):
-        self.a, self.b, self.prob = a, b, prob
-        self.lam_max = 0.5 * prob.consts.L
-        self._anchor(prob.y0, prob.f0)
-
-    def _anchor(self, y: np.ndarray, f: float) -> float:
-        u, rhs = self.prob.u, self.prob.rhs
-        self.y0, self.f0, self.g0 = y.copy(), f, u.T @ (rhs - u @ y)
-        return f
-
-    def exact(self, y: np.ndarray) -> float:
-        return objective_value(self.a, self.b, self.prob.to_x(y))
-
-    def __call__(self, y: np.ndarray) -> float:
-        delta = y - self.y0
-        lin = float(self.g0 @ delta)
-        f = self.f0 - 2.0 * lin + float(delta @ (self.prob.consts.gram @ delta))
-        bound = _TRACE_ROUNDING * (self.f0 + 2.0 * abs(lin)
-                                   + self.lam_max * float(delta @ delta))
-        if bound > _TRACE_RTOL * f:
-            return self._anchor(y, self.exact(y))
-        return f
+    lam, vecs = prob.consts.eigvals, prob.consts.eigvecs
+    if lam[0] <= 0.0 or lam[-1] > _CENTRED_MAX_COND * lam[0]:
+        return lambda y: objective_value(a, b, prob.to_x(y))
+    y_c = vecs @ ((vecs.T @ (prob.u.T @ prob.rhs)) / lam)
+    f_c = objective_value(prob.u, prob.rhs, y_c)
+    half = np.sqrt(lam)[:, None] * vecs.T
+    return lambda y: f_c + float(np.square(half @ (y - y_c)).sum())
 
 
 def _precondition(a: np.ndarray, b: np.ndarray,
@@ -431,10 +417,9 @@ class _Recorder:
     The clock starts at construction; ``stop`` traces a point when its
     iteration is due and applies ``stop_below_rel``, ``objective_tol``
     (given the previous objective) and ``max_seconds``, keeping the
-    rule that fired as ``stop_reason``; ``report`` adds the final
-    point when the loop ended between due iterations or on an estimated
-    point. A non-finite objective, checked or traced, raises
-    DivergenceError.
+    rule that fired as ``stop_reason``; ``report`` makes the exact
+    objective of the returned iterate the last point. A non-finite
+    objective, checked or traced, raises DivergenceError.
     """
 
     def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
@@ -447,7 +432,6 @@ class _Recorder:
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
         self.trace = [self._point(0, 0.0, f0)]
         self.stop_reason = "iterations"
-        self._last_estimated = False
         self.start = time.perf_counter()
 
     def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
@@ -469,33 +453,24 @@ class _Recorder:
     def due(self, t: int) -> bool:
         return t % self.every == 0 or t == self.cfg.iterations
 
-    def stop(self, t: int, f: float, f_prev: float | None = None,
-             exact: Callable[[], float] | None = None) -> bool:
-        """Whether a stop rule fires at iteration t. Given ``exact``, f is
-        an estimate, and ``exact()`` replaces it before a target or
-        objective_tol stop takes effect."""
+    def stop(self, t: int, f: float, f_prev: float | None = None) -> bool:
+        """Whether a stop rule fires at iteration t; traces t when due."""
         point = self._point(t, time.perf_counter() - self.start, f)
         rule = self._rule(point, f_prev)
-        estimated = exact is not None
-        if estimated and rule in ("target", "objective_tol"):
-            point = self._point(t, point.elapsed_seconds, exact())
-            rule, estimated = self._rule(point, f_prev), False
         if self.due(t):
             self.trace.append(point)
-            self._last_estimated = estimated
         if rule is not None:
             self.stop_reason = rule
         return rule is not None
 
     def report(self, solver: str, ran: int, x: np.ndarray, x_avg: np.ndarray,
-               pre_seconds: float, final_objective) -> SolveReport:
-        """The run's report; ``final_objective()`` is only evaluated when
-        iteration ``ran`` is not traced yet, or traced by an estimate."""
-        if self.trace[-1].iteration == ran and self._last_estimated:
-            self.trace.pop()
-        if self.trace[-1].iteration != ran:
-            self.trace.append(self._point(ran, time.perf_counter() - self.start,
-                                          final_objective()))
+               pre_seconds: float, final_objective: float) -> SolveReport:
+        """The run's report, whose point at iteration ``ran`` carries
+        ``final_objective``, the exact objective of the returned iterate."""
+        elapsed = time.perf_counter() - self.start
+        if self.trace[-1].iteration == ran:
+            elapsed = self.trace.pop().elapsed_seconds
+        self.trace.append(self._point(ran, elapsed, final_objective))
         return SolveReport(solver=solver, trace=self.trace, final_x=x, final_x_avg=x_avg,
                            iterations_run=ran, preconditioning_seconds=pre_seconds,
                            stop_reason=self.stop_reason)
@@ -505,8 +480,8 @@ def _unmoved(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | No
              solver: str, pre_seconds: float) -> SolveReport:
     """Report of an SGD solve with ``iterations=0``: x0, and no estimator."""
     x0 = _start_point(cfg, a.shape[1])
-    rec = _Recorder(cfg, f_star, objective_value(a, b, x0))
-    return rec.report(solver, 0, x0, x0.copy(), pre_seconds, None)
+    f0 = objective_value(a, b, x0)
+    return _Recorder(cfg, f_star, f0).report(solver, 0, x0, x0.copy(), pre_seconds, f0)
 
 
 def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | None,
@@ -521,9 +496,8 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | 
     y = prob.y0
     y_sum = np.zeros_like(y)
     indices = batch_index_stream(cfg.seed, m, r)
-    objective = _AnchoredObjective(a, b, prob)
+    objective = _trace_objective(a, b, prob)
     rec = _Recorder(cfg, f_star, prob.f0)
-    ran = 0
     for t in range(1, cfg.iterations + 1):
         idx = next(indices)
         # take() gathers rows about twice as fast as fancy indexing.
@@ -531,14 +505,12 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | 
         resid = batch @ y - prob.rhs.take(idx)
         y = prob.project(y - eta * scale * (batch.T @ resid))
         y_sum += y
-        ran = t
-        if rec.due(t):
-            y_avg = y_sum / t
-            if rec.stop(t, objective(y_avg), exact=lambda: objective.exact(y_avg)):
-                break
-    x_avg = prob.to_x(y_sum / ran)
-    return rec.report(solver, ran, prob.to_x(y), x_avg, pre_seconds,
-                      lambda: objective_value(a, b, x_avg))
+        if rec.due(t) and rec.stop(t, objective(y_sum / t)):
+            break
+    # Callers run at least one iteration, so t is the last one run.
+    x_avg = prob.to_x(y_sum / t)
+    return rec.report(solver, t, prob.to_x(y), x_avg, pre_seconds,
+                      objective_value(a, b, x_avg))
 
 
 def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -570,7 +542,7 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     bound V_0 2^-s, warm starting from the previous epoch's output; the
     inner recursion averages with weights 2/(t+1). ``iterations`` acts
     as a cap on the total number of inner steps; a single epoch
-    demanding more than ``epoch_iter_cap`` steps raises EpochBudgetError.
+    demanding more than ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError.
     """
     a, b = _validate_problem(a, b, w)
     pre, pre_seconds = _precondition(a, b, cfg)
@@ -586,15 +558,14 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     y_hat = prob.y0.copy()
     scale = 2.0 * pre.n_pad / r
     indices = batch_index_stream(cfg.seed, pre.n_pad, r)
-    objective = _AnchoredObjective(a, b, prob)
+    objective = _trace_objective(a, b, prob)
     rec = _Recorder(cfg, f_star, prob.f0)
     total = 0
-    stopped = False
     for s in range(1, cfg.epochs + 1):
-        if stopped or total >= cfg.iterations:
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
         n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_batch, v0, s)
-        if n_s > cfg.epoch_iter_cap:
+        if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         y = y_hat.copy()
         for t in range(1, min(n_s, cfg.iterations - total) + 1):
@@ -610,13 +581,11 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
             y_hat = y_tilde + alpha * (y_next - y)
             y = y_next
             total += 1
-            if rec.due(total) and rec.stop(total, objective(y_hat),
-                                           exact=lambda: objective.exact(y_hat)):
-                stopped = True
+            if rec.due(total) and rec.stop(total, objective(y_hat)):
                 break
     x_hat = prob.to_x(y_hat)
     return rec.report("hdpwacc", total, x_hat, x_hat, pre_seconds,
-                      lambda: objective_value(a, b, x_hat))
+                      objective_value(a, b, x_hat))
 
 
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
@@ -651,7 +620,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
         ran = t
         if rec.stop(t, f, f_prev):
             break
-    return rec.report(solver, ran, x, x.copy(), pre_seconds, lambda: f)
+    return rec.report(solver, ran, x, x.copy(), pre_seconds, f)
 
 
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,

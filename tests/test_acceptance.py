@@ -266,9 +266,10 @@ def test_criterion_09_fwht_correctness():
 def test_criterion_10_accelerated_beats_plain_schedule():
     # At equal batch size on the ball-constrained kappa=1e3 instance
     # (radius = unconstrained optimum norm), the multi-epoch accelerated
-    # schedule reaches rel-err 1e-3 in far fewer inner iterations than
-    # fixed-step batch SGD under its diameter-coupled step rule, which
-    # plateaus and gets budget-censored.
+    # schedule reaches rel-err 1e-3 in fewer inner iterations than
+    # fixed-step batch SGD under its diameter-coupled step rule (medians
+    # of about 2000 against 3800); the budget only censors a fixed-step
+    # run that misses the target.
     a, b = syn_instance(n=2**14, d=20, kappa=1e3, noise=10.0, seed=6)
     w = make_feasible_set(a, b, "l2", radius_scale=1.0)
     _, f_star = ground_truth(a, b, w)

@@ -5,7 +5,7 @@ import pytest
 
 import sketchreg.solvers as solvers_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
-from sketchreg.errors import DegenerateOptimumError, DivergenceError
+from sketchreg.errors import DegenerateOptimumError, DivergenceError, EpochBudgetError
 from sketchreg.feasible import FeasibleSet
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
@@ -210,10 +210,16 @@ class TestStopReason:
         assert rep.iterations_run < 500
 
 
+# Plain sgd at kappa(A) >= 1e10 has kappa(G) = kappa(A)^2 far above
+# _CENTRED_MAX_COND, so its trace points take the exact-evaluation branch.
+TRACE_CASES = [(name, constraint, kappa)
+               for name in ("hdpwbatch", "hdpwacc", "sgd")
+               for constraint in ("none", "l2")
+               for kappa in (1e2, 1e4, 1e8) + ((1e10, 1e12) if name == "sgd" else ())]
+
+
 class TestAnchoredTrace:
-    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e8])
-    @pytest.mark.parametrize("constraint", ["none", "l2"])
-    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    @pytest.mark.parametrize("name,constraint,kappa", TRACE_CASES)
     def test_traced_objective_is_exact_at_traced_iterate(self, name, constraint, kappa):
         n = 1024
         a, b, _ = gen_synthetic(DatasetSpec(n=n, d=6, target_kappa=kappa,
@@ -237,17 +243,20 @@ class TestAnchoredTrace:
                 rtol = 1e-12
             assert point.objective == pytest.approx(exact, rel=rtol), point.iteration
 
-    def test_few_exact_evaluations(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_few_exact_evaluations(self, name, monkeypatch):
         a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=28)
         calls = []
         original = solvers_mod.objective_value
         monkeypatch.setattr(solvers_mod, "objective_value",
                             lambda *args: calls.append(1) or original(*args))
-        rep = hd_pw_batch_sgd(a, b, w, SolverConfig(iterations=2000, batch_size=4,
-                                                    record_every=10, seed=6),
-                              f_star=f_star)
-        assert len(rep.trace) == 201
-        assert len(calls) <= 5
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=2000, batch_size=4,
+                                                  record_every=10, seed=6),
+                            f_star=f_star)
+        ran = rep.iterations_run
+        assert [p.iteration for p in rep.trace] == sorted({*range(0, ran + 1, 10), ran})
+        # x0, the centre f_c of the trace quadratic and the returned iterate.
+        assert len(calls) == 3
 
 
 class TestStepSize:
@@ -275,12 +284,13 @@ class TestSmoothnessConstants:
         pre = build_preconditioner(a, b, "srht", 240, seed=6)
         sv = np.linalg.svd(tri_solve(pre.r_factor, a.T, transposed=True).T,
                            compute_uv=False)
-        L, mu, _, _ = _smoothness_bounds(a.copy(), pre.r_factor)
+        consts = _smoothness_bounds(a.copy(), pre.r_factor)
+        L, mu = consts.L, consts.mu
         np.testing.assert_allclose([L, mu], [2.0 * sv[0] ** 2, 2.0 * sv[-1] ** 2],
                                    rtol=1e-8)
         # H D is orthogonal on the zero-padded rows: same Gram matrix.
-        np.testing.assert_allclose(_smoothness_bounds(pre.hda, pre.r_factor)[:2], [L, mu],
-                                   rtol=1e-8)
+        padded = _smoothness_bounds(pre.hda, pre.r_factor)
+        np.testing.assert_allclose([padded.L, padded.mu], [L, mu], rtol=1e-8)
 
     def test_raw_problem_uses_a_itself(self):
         a, _, _ = gen_synthetic(DatasetSpec(n=self.N, d=12, target_kappa=1e3,
@@ -296,7 +306,8 @@ class TestSmoothnessConstants:
         gram = u.T @ u
         consts = _smoothness_bounds(pre.hda, pre.r_factor)
         np.testing.assert_allclose(pre.hda, u, rtol=1e-12, atol=1e-12 * np.abs(u).max())
-        np.testing.assert_allclose(consts.gram, gram, rtol=1e-12,
+        vecs = consts.eigvecs
+        np.testing.assert_allclose((vecs * consts.eigvals) @ vecs.T, gram, rtol=1e-12,
                                    atol=1e-12 * np.abs(gram).max())
         assert consts.worst_row_sq == pytest.approx(np.max(np.sum(u**2, axis=1)), rel=1e-12)
         eigs = np.linalg.eigvalsh(gram)
@@ -452,6 +463,13 @@ class TestAccelerated:
         rep1 = hd_pw_acc_batch_sgd(a, b, w, cfg, f_star=f_star)
         rep2 = hd_pw_acc_batch_sgd(a, b, w, cfg, f_star=f_star)
         np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
+
+    def test_epoch_over_cap_raises(self, monkeypatch):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=12)
+        monkeypatch.setattr(solvers_mod, "_EPOCH_ITER_CAP", 5)
+        with pytest.raises(EpochBudgetError, match="epoch 1 wants"):
+            hd_pw_acc_batch_sgd(a, b, w, SolverConfig(iterations=400, batch_size=4, seed=5),
+                                f_star=f_star)
 
 
 class TestPwGradient:

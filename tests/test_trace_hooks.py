@@ -1,0 +1,37 @@
+"""The benchmark's traced mode wraps package functions by name; a rename
+or deletion of one it needs must fail here, not only in a traced run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from sketchreg.bench import DatasetSpec, gen_synthetic
+from sketchreg.feasible import FeasibleSet
+from sketchreg.solvers import SOLVERS, SolverConfig
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_mod():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+def test_sgd_solve_fires_estimate_and_trace_eval(tracer_mod, name):
+    a, b, _ = gen_synthetic(DatasetSpec(n=256, d=4, target_kappa=10.0,
+                                        noise_std=1.0, seed=3))
+    tracer = tracer_mod.Tracer()
+    try:
+        # Raises WrapTargetMissing when a wrapped name is gone.
+        tracer_mod.install(tracer)
+        SOLVERS[name](a, b, FeasibleSet.unconstrained(4),
+                      SolverConfig(iterations=50, batch_size=4, seed=0))
+    finally:
+        tracer.uninstall()
+    fired = tracer.fired()
+    assert {f"solvers.{name}", "solvers.estimate", "solvers.trace_eval"} <= fired
