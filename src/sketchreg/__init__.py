@@ -28,7 +28,7 @@ from .errors import (
     UnboundedSetError,
 )
 from .feasible import FeasibleSet, diameter_param, project_euclidean
-from .linalg import QRFactors, condition_number, fwht, fwht_inplace, qr_thin, tri_solve
+from .linalg import QRFactors, condition_number, fwht_inplace, qr_thin, tri_solve
 from .precond import Preconditioner, build_hd, build_preconditioner, build_r, row_norm_spread
 from .sketches import SketchOperator, apply, embedding_distortion, make_sketch
 from .solvers import (

@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import bench
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .linalg import condition_number, tri_solve
 from .precond import build_hd, build_r, row_norm_spread
-from .sketches import embedding_distortion, make_sketch
+from .sketches import KINDS, embedding_distortion, make_sketch
 from .solvers import SOLVERS, SolverConfig, resolve_sketch_size
 
 DEFAULT_SEED = 1729
@@ -60,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", required=True, choices=sorted(SOLVERS))
     solve.add_argument("--constraint", choices=["none", "l1", "l2"], default="none")
     solve.add_argument("--radius-scale", type=float, default=1.0)
-    solve.add_argument("--sketch", default="srht",
-                       choices=["gaussian", "countsketch", "srht", "identity"])
+    solve.add_argument("--sketch", default="srht", choices=KINDS)
     solve.add_argument("--sketch-size", type=float, default=None)
     solve.add_argument("--batch", type=int, default=1, help="mini-batch size r")
     solve.add_argument("--iters", type=int, default=1000)
@@ -91,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     bch.add_argument("--batch", type=int, default=1)
     bch.add_argument("--epochs", type=int, default=8)
     bch.add_argument("--eta", default="auto")
-    bch.add_argument("--sketch", default="srht",
-                     choices=["gaussian", "countsketch", "srht", "identity"])
+    bch.add_argument("--sketch", default="srht", choices=KINDS)
     bch.add_argument("--sketch-size", type=float, default=None)
     bch.add_argument("--seeds", type=int, default=10, help="number of seeds per solver")
     bch.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -102,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diag", help="preconditioning diagnostics for a dataset")
     diag.add_argument("--data", required=True)
-    diag.add_argument("--sketch", default="srht",
-                      choices=["gaussian", "countsketch", "srht", "identity"])
+    diag.add_argument("--sketch", default="srht", choices=KINDS)
     diag.add_argument("--sketch-size", type=float, default=None)
     diag.add_argument("--seed", type=int, default=DEFAULT_SEED)
     diag.add_argument("--trials", type=int, default=100,
@@ -192,6 +188,9 @@ def _bench_settings(args) -> dict:
         "seed": args.seed, "target": args.target,
     }
     if args.config:
+        # Imported here so that CLI runs without --config skip its start-up cost.
+        import yaml
+
         with open(args.config, "r", encoding="utf-8") as handle:
             overrides = yaml.safe_load(handle) or {}
         unknown = set(overrides) - set(settings)

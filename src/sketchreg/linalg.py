@@ -22,7 +22,6 @@ __all__ = [
     "qr_thin",
     "tri_solve",
     "fwht_inplace",
-    "fwht",
     "condition_number",
     "next_pow2",
 ]
@@ -135,11 +134,6 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         outer *= m
     np.multiply(src, 1.0 / np.sqrt(n), out=v)
     return v
-
-
-def fwht(v: np.ndarray) -> np.ndarray:
-    """Copying wrapper around :func:`fwht_inplace`."""
-    return fwht_inplace(np.array(v, dtype=np.float64, order="C"))
 
 
 def condition_number(m: np.ndarray) -> float:

@@ -14,14 +14,15 @@ Four preconditioned methods plus one baseline:
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
 
-The three SGD solvers step in y = R x coordinates over U = HDA R^-1
-(U = A, R = I for plain SGD), i.e. SGD on min ||U y - HDb||^2 over R W:
-a step costs O(batch * d) with no triangular solve on R^d, and on a
-ball only a step that leaves W pays for the R-metric projection. One
-blocked pass writes U over the Hadamard-transformed rows and yields the
-exact smoothness constants and the eigendecomposition of G = U^T U, so
-trace points cost O(d^2) each (see ``_trace_objective``); the returned
-iterates are x = R^-1 y.
+The three SGD solvers share one pipeline, ``_sgd_solve``, and differ only
+in their loops. They step in y = R x coordinates over U = HDA R^-1 (U = A,
+R = I for plain SGD), i.e. SGD on min ||U y - HDb||^2 over R W: a step
+costs O(batch * d) with no triangular solve on R^d, and on a ball only a
+step that leaves W pays for the R-metric projection. One blocked pass
+writes U over the Hadamard-transformed rows and yields the exact
+smoothness constants and the eigendecomposition of G = U^T U, so trace
+points cost O(d^2) each (see ``_trace_objective``); the returned iterates
+are x = R^-1 y.
 
 All solvers are deterministic given the config seed: independent RNG
 streams are derived for the sketch, the Hadamard signs, the sampled
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidean
 from .linalg import qr_thin, tri_solve
-from .precond import Preconditioner, build_preconditioner
+from .precond import build_preconditioner
 from .sketches import KINDS, apply, default_sketch_size, make_sketch
 
 __all__ = [
@@ -88,14 +89,14 @@ class SolverConfig:
     """Knobs shared by all solvers; fields that a given solver does not
     use are ignored by it.
 
-    ``step_size``, ``sigma2`` and ``v0`` accept the string ``"auto"``:
-    the step size then follows the min(1/(2L), sqrt(D^2/(2 T sigma^2)))
-    rule with the exact smoothness constants of the preconditioned
-    objective (the SGD solvers' one blocked pass over the rows), a
-    sampled variance estimate at x0 and D = D_W measured in y = R x, the
-    coordinates of sigma^2 and of the prox (``feasible.diameter_param``).
-    ``ihs`` and ``ihs_fixed`` take the unit step when ``step_size`` is
-    "auto".
+    ``step_size="auto"`` makes the SGD step follow the
+    min(1/(2L), sqrt(D^2/(2 T sigma^2))) rule with the exact smoothness
+    constants of the preconditioned objective (the SGD solvers' one
+    blocked pass over the rows), D = D_W measured in y = R x, the
+    coordinates of the prox (``feasible.diameter_param``), and, only when
+    D is finite, a sampled gradient-variance estimate sigma^2 at x0.
+    hdpwacc always uses that sigma^2 and V_0 = f(x0). ``ihs`` and
+    ``ihs_fixed`` take the unit step when ``step_size`` is "auto".
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -110,8 +111,6 @@ class SolverConfig:
     batch_size: int = 1
     step_size: float | str = "auto"
     epochs: int = 8
-    v0: float | str = "auto"
-    sigma2: float | str = "auto"
     seed: int = 0
     record_every: int | None = None
     sketch_kind: str = "srht"
@@ -129,10 +128,8 @@ class SolverConfig:
             raise ValueError("batch_size must be >= 1")
         if not isinstance(self.step_size, str) and self.step_size <= 0.0:
             raise ValueError("explicit step_size must be > 0")
-        for name in ("step_size", "sigma2", "v0"):
-            value = getattr(self, name)
-            if isinstance(value, str) and value != "auto":
-                raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
+        if isinstance(self.step_size, str) and self.step_size != "auto":
+            raise ValueError(f"step_size must be a number or 'auto', got {self.step_size!r}")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be >= 1 (None picks the default)")
         if self.sketch_kind not in KINDS:
@@ -323,9 +320,8 @@ def _stochastic_smoothness(consts: _Constants, n: int) -> float:
 
 
 class _YProblem(NamedTuple):
-    """An SGD solver's problem in y = R x coordinates: min ||U y - rhs||^2
-    over y in R W, started at y0 = R x0 with f0 = f(x0); ``r_factor`` is
-    R (None for plain SGD, where R = I)."""
+    """An SGD solver's problem min ||U y - rhs||^2 over y in R W, started at
+    y0 = R x0 with f0 = f(x0); ``r_factor`` is R (None for plain SGD)."""
 
     u: np.ndarray
     rhs: np.ndarray
@@ -337,35 +333,12 @@ class _YProblem(NamedTuple):
     r_factor: np.ndarray | None
 
 
-def _y_problem(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
-               pre: Preconditioner | None) -> _YProblem:
-    """With ``pre``: U = HDA R^-1, written over ``pre.hda`` by the
-    estimator pass, and the R-metric projection. Without (plain SGD):
-    U = A, R = I and the Euclidean projection."""
-    x0 = _start_point(cfg, a.shape[1])
-    f0 = objective_value(a, b, x0)
-    if pre is None:
-        return _YProblem(a, b, _smoothness_bounds(a, None), x0, f0,
-                         lambda y: project_euclidean(w, y), lambda y: y, None)
-    prox = RMetricProx(pre.r_factor, w)
-    consts = _smoothness_bounds(pre.hda, pre.r_factor)
-    return _YProblem(pre.hda, pre.hdb, consts, pre.r_factor @ x0, f0,
-                     prox.project, prox.to_x, pre.r_factor)
-
-
-def _sigma2(cfg: SolverConfig, prob: _YProblem) -> float:
-    if cfg.sigma2 != "auto":
-        return float(cfg.sigma2)
-    return _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed)
-
-
 def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
     """Explicit ``step_size``, or the auto rule on the sampled problem."""
     if cfg.step_size != "auto":
         return float(cfg.step_size)
     r = cfg.batch_size
     L = prob.consts.L
-    sigma2 = _sigma2(cfg, prob)
     # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))), additionally
     # capped for stochastic stability: with L the full-gradient
     # smoothness alone, single-row steps are wildly unstable (the
@@ -378,6 +351,7 @@ def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
         d_w = diameter_param(w, cfg.diameter_bound, prob.r_factor)
     except UnboundedSetError:
         return cap
+    sigma2 = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed)
     return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2 / r))
 
 
@@ -398,17 +372,6 @@ def _trace_objective(a: np.ndarray, b: np.ndarray,
     f_c = objective_value(prob.u, prob.rhs, y_c)
     half = np.sqrt(lam)[:, None] * vecs.T
     return lambda y: f_c + float(np.square(half @ (y - y_c)).sum())
-
-
-def _precondition(a: np.ndarray, b: np.ndarray,
-                  cfg: SolverConfig) -> tuple[Preconditioner, float]:
-    """Both preconditioning steps at the SGD sketch size, and their time."""
-    n, d = a.shape
-    tic = time.perf_counter()
-    pre = build_preconditioner(
-        a, b, cfg.sketch_kind, resolve_sketch_size(cfg, n, d, False), cfg.seed
-    )
-    return pre, time.perf_counter() - tic
 
 
 class _Recorder:
@@ -476,22 +439,44 @@ class _Recorder:
                            stop_reason=self.stop_reason)
 
 
-def _unmoved(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | None,
-             solver: str, pre_seconds: float) -> SolveReport:
-    """Report of an SGD solve with ``iterations=0``: x0, and no estimator."""
+def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
+               f_star: float | None, solver: str,
+               loop: Callable[..., tuple], precondition: bool) -> SolveReport:
+    """The pipeline of the three SGD solvers, which differ only in ``loop``:
+    preconditioning (skipped for plain SGD; a bad sketch size raises even
+    at ``iterations=0``, which reports x0 and runs no estimator), the
+    y-problem, ``loop`` -> (recorder, iterations run, last x, reported x),
+    and the exact objective of the reported x as the last trace point."""
+    a, b = _validate_problem(a, b, w)
     x0 = _start_point(cfg, a.shape[1])
     f0 = objective_value(a, b, x0)
-    return _Recorder(cfg, f_star, f0).report(solver, 0, x0, x0.copy(), pre_seconds, f0)
+    pre_seconds = 0.0
+    if precondition:
+        tic = time.perf_counter()
+        pre = build_preconditioner(a, b, cfg.sketch_kind,
+                                   resolve_sketch_size(cfg, *a.shape, False), cfg.seed)
+        pre_seconds = time.perf_counter() - tic
+    if cfg.iterations == 0:
+        return _Recorder(cfg, f_star, f0).report(solver, 0, x0, x0.copy(), pre_seconds, f0)
+    if precondition:
+        prox = RMetricProx(pre.r_factor, w)
+        prob = _YProblem(pre.hda, pre.hdb, _smoothness_bounds(pre.hda, pre.r_factor),
+                         pre.r_factor @ x0, f0, prox.project, prox.to_x, pre.r_factor)
+    else:
+        prob = _YProblem(a, b, _smoothness_bounds(a, None), x0, f0,
+                         lambda y: project_euclidean(w, y), lambda y: y, None)
+    rec, ran, x, x_avg = loop(a, b, w, cfg, f_star, prob)
+    return rec.report(solver, ran, x, x_avg, pre_seconds, objective_value(a, b, x_avg))
 
 
-def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | None,
-               prob: _YProblem, eta: float, solver: str,
-               pre_seconds: float) -> SolveReport:
-    """Shared loop of hdpwbatch and sgd: T updates
+def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
+               f_star: float | None, prob: _YProblem) -> tuple:
+    """Loop of hdpwbatch and sgd: T updates
     y <- P(y - eta * scale * U_B^T (U_B y - rhs_B)) on i.i.d. uniform
-    batches B of ``batch_size`` rows, where the scaled batch gradient is
-    unbiased. The trace follows the averaged iterate."""
+    batches B of ``batch_size`` rows (the scaled batch gradient is
+    unbiased). The trace follows, and it reports, the averaged iterate."""
     m, r = prob.u.shape[0], cfg.batch_size
+    eta = _sgd_eta(cfg, w, prob)
     scale = 2.0 * m / r
     y = prob.y0
     y_sum = np.zeros_like(y)
@@ -507,64 +492,27 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, cfg: SolverConfig, f_star: float | 
         y_sum += y
         if rec.due(t) and rec.stop(t, objective(y_sum / t)):
             break
-    # Callers run at least one iteration, so t is the last one run.
-    x_avg = prob.to_x(y_sum / t)
-    return rec.report(solver, t, prob.to_x(y), x_avg, pre_seconds,
-                      objective_value(a, b, x_avg))
+    # _sgd_solve runs at least one iteration, so t is the last one run.
+    return rec, t, prob.to_x(y), prob.to_x(y_sum / t)
 
 
-def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
-                    cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Two-step preconditioned mini-batch SGD (uniform sampling).
-
-    Preconditions once (R factor + Hadamard transform of A and b),
-    then runs T projected steps in y = R x coordinates on i.i.d. batches
-    of ``batch_size`` rows of the transformed, zero-padded problem. The
-    report's trace and ``final_x_avg`` follow the averaged iterate,
-    which is what the method's convergence guarantee is about;
-    ``final_x`` is the last iterate.
-    """
-    a, b = _validate_problem(a, b, w)
-    pre, pre_seconds = _precondition(a, b, cfg)
-    if cfg.iterations == 0:
-        return _unmoved(a, b, cfg, f_star, "hdpwbatch", pre_seconds)
-    prob = _y_problem(a, b, w, cfg, pre)
-    return _batch_sgd(a, b, cfg, f_star, prob, _sgd_eta(cfg, w, prob),
-                      "hdpwbatch", pre_seconds)
-
-
-def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
-                        cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Multi-epoch accelerated mini-batch SGD on the preconditioned
-    problem, in y = R x coordinates.
-
-    Epoch s runs N_s inner accelerated steps sized to halve the error
-    bound V_0 2^-s, warm starting from the previous epoch's output; the
-    inner recursion averages with weights 2/(t+1). ``iterations`` acts
-    as a cap on the total number of inner steps; a single epoch
-    demanding more than ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError.
-    """
-    a, b = _validate_problem(a, b, w)
-    pre, pre_seconds = _precondition(a, b, cfg)
-    if cfg.iterations == 0:
-        return _unmoved(a, b, cfg, f_star, "hdpwacc", pre_seconds)
-    prob = _y_problem(a, b, w, cfg, pre)
-
-    r = cfg.batch_size
+def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
+             f_star: float | None, prob: _YProblem) -> tuple:
+    """Loop of hdpwacc: the epochs of ``acc_epoch_schedule`` with
+    V_0 = f0 and the sampled sigma^2. It traces and reports y_hat."""
+    m, r = prob.u.shape[0], cfg.batch_size
     L, mu = prob.consts.L, prob.consts.mu
-    sigma2_batch = _sigma2(cfg, prob) / r
-    v0 = prob.f0 if cfg.v0 == "auto" else float(cfg.v0)
-
+    sigma2_batch = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed) / r
     y_hat = prob.y0.copy()
-    scale = 2.0 * pre.n_pad / r
-    indices = batch_index_stream(cfg.seed, pre.n_pad, r)
+    scale = 2.0 * m / r
+    indices = batch_index_stream(cfg.seed, m, r)
     objective = _trace_objective(a, b, prob)
     rec = _Recorder(cfg, f_star, prob.f0)
     total = 0
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_batch, v0, s)
+        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         y = y_hat.copy()
@@ -584,8 +532,34 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
             if rec.due(total) and rec.stop(total, objective(y_hat)):
                 break
     x_hat = prob.to_x(y_hat)
-    return rec.report("hdpwacc", total, x_hat, x_hat, pre_seconds,
-                      objective_value(a, b, x_hat))
+    return rec, total, x_hat, x_hat
+
+
+def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
+                    cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
+    """Two-step preconditioned mini-batch SGD (uniform sampling).
+
+    Preconditions once (R factor + Hadamard transform of A and b), then
+    runs T projected steps in y = R x coordinates on i.i.d. batches of
+    ``batch_size`` rows of the transformed, zero-padded problem. The
+    trace and ``final_x_avg`` follow the averaged iterate, which the
+    method's convergence guarantee is about; ``final_x`` is the last one.
+    """
+    return _sgd_solve(a, b, w, cfg, f_star, "hdpwbatch", _batch_sgd, precondition=True)
+
+
+def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
+                        cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
+    """Multi-epoch accelerated mini-batch SGD on the preconditioned
+    problem, in y = R x coordinates.
+
+    Epoch s runs N_s inner accelerated steps sized to halve the error
+    bound V_0 2^-s (V_0 = f(x0)), warm starting from the previous epoch's
+    output; the inner recursion averages with weights 2/(t+1).
+    ``iterations`` caps the total number of inner steps; a single epoch
+    demanding more than ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError.
+    """
+    return _sgd_solve(a, b, w, cfg, f_star, "hdpwacc", _acc_sgd, precondition=True)
 
 
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
@@ -653,11 +627,7 @@ def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                        cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Uniform mini-batch SGD on the raw problem with Euclidean
     projection; no preconditioning. Reports the averaged iterate."""
-    a, b = _validate_problem(a, b, w)
-    if cfg.iterations == 0:
-        return _unmoved(a, b, cfg, f_star, "sgd", 0.0)
-    prob = _y_problem(a, b, w, cfg, None)
-    return _batch_sgd(a, b, cfg, f_star, prob, _sgd_eta(cfg, w, prob), "sgd", 0.0)
+    return _sgd_solve(a, b, w, cfg, f_star, "sgd", _batch_sgd, precondition=False)
 
 
 SOLVERS = {

@@ -3,6 +3,7 @@
 import numpy as np
 
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
+from sketchreg.linalg import fwht_inplace
 from sketchreg.sketches import SketchOperator, apply
 
 
@@ -15,26 +16,36 @@ def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
     )
 
 
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Copying form of :func:`sketchreg.linalg.fwht_inplace`."""
+    return fwht_inplace(np.array(v, dtype=np.float64, order="C"))
+
+
 def dense_sketch(sk: SketchOperator) -> np.ndarray:
     """S materialized as an s x n array."""
     return apply(sk, np.eye(sk.n))
 
 
 def l2_ball_bisection(r_factor: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
-    """Reference l2-ball step argmin_{||x|| <= radius} ||R(x - z)||: 80
-    bisection steps on the KKT multiplier in the SVD coordinates of R,
-    then a snap onto the sphere (the package's solve before Newton)."""
+    """Reference l2-ball step argmin_{||x|| <= radius} ||R(x - z)||:
+    bisection on the KKT multiplier in the SVD coordinates of R until the
+    midpoint of the bracket is one of its ends (adjacent floats), then a
+    snap onto the sphere (the package's solve before Newton). A fixed
+    count of 80 halvings is not enough: the bracket starts as wide as
+    sigma_max^2 ||V z|| / radius, 2e14 at kappa(R) = 1e7, so it would
+    still be 1.7e-10 wide."""
     _, sv, vt = np.linalg.svd(r_factor)
     sv2 = sv**2
     wz = vt @ z
     lo, hi = 0.0, float(sv2[0] * np.linalg.norm(wz) / radius)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if np.linalg.norm(sv2 * wz / (sv2 + mid)) > radius:
             lo = mid
         else:
             hi = mid
-    u = sv2 * wz / (sv2 + 0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+    u = sv2 * wz / (sv2 + mid)
     u *= radius / np.linalg.norm(u)
     return vt.T @ u
 

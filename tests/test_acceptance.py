@@ -18,7 +18,7 @@ from sketchreg.bench import (
     make_feasible_set,
 )
 from sketchreg.feasible import FeasibleSet
-from sketchreg.linalg import condition_number, fwht, qr_thin, tri_solve
+from sketchreg.linalg import condition_number, qr_thin, tri_solve
 from sketchreg.precond import build_hd, build_preconditioner, build_r, row_norm_spread
 from sketchreg.sketches import default_sketch_size, make_sketch
 from sketchreg.solvers import (
@@ -33,6 +33,7 @@ from sketchreg.solvers import (
     plain_sgd_baseline,
     pw_gradient,
 )
+from helpers import fwht
 
 SEEDS = tuple(range(10))
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -256,6 +256,7 @@ class TestExactBallProx:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 50), st.floats(0.0, 8.0), st.integers(0, 2**31),
            st.floats(1.001, 100.0))
+    @example(d=2, log_kappa=7.0, seed=0, excess=2.0)
     def test_l2_matches_bisection_reference(self, d, log_kappa, seed, excess):
         r, radius, z = ball_instance("l2_ball", d, 10.0**log_kappa, seed, excess)
         x, _ = ball_step("l2_ball", r, radius, z)

@@ -10,7 +10,8 @@ from sketchreg.errors import (
     RankDeficientError,
     SingularFactorError,
 )
-from sketchreg.linalg import condition_number, fwht, fwht_inplace, qr_thin, tri_solve
+from sketchreg.linalg import condition_number, fwht_inplace, qr_thin, tri_solve
+from helpers import fwht
 
 
 class TestQrThin:

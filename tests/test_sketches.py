@@ -138,13 +138,24 @@ def test_default_sizes_scale_with_d():
     assert default_sketch_size("countsketch", 20) == 420
 
 
-def test_cli_import_does_not_load_scipy_sparse():
-    # scipy.sparse is imported only when a CountSketch is applied.
+def cli_import_loads(module: str) -> str:
+    """Whether a fresh ``import sketchreg.cli`` loads ``module``, as the
+    child prints it: "True" or "False"."""
     import sketchreg
 
     src = str(Path(sketchreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sketchreg.cli; print('scipy.sparse' in sys.modules)"
+    code = f"import sys, sketchreg.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # scipy.sparse is imported only when a CountSketch is applied.
+    assert cli_import_loads("scipy.sparse") == "False"
+
+
+def test_cli_import_does_not_load_yaml():
+    # yaml is imported only when ``bench --config`` reads a config.
+    assert cli_import_loads("yaml") == "False"

@@ -97,7 +97,7 @@ PINNED = {
 class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(iterations=-1), dict(batch_size=0), dict(step_size=0.0),
-        dict(step_size="fast"), dict(sigma2="big"), dict(v0="Auto"),
+        dict(step_size="fast"),
         dict(record_every=0), dict(record_every=-2), dict(sketch_kind="fourier"),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_config(self, bad):
@@ -439,20 +439,38 @@ class TestHdPwBatchSgd:
         np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
         assert [p.objective for p in rep1.trace] == [p.objective for p in rep2.trace]
 
+    def test_variance_pass_only_with_a_diameter(self, monkeypatch):
+        # Without D_W the auto step is the stability cap, which has no use
+        # for sigma^2; on a ball the step needs it.
+        calls = []
+        for attr in ("_smoothness_bounds", "_sampled_gradient_variance",
+                     "_stochastic_smoothness"):
+            original = getattr(solvers_mod, attr)
+            monkeypatch.setattr(solvers_mod, attr, lambda *args, _f=original, _n=attr, **kw:
+                                calls.append(_n) or _f(*args, **kw))
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        hd_pw_batch_sgd(a, b, w, SolverConfig(iterations=5, seed=0))
+        assert "_stochastic_smoothness" in calls
+        assert "_sampled_gradient_variance" not in calls
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9, constraint="l2",
+                                  radius_scale=0.6)
+        hd_pw_batch_sgd(a, b, w, SolverConfig(iterations=5, seed=0))
+        assert "_sampled_gradient_variance" in calls
+
 
 class TestAccelerated:
-    def test_near_exact_gradients_reach_high_accuracy(self):
-        # Consistent system, huge batches, sigma2 pinned to 0: the
+    def test_near_exact_gradients_reach_high_accuracy(self, monkeypatch):
+        # Consistent system, huge batches, sampled sigma2 pinned to 0: the
         # schedule degenerates to deterministic accelerated descent.
+        monkeypatch.setattr(solvers_mod, "_sampled_gradient_variance", lambda *a, **k: 0.0)
         rng = np.random.default_rng(11)
         a = rng.standard_normal((64, 10))
         x_true = rng.standard_normal(10)
         b = a @ x_true
         w = FeasibleSet.unconstrained(10)
         f0 = objective_value(a, b, np.zeros(10))
-        cfg = SolverConfig(iterations=200, batch_size=1024, sigma2=0.0,
-                           epochs=12, seed=1, sketch_kind="gaussian",
-                           sketch_size=60, record_every=1)
+        cfg = SolverConfig(iterations=200, batch_size=1024, epochs=12, seed=1,
+                           sketch_kind="gaussian", sketch_size=60, record_every=1)
         rep = hd_pw_acc_batch_sgd(a, b, w, cfg)
         assert rep.iterations_run <= 200
         assert rep.final_objective <= 1e-6 * f0
