@@ -6,9 +6,13 @@ step-size rule.
 Supported sets are R^d, the l2 ball, and the l1 ball (all centered at
 the origin, so 0 is always feasible). The prox solves both balls
 exactly, at a cost that does not grow with kappa(R): a Newton solve of
-the l2 secular equation and a Lasso-path homotopy for the l1 ball.
+the l2 secular equation and a Lasso-path homotopy for the l1 ball. The
+l1 solve first tries the signed support of its previous answer, which
+costs one piece of the path; that answer agrees with the full path to
+rounding and passes the same KKT test.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +74,9 @@ class FeasibleSet:
         if self.kind == UNCONSTRAINED:
             return True
         if self.kind == L2_BALL:
-            return float(np.linalg.norm(x)) <= self.radius * (1.0 + tol) + tol
+            # np.linalg.norm of a real vector is this same sqrt(x . x),
+            # behind a dispatch that costs more than the product.
+            return math.sqrt(float(x @ x)) <= self.radius * (1.0 + tol) + tol
         return float(np.sum(np.abs(x))) <= self.radius * (1.0 + tol) + tol
 
 
@@ -96,7 +102,7 @@ def project_euclidean(w: FeasibleSet, x: np.ndarray) -> np.ndarray:
     if w.kind == UNCONSTRAINED:
         return x.copy()
     if w.kind == L2_BALL:
-        norm = np.linalg.norm(x)
+        norm = math.sqrt(float(x @ x))
         if norm <= w.radius:
             return x.copy()
         return (w.radius / norm) * x
@@ -142,9 +148,14 @@ class RMetricProx:
     equation of its KKT multiplier (More and Sorensen 1983), the l1 ball
     by following the Lasso path of min 0.5 ||R(x - z)||^2 + lam ||x||_1
     down from lam = ||R^T R z||_inf until ||x||_1 = radius (Osborne,
-    Presnell and Turlach 2000). The l1 answer is returned only after its
-    KKT conditions are checked; InnerSolverStallError reports a failed
-    check, a non-finite input or an exhausted step budget.
+    Presnell and Turlach 2000). Successive solver steps give nearby z, so
+    the instance keeps the signed support of its last l1 answer and first
+    solves that single piece of the path; the path from lam_max runs only
+    when that piece fails the KKT test. Either way the l1 answer is
+    returned only after its KKT conditions are checked, so a warm answer
+    agrees with the path's to rounding; InnerSolverStallError reports a
+    failed check of the path, a non-finite input or an exhausted step
+    budget.
     """
 
     def __init__(self, r_factor: np.ndarray, w: FeasibleSet):
@@ -152,6 +163,9 @@ class RMetricProx:
         self.w = w
         if np.any(np.diag(self.r) == 0.0):
             raise SingularFactorError("zero pivot in triangular factor")
+        # (indices, signs) of the nonzeros of the last l1 point built: the
+        # warm start of the next l1 solve, if any.
+        self._l1_face = (np.empty(0, dtype=np.intp), np.empty(0))
         if w.kind == L2_BALL:
             # R = P diag(sv) Q^T; the ball subproblem separates in Q coords.
             _, sv, vt = np.linalg.svd(self.r)
@@ -257,10 +271,23 @@ class RMetricProx:
         [-lam, lam]. A kept coordinate is never read as crossing zero on
         the piece it joins: a slope that rounds toward zero would drop
         and re-add it at the same lam until the budget runs out.
+
+        The path starts from lam_max only when the last answer's signed
+        support (``_l1_face``), solved as a final piece, fails the KKT
+        test; a hit costs that one piece.
         """
         rho = self.w.radius
         d = z.shape[0]
         rz = self.r @ z
+        idx, signs = self._l1_face
+        if idx.size:
+            x_ls, slope, _, _ = self._segment(rz, idx, signs)
+            norm_slope = float(signs @ slope)
+            if norm_slope > 0.0:
+                lam = (float(signs @ x_ls) - rho) / norm_slope
+                x = self._on_face(d, idx, signs, x_ls - lam * slope)
+                if self._l1_kkt_failure(z, x, lam) is None:
+                    return x
         corr = self.r.T @ rz
         lam = float(np.max(np.abs(corr)))
         support = np.empty(0, dtype=np.intp)
@@ -301,11 +328,7 @@ class RMetricProx:
                 raise InnerSolverStallError("l1 prox path lost positive definiteness")
             lam_stop = min((float(signs @ x_ls) - rho) / norm_slope, lam)
             if lam_stop >= lam_next:
-                x = np.zeros(d)
-                x_e = x_ls - lam_stop * slope
-                # A coordinate at its own breakpoint may round past zero.
-                x_e[signs * x_e < 0.0] = 0.0
-                x[idx] = x_e
+                x = self._on_face(d, idx, signs, x_ls - lam_stop * slope)
                 return self._checked_l1(z, x, lam_stop)
 
             tied = events >= lam_next * (1.0 - _TIE_RTOL)
@@ -352,12 +375,24 @@ class RMetricProx:
             raise InnerSolverStallError("l1 prox path has an empty active set")
         return first
 
-    def _checked_l1(self, z: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
-        """x after its KKT conditions for the l1 ball are checked: with
-        g = R^T R (z - x), |g_j| <= lam everywhere and g_j = lam sign(x_j)
-        on the support, to ``_KKT_TOL`` times ||R^T R z||_inf (the
-        correlation scale of the problem), and ||x||_1 = rho to
-        ``_KKT_TOL`` relative."""
+    def _on_face(self, d: int, idx: np.ndarray, signs: np.ndarray,
+                 x_e: np.ndarray) -> np.ndarray:
+        """x with x[idx] = x_e, remembered as the face of the next warm
+        start; a coordinate at its own breakpoint may round past zero and
+        is set to zero."""
+        x_e[signs * x_e < 0.0] = 0.0
+        x = np.zeros(d)
+        x[idx] = x_e
+        on = x_e != 0.0
+        self._l1_face = (idx[on], signs[on])
+        return x
+
+    def _l1_kkt_failure(self, z: np.ndarray, x: np.ndarray, lam: float) -> str | None:
+        """None when x passes the KKT test for the l1 ball, else what
+        failed: with g = R^T R (z - x), |g_j| <= lam everywhere and
+        g_j = lam sign(x_j) on the support, to ``_KKT_TOL`` times
+        ||R^T R z||_inf (the correlation scale of the problem), and
+        ||x||_1 = rho to ``_KKT_TOL`` relative."""
         rho = self.w.radius
         g = self.r.T @ (self.r @ (z - x))
         scale = float(np.max(np.abs(self.r.T @ (self.r @ z))))
@@ -365,8 +400,14 @@ class RMetricProx:
         gap = max(float(np.max(np.abs(g))) - lam,
                   float(np.max(np.abs(g[on] - lam * np.sign(x[on])), initial=0.0)))
         size = abs(float(np.sum(np.abs(x))) - rho) / rho
-        if not (lam >= 0.0 and gap <= _KKT_TOL * scale and size <= _KKT_TOL):
-            raise InnerSolverStallError(
-                f"l1 prox fails its KKT check: gradient gap {gap / scale:.1e}, "
+        if lam >= 0.0 and gap <= _KKT_TOL * scale and size <= _KKT_TOL:
+            return None
+        return (f"l1 prox fails its KKT check: gradient gap {gap / scale:.1e}, "
                 f"norm gap {size:.1e}")
+
+    def _checked_l1(self, z: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+        """x once it passes the KKT test; InnerSolverStallError if not."""
+        failure = self._l1_kkt_failure(z, x, lam)
+        if failure is not None:
+            raise InnerSolverStallError(failure)
         return x

@@ -28,23 +28,26 @@ __all__ = [
 
 
 class QRFactors(NamedTuple):
-    """Thin QR factors: ``q`` has orthonormal columns, ``r`` is upper
-    triangular with nonnegative diagonal."""
+    """Thin QR factors: ``q`` has orthonormal columns (None when it was
+    not asked for), ``r`` is upper triangular with nonnegative diagonal."""
 
-    q: np.ndarray
+    q: np.ndarray | None
     r: np.ndarray
 
 
-def qr_thin(m: np.ndarray) -> QRFactors:
+def qr_thin(m: np.ndarray, with_q: bool = True) -> QRFactors:
     """Thin QR factorization with a nonnegative-diagonal sign convention.
 
     Parameters
     ----------
     m : (n, d) array with n >= d and full column rank.
+    with_q : False skips forming Q, which costs about as much as the
+        factorization itself; ``r`` is bitwise the same either way.
 
     Returns
     -------
-    QRFactors with q (n, d), r (d, d) such that q @ r == m.
+    QRFactors with q (n, d), r (d, d) such that q @ r == m; q is None
+    when ``with_q`` is False.
 
     Raises
     ------
@@ -57,7 +60,10 @@ def qr_thin(m: np.ndarray) -> QRFactors:
         raise DimensionMismatchError(
             f"qr_thin needs a tall matrix, got shape {m.shape}"
         )
-    q, r = np.linalg.qr(m, mode="reduced")
+    if with_q:
+        q, r = np.linalg.qr(m, mode="reduced")
+    else:
+        q, r = None, np.linalg.qr(m, mode="r")
     # ||m||_F = ||r||_F; BLAS nrm2 scales its sum, so neither huge nor
     # tiny entries overflow or underflow the tolerance.
     tol = 1e-12 * scipy.linalg.norm(r.ravel(), check_finite=False)
@@ -69,7 +75,8 @@ def qr_thin(m: np.ndarray) -> QRFactors:
     # Flip signs so diag(R) >= 0; makes the factorization unique.
     flip = np.where(diag < 0.0, -1.0, 1.0)
     r = flip[:, None] * r
-    q = q * flip[None, :]
+    if with_q:
+        q = q * flip[None, :]
     return QRFactors(q=q, r=r)
 
 

@@ -41,7 +41,7 @@ def build_r(a: np.ndarray, sk: SketchOperator) -> np.ndarray:
     callers should retry with a larger s or a new seed (see
     :func:`build_preconditioner` for the automatic policy).
     """
-    return qr_thin(apply(sk, a)).r
+    return qr_thin(apply(sk, a), with_q=False).r
 
 
 def hadamard_flatten(m: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -573,7 +573,8 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     s = resolve_sketch_size(cfg, n, d, True)
 
     def sketched_prox(seed: int) -> RMetricProx:
-        return RMetricProx(qr_thin(apply(make_sketch(cfg.sketch_kind, s, n, seed), a)).r, w)
+        sa = apply(make_sketch(cfg.sketch_kind, s, n, seed), a)
+        return RMetricProx(qr_thin(sa, with_q=False).r, w)
 
     tic = time.perf_counter()
     prox = None if fresh_sketch else sketched_prox(cfg.seed)

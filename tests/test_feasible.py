@@ -370,6 +370,101 @@ class TestExactBallProx:
             ball_step(kind, r, radius, z)
 
 
+def count_segments(monkeypatch):
+    """A list that gains one entry per path piece any RMetricProx solves."""
+    calls = []
+    segment = RMetricProx._segment
+
+    def counted(self, *args):
+        calls.append(1)
+        return segment(self, *args)
+
+    monkeypatch.setattr(RMetricProx, "_segment", counted)
+    return calls
+
+
+def l1_step(prox, z):
+    """The l1-ball step at z through the public solve (x_prev = z, c = 0)."""
+    return prox.solve(z, np.zeros_like(z), 1.0)
+
+
+def primed_prox(seed):
+    """(R, W, a prox that has taken the l1 step at z, z, a point near z)."""
+    r, radius, z = ball_instance("l1_ball", 20, 1e2, seed, 3.0)
+    w = FeasibleSet.l1_ball(radius, 20)
+    prox = RMetricProx(r, w)
+    l1_step(prox, z)
+    near = z + 1e-6 * np.random.default_rng(seed).standard_normal(20)
+    return r, w, prox, z, near
+
+
+class TestWarmL1Prox:
+    """An instance starts each l1 solve from the signed support of its
+    last answer; the result must be the path's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 50), st.floats(0.0, 4.0), st.integers(0, 2**31),
+           st.floats(1.001, 100.0), st.floats(-6.0, -1.0))
+    def test_nearby_steps_match_a_fresh_instance(self, d, log_kappa, seed, excess,
+                                                  log_move):
+        r, radius, z = ball_instance("l1_ball", d, 10.0**log_kappa, seed, excess)
+        w = FeasibleSet.l1_ball(radius, d)
+        prox = RMetricProx(r, w)
+        rng = np.random.default_rng([seed, 2])
+        for _ in range(6):
+            x = l1_step(prox, z)
+            want = l1_step(RMetricProx(r, w), z)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            if np.sum(np.abs(z)) > radius:
+                assert l1_kkt_residual(r, radius, z, x) <= 1e-10
+            z = z + 10.0**log_move * rng.standard_normal(d)
+
+    def test_support_change_returns_the_cold_answer(self, monkeypatch):
+        r, w, prox, z, _ = primed_prox(7)
+        calls = count_segments(monkeypatch)
+        x = l1_step(prox, -z)  # every sign of the last answer is wrong
+        assert len(calls) > 1
+        np.testing.assert_array_equal(x, l1_step(RMetricProx(r, w), -z))
+
+    def test_warm_hit_runs_one_segment(self, monkeypatch):
+        r, w, prox, _, near = primed_prox(8)
+        calls = count_segments(monkeypatch)
+        x = l1_step(prox, near)
+        assert len(calls) == 1
+        want = l1_step(RMetricProx(r, w), near)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_failed_warm_piece_falls_back_to_the_path(self, monkeypatch):
+        # Only the warm piece's check fails: the path's answer comes back.
+        r, w, prox, _, near = primed_prox(9)
+        checks = []
+        check = RMetricProx._l1_kkt_failure
+
+        def fail_first(self, *args):
+            checks.append(1)
+            return "forced" if len(checks) == 1 else check(self, *args)
+
+        monkeypatch.setattr(RMetricProx, "_l1_kkt_failure", fail_first)
+        calls = count_segments(monkeypatch)
+        x = l1_step(prox, near)
+        assert len(checks) == 2 and len(calls) > 1
+        monkeypatch.undo()
+        np.testing.assert_array_equal(x, l1_step(RMetricProx(r, w), near))
+
+    def test_zero_tolerance_raises_as_the_path_does(self, monkeypatch):
+        # With no tolerance the warm piece fails, and so does the path:
+        # the call raises what a fresh instance (the path alone) raises.
+        r, w, prox, _, near = primed_prox(10)
+        monkeypatch.setattr(feasible_mod, "_KKT_TOL", 0.0)
+        calls = count_segments(monkeypatch)
+        with pytest.raises(InnerSolverStallError) as warm:
+            l1_step(prox, near)
+        assert len(calls) > 1
+        with pytest.raises(InnerSolverStallError) as cold:
+            l1_step(RMetricProx(r, w), near)
+        assert str(warm.value) == str(cold.value)
+
+
 class TestDiameterParam:
     def test_l2_formula(self):
         assert diameter_param(FeasibleSet.l2_ball(np.sqrt(2.0), 3)) == pytest.approx(1.0)

@@ -60,6 +60,20 @@ class TestQrThin:
         with pytest.raises(RankDeficientError):
             qr_thin(scale * np.hstack([col, 2.0 * col]))
 
+    @pytest.mark.parametrize("shape", [(2500, 50), (400, 50), (40, 5)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_r_only_is_bitwise_the_full_r(self, shape, scale):
+        m = scale * np.random.default_rng(6).standard_normal(shape)
+        q, r = qr_thin(m, with_q=False)
+        assert q is None
+        assert r.tobytes() == qr_thin(m).r.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_r_only_rank_deficient_raises(self, scale):
+        col = np.arange(6.0)[:, None]
+        with pytest.raises(RankDeficientError):
+            qr_thin(scale * np.hstack([col, 2.0 * col]), with_q=False)
+
 
 class TestTriSolve:
     def test_identity(self):

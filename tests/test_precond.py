@@ -13,7 +13,7 @@ from sketchreg.precond import (
     hadamard_flatten,
     row_norm_spread,
 )
-from sketchreg.sketches import default_sketch_size, make_sketch
+from sketchreg.sketches import apply, default_sketch_size, make_sketch
 from helpers import dense_sketch
 
 
@@ -34,6 +34,13 @@ class TestBuildR:
         r = build_r(a, sk)
         sa = np.asarray([float(np.linalg.norm(dense_sketch(sk) @ a))])
         np.testing.assert_allclose(r, sa[None, :], rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    def test_r_is_bitwise_the_full_factorization_r(self, kind):
+        # build_r skips forming Q; its R must be the same bits.
+        a, _, _ = gen_synthetic(DatasetSpec(n=1024, d=10, target_kappa=1e4, seed=4))
+        sk = make_sketch(kind, default_sketch_size(kind, 10), 1024, seed=5)
+        assert build_r(a, sk).tobytes() == qr_thin(apply(sk, a)).r.tobytes()
 
     def test_conditioning_on_ill_conditioned_data(self):
         # kappa(A) = 1e8 comes down to O(1) in most seeds.
