@@ -4,6 +4,7 @@ orchestration. The relative-error metric is ``solvers.relative_error``,
 re-exported here."""
 
 import csv
+import warnings
 from dataclasses import dataclass, field, replace
 from statistics import median
 
@@ -186,7 +187,34 @@ def load_csv(path, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     Raises CsvParseError (with the offending line number) on malformed
     values and RaggedRowsError on inconsistent widths. ``normalize``
     rescales each feature column to zero mean and unit variance.
+
+    numpy's C parser reads a well-formed file; it rounds each value
+    correctly, as float() does. Whatever it rejects, or reads as empty or
+    one column wide, goes through a line-by-line reader, which accepts
+    what float() accepts, skips blank lines and names the line of the
+    first error.
     """
+    with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            data = None
+    if data is None or data.size == 0 or data.shape[1] < 2:
+        data = _read_csv_lines(path)
+    if not np.isfinite(data).all():
+        raise CsvParseError("dataset contains non-finite values")
+    a, b = data[:, :-1], data[:, -1]
+    if normalize:
+        mean = a.mean(axis=0)
+        std = a.std(axis=0)
+        std[std == 0.0] = 1.0
+        a = (a - mean) / std
+    return a, b
+
+
+def _read_csv_lines(path) -> np.ndarray:
+    """``load_csv``'s line-by-line reader: the rows as one float array."""
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -209,16 +237,7 @@ def load_csv(path, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
                 raise CsvParseError(f"line {lineno}: {exc}") from None
     if not rows:
         raise CsvParseError("empty dataset file")
-    data = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(data).all():
-        raise CsvParseError("dataset contains non-finite values")
-    a, b = data[:, :-1], data[:, -1]
-    if normalize:
-        mean = a.mean(axis=0)
-        std = a.std(axis=0)
-        std[std == 0.0] = 1.0
-        a = (a - mean) / std
-    return a, b
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_dataset_csv(path, a: np.ndarray, b: np.ndarray) -> None:

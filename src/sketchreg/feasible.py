@@ -75,8 +75,9 @@ class FeasibleSet:
             return True
         if self.kind == L2_BALL:
             # np.linalg.norm of a real vector is this same sqrt(x . x),
-            # behind a dispatch that costs more than the product.
-            return math.sqrt(float(x @ x)) <= self.radius * (1.0 + tol) + tol
+            # behind a dispatch that costs more than the product; .dot
+            # is the same BLAS ddot as @ with less dispatch.
+            return math.sqrt(x.dot(x)) <= self.radius * (1.0 + tol) + tol
         return float(np.sum(np.abs(x))) <= self.radius * (1.0 + tol) + tol
 
 
@@ -102,7 +103,7 @@ def project_euclidean(w: FeasibleSet, x: np.ndarray) -> np.ndarray:
     if w.kind == UNCONSTRAINED:
         return x.copy()
     if w.kind == L2_BALL:
-        norm = math.sqrt(float(x @ x))
+        norm = math.sqrt(x.dot(x))
         if norm <= w.radius:
             return x.copy()
         return (w.radius / norm) * x

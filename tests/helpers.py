@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import sketchreg.solvers as solvers_mod
+from sketchreg.errors import EpochBudgetError
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
 from sketchreg.sketches import SketchOperator, apply
@@ -106,3 +108,64 @@ def l1_kkt_residual(r_factor: np.ndarray, radius: float, z: np.ndarray,
     scale = float(np.max(np.abs(r_factor.T @ (r_factor @ z))))
     sign_gap = float(np.max(np.abs(g[on] - lam * np.sign(x[on])), initial=0.0))
     return max(sign_gap / scale, abs(float(np.sum(np.abs(x))) - radius) / radius)
+
+
+def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
+    """Reference for ``solvers._batch_sgd``: the same update, with one
+    ``next`` on ``batch_index_stream``, two take() gathers and two @
+    products per step. Run it through ``solvers._sgd_solve``."""
+    m, r = prob.u.shape[0], cfg.batch_size
+    eta = solvers_mod._sgd_eta(cfg, w, prob)
+    scale = 2.0 * m / r
+    y = prob.y0
+    y_sum = np.zeros_like(y)
+    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    objective = solvers_mod._trace_objective(a, b, prob)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    for t in range(1, cfg.iterations + 1):
+        idx = next(indices)
+        batch = prob.u.take(idx, axis=0)
+        resid = batch @ y - prob.rhs.take(idx)
+        y = prob.project(y - eta * scale * (batch.T @ resid))
+        y_sum += y
+        if rec.due(t) and rec.stop(t, objective(y_sum / t)):
+            break
+    return rec, t, prob.to_x(y), prob.to_x(y_sum / t)
+
+
+def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
+    """Reference for ``solvers._acc_sgd``, gathering each step's batch as
+    ``batch_sgd_per_step`` does."""
+    m, r = prob.u.shape[0], cfg.batch_size
+    L, mu = prob.consts.L, prob.consts.mu
+    sigma2_batch = solvers_mod._sampled_gradient_variance(
+        prob.u, prob.rhs, prob.y0, cfg.seed) / r
+    y_hat = prob.y0.copy()
+    scale = 2.0 * m / r
+    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    objective = solvers_mod._trace_objective(a, b, prob)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    total = 0
+    for s in range(1, cfg.epochs + 1):
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
+            break
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
+        if n_s > solvers_mod._EPOCH_ITER_CAP:
+            raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
+        y = y_hat.copy()
+        for t in range(1, min(n_s, cfg.iterations - total) + 1):
+            alpha = 2.0 / (t + 1.0)
+            y_tilde = y_hat + alpha * (y - y_hat)
+            idx = next(indices)
+            rows = prob.u.take(idx, axis=0)
+            resid = rows @ y_tilde - prob.rhs.take(idx)
+            eta_t = eta_s * t
+            y_next = prob.project((y + eta_t * mu * y_tilde
+                                   - eta_t * scale * (rows.T @ resid)) / (1.0 + eta_t * mu))
+            y_hat = y_tilde + alpha * (y_next - y)
+            y = y_next
+            total += 1
+            if rec.due(total) and rec.stop(total, objective(y_hat)):
+                break
+    x_hat = prob.to_x(y_hat)
+    return rec, total, x_hat, x_hat

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import sketchreg.bench as bench_mod
 from sketchreg.bench import (
     DatasetSpec,
     gen_synthetic,
@@ -127,7 +130,57 @@ class TestCsvIO:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(CsvParseError):
+        # numpy's "no data" warning must not reach the caller.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvParseError):
+                load_csv(path)
+
+    def test_matches_line_reader_bitwise(self, tmp_path):
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal((2**12, 21)) * np.exp(rng.uniform(-30, 30, (2**12, 21)))
+        path = tmp_path / "big.csv"
+        save_dataset_csv(path, data[:, :-1], data[:, -1])
+        a, b = load_csv(path)
+        lines = bench_mod._read_csv_lines(path)
+        np.testing.assert_array_equal(a, lines[:, :-1])
+        np.testing.assert_array_equal(b, lines[:, -1])
+        np.testing.assert_array_equal(b, data[:, -1])
+
+    @pytest.mark.parametrize("text,rows", [
+        ("1,2,3\r\n4,5,6\r\n", [[1, 2, 3], [4, 5, 6]]),
+        ("1,2,3\n", [[1, 2, 3]]),
+        ("1.5,-2e3,7", [[1.5, -2e3, 7]]),
+        # Blank and whitespace-only lines are skipped.
+        ("\n1,2,3\n\n  \t\n4,5,6\n \n", [[1, 2, 3], [4, 5, 6]]),
+        # float() syntax that numpy's parser rejects goes through the line reader.
+        ("1_000,2,3\n", [[1000, 2, 3]]),
+    ])
+    def test_line_endings_single_rows_and_blank_lines(self, tmp_path, text, rows):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        a, b = load_csv(path)
+        want = np.array(rows, dtype=np.float64)
+        np.testing.assert_array_equal(a, want[:, :-1])
+        np.testing.assert_array_equal(b, want[:, -1])
+
+    def test_one_column_rejected(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n2\n")
+        with pytest.raises(CsvParseError, match="line 1: need at least 2 columns"):
+            load_csv(path)
+
+    def test_comment_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text("1,2,3\n# a,b,c\n4,5,6\n")
+        with pytest.raises(CsvParseError, match="line 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,2,3\n4,{value},6\n")
+        with pytest.raises(CsvParseError, match="non-finite"):
             load_csv(path)
 
     def test_ragged_rows_rejected(self, tmp_path):

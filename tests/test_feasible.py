@@ -66,6 +66,20 @@ class TestProjectEuclidean:
         np.testing.assert_allclose(got, l1_projection_oracle(x, radius), atol=1e-10)
         assert np.sum(np.abs(got)) <= radius * (1 + 1e-12) + 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(-150, 150), st.integers(0, 2**32 - 1))
+    def test_l2_norm_is_bitwise_np_linalg_norm(self, d, log_scale, seed):
+        # A radius at the norm and one float either side of it decides
+        # membership on the last bit of the norm.
+        x = np.random.default_rng(seed).standard_normal(d) * 10.0**log_scale
+        norm = float(np.linalg.norm(x))
+        for radius in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, np.inf)):
+            w = FeasibleSet.l2_ball(radius, d)
+            inside = norm <= radius
+            assert w.contains(x, tol=0.0) == inside
+            want = x if inside else (w.radius / norm) * x
+            np.testing.assert_array_equal(project_euclidean(w, x), want)
+
     @pytest.mark.parametrize("kind,radius", [("l2_ball", 2.0), ("l1_ball", 2.0)])
     def test_idempotent_and_nonexpansive(self, kind, radius):
         w = FeasibleSet(kind=kind, dim=6, radius=radius)

@@ -26,6 +26,7 @@ from sketchreg.solvers import (
     pw_gradient,
     sgd_step_size,
 )
+from helpers import acc_sgd_per_step, batch_sgd_per_step
 
 
 def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
@@ -583,6 +584,48 @@ class TestPlainSgd:
         rep1 = plain_sgd_baseline(a, b, w, cfg, f_star=f_star)
         rep2 = plain_sgd_baseline(a, b, w, cfg, f_star=f_star)
         np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
+
+
+class TestGatheredBatches:
+    """The SGD loops gather their batches many steps at a time and step
+    with ndarray.dot; the per-step loops in helpers are the reference."""
+
+    # Past the first 8192-step index block, across many gather chunks.
+    STEPS = 8500
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("constraint", ["none", "l2", "l1"])
+    @pytest.mark.parametrize("name,loop,reference,precondition", [
+        ("hdpwbatch", solvers_mod._batch_sgd, batch_sgd_per_step, True),
+        ("hdpwacc", solvers_mod._acc_sgd, acc_sgd_per_step, True),
+        ("sgd", solvers_mod._batch_sgd, batch_sgd_per_step, False),
+    ])
+    def test_bitwise_equal_to_per_step_loop(self, name, loop, reference, precondition,
+                                            constraint, batch):
+        a, b, _ = gen_synthetic(DatasetSpec(n=64, d=3, target_kappa=10.0,
+                                            noise_std=1.0, seed=31))
+        # At radius_scale 1 a few hundred steps leave the ball, enough to
+        # exercise the prox without its cost dominating the test.
+        w = make_feasible_set(a, b, constraint)
+        cfg = SolverConfig(iterations=self.STEPS, batch_size=batch, epochs=40, seed=3)
+        got, want = (solvers_mod._sgd_solve(a, b, w, cfg, None, name, fn, precondition)
+                     for fn in (loop, reference))
+        assert got.iterations_run == want.iterations_run == self.STEPS
+        np.testing.assert_array_equal(got.final_x, want.final_x)
+        np.testing.assert_array_equal(got.final_x_avg, want.final_x_avg)
+        assert ([(p.iteration, p.objective) for p in got.trace]
+                == [(p.iteration, p.objective) for p in want.trace])
+
+    def test_batches_follow_the_index_stream(self):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((37, 3))
+        rhs = rng.standard_normal(37)
+        batches = solvers_mod._batches(u, rhs, 5, 4)
+        rows, rhs_b = zip(*(next(batches) for _ in range(self.STEPS)))
+        stream = batch_index_stream(5, 37, 4)
+        idx = np.array([next(stream) for _ in range(self.STEPS)])
+        np.testing.assert_array_equal(np.array(rows), u[idx])
+        np.testing.assert_array_equal(np.array(rhs_b), rhs[idx])
 
 
 class TestReportShape:

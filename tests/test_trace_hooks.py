@@ -4,6 +4,7 @@ or deletion of one it needs must fail here, not only in a traced run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sketchreg.bench import DatasetSpec, gen_synthetic
@@ -21,18 +22,26 @@ def tracer_mod():
     return module
 
 
-def fired_spans(tracer_mod, name, w, cfg):
-    """Span names fired by one traced solve of a tiny problem."""
-    a, b, _ = gen_synthetic(DatasetSpec(n=256, d=4, target_kappa=10.0,
-                                        noise_std=1.0, seed=3))
+def tiny_problem():
+    return gen_synthetic(DatasetSpec(n=256, d=4, target_kappa=10.0,
+                                     noise_std=1.0, seed=3))[:2]
+
+
+def traced_solve(tracer_mod, name, w, cfg):
+    """(tracer, report) of one traced solve of a tiny problem."""
     tracer = tracer_mod.Tracer()
     try:
         # Raises WrapTargetMissing when a wrapped name is gone.
         tracer_mod.install(tracer)
-        SOLVERS[name](a, b, w, cfg)
+        report = SOLVERS[name](*tiny_problem(), w, cfg)
     finally:
         tracer.uninstall()
-    return tracer.fired()
+    return tracer, report
+
+
+def fired_spans(tracer_mod, name, w, cfg):
+    """Span names fired by one traced solve of a tiny problem."""
+    return traced_solve(tracer_mod, name, w, cfg)[0].fired()
 
 
 @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
@@ -49,3 +58,18 @@ def test_full_gradient_solve_fires_qr_and_l1_prox(tracer_mod, name):
     fired = fired_spans(tracer_mod, name, FeasibleSet.l1_ball(0.5, 4),
                         SolverConfig(iterations=5, seed=0))
     assert {f"solvers.{name}", "linalg.qr_thin", "feasible.prox.l1"} <= fired
+
+
+@pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+def test_traced_sgd_solve_is_bitwise_untraced_and_counts_its_steps(tracer_mod, name):
+    # The benchmark checks traced against untraced iterate hashes and
+    # divides a solver span's self time by its iteration counter.
+    w = FeasibleSet.l2_ball(0.5, 4)
+    cfg = SolverConfig(iterations=600, batch_size=4, seed=1)
+    tracer, traced = traced_solve(tracer_mod, name, w, cfg)
+    plain = SOLVERS[name](*tiny_problem(), w, cfg)
+    np.testing.assert_array_equal(traced.final_x, plain.final_x)
+    np.testing.assert_array_equal(traced.final_x_avg, plain.final_x_avg)
+    assert traced.iterations_run == plain.iterations_run == 600
+    assert tracer.counters[f"solvers.{name}.iters"] == traced.iterations_run
+    assert tracer_mod.layer_metrics(tracer)[f"solvers.{name}.iters"] == 600
