@@ -159,14 +159,18 @@ class RMetricProx:
     budget.
     """
 
-    def __init__(self, r_factor: np.ndarray, w: FeasibleSet):
+    def __init__(self, r_factor: np.ndarray, w: FeasibleSet,
+                 warm_from: "RMetricProx | None" = None):
+        """``warm_from``, a prox for another R (a fresh sketch's), hands
+        over the face of its last l1 answer as this one's first guess."""
         self.r = np.asfortranarray(r_factor, dtype=np.float64)
         self.w = w
         if np.any(np.diag(self.r) == 0.0):
             raise SingularFactorError("zero pivot in triangular factor")
         # (indices, signs) of the nonzeros of the last l1 point built: the
         # warm start of the next l1 solve, if any.
-        self._l1_face = (np.empty(0, dtype=np.intp), np.empty(0))
+        self._l1_face = (warm_from._l1_face if warm_from is not None
+                         else (np.empty(0, dtype=np.intp), np.empty(0)))
         if w.kind == L2_BALL:
             # R = P diag(sv) Q^T; the ball subproblem separates in Q coords.
             _, sv, vt = np.linalg.svd(self.r)

@@ -1,10 +1,17 @@
-"""Two-step preconditioning for least squares.
+"""Preconditioning for least squares: one randomized Hadamard pass.
 
-Step one sketches A and takes the R factor of a thin QR, so that A R^-1
-is close to orthonormal. Step two applies a randomized Hadamard
-transform (sign flips + scaled Walsh-Hadamard) to A and b, which evens
-out row norms so uniform row sampling has low variance. Both steps
-preserve the objective ||Ax - b||^2 up to zero padding.
+An SRHT S = sqrt(n_pad/s) P H D samples s rows of the randomized
+Hadamard transform H D (sign flips, then the orthonormal Walsh-Hadamard
+transform, with rows zero padded to a power of two). ``build_hd`` runs
+that transform once over A and b. It preserves ||Ax - b||^2 and evens
+out row norms, so uniform row sampling of H D A has low variance. For an
+SRHT sketch, S A is a rescaled row sample of the same H D A, so the R
+factor of its thin QR, which makes A R^-1 close to orthonormal, costs
+no second pass over A (Avron, Maymounkov and Toledo, "Blendenpik",
+2010). Gaussian and CountSketch sketches apply S to A itself.
+
+``sketched_r`` is the one rank-loss policy for every solver's R: a
+sketch that loses rank is redrawn once at twice the size.
 """
 
 from dataclasses import dataclass, field
@@ -12,73 +19,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficientError, SketchSizeError
-from .linalg import fwht_inplace, next_pow2, qr_thin
-from .sketches import SketchOperator, apply, make_sketch
+# fwht_inplace runs inside ``apply``; perfbench/tracer.py wraps it under
+# this module's name too, so it stays importable from here.
+from .linalg import fwht_inplace, qr_thin  # noqa: F401
+from .sketches import SketchOperator, apply, hadamard_operator, make_sketch, subsample
 
-__all__ = ["Preconditioner", "build_r", "build_hd", "build_preconditioner",
-           "hadamard_flatten", "row_norm_spread"]
+__all__ = ["Preconditioner", "build_r", "build_hd", "sketched_r",
+           "build_preconditioner", "row_norm_spread"]
 
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Outputs of the two preconditioning steps.
+    """What the SGD solvers precondition with.
 
     ``r_factor`` is the d x d upper-triangular factor with A R^-1 well
-    conditioned; ``hda``/``hdb`` the Hadamard-transformed (zero padded
-    to ``n_pad`` rows) matrix and right-hand side.
+    conditioned; ``hda``/``hdb`` the Hadamard-transformed matrix and
+    right-hand side, zero padded to ``hda.shape[0]``, a power of two.
     """
 
     r_factor: np.ndarray = field(repr=False)
-    n_pad: int = 0
-    hda: np.ndarray | None = field(default=None, repr=False)
-    hdb: np.ndarray | None = field(default=None, repr=False)
+    hda: np.ndarray = field(repr=False)
+    hdb: np.ndarray = field(repr=False)
 
 
-def build_r(a: np.ndarray, sk: SketchOperator) -> np.ndarray:
+def build_r(a: np.ndarray, sk: SketchOperator, hda: np.ndarray | None = None) -> np.ndarray:
     """R factor of the sketched matrix S A.
 
-    Raises RankDeficientError when the sketch failed to preserve rank;
-    callers should retry with a larger s or a new seed (see
-    :func:`build_preconditioner` for the automatic policy).
+    For an SRHT ``sk``, ``hda`` = H D A under the sketch's signs (from
+    :func:`build_hd` with its seed) gives S A as a row sample, bitwise
+    the same as transforming A again. Raises RankDeficientError when the
+    sketch failed to preserve rank (see :func:`sketched_r` for the retry
+    policy).
     """
-    return qr_thin(apply(sk, a), with_q=False).r
-
-
-def hadamard_flatten(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Apply H . diag(signs) columnwise, zero padding m to len(signs) rows."""
-    n = m.shape[0]
-    out = np.zeros((signs.shape[0],) + m.shape[1:])
-    np.multiply(m, signs[:n, None] if m.ndim == 2 else signs[:n], out=out[:n])
-    return fwht_inplace(out)
+    sa = subsample(sk, hda) if hda is not None and sk.kind == "srht" else apply(sk, a)
+    return qr_thin(sa, with_q=False).r
 
 
 def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
-    """Randomized Hadamard transform of A and b.
+    """Randomized Hadamard transform of A and b, with the signs of every
+    SRHT ``make_sketch("srht", s, n, seed)``.
 
     Rows are zero padded up to the next power of two (padding rows add
     nothing to the objective, so the minimizer is unchanged).
 
     Returns (signs, hda, hdb, n_pad).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n_pad = next_pow2(a.shape[0])
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
-    signs = rng.choice(np.array([-1.0, 1.0]), size=n_pad)
-    return signs, hadamard_flatten(a, signs), hadamard_flatten(b, signs), n_pad
+    hd = hadamard_operator(np.shape(a)[0], seed)
+    return hd.signs, apply(hd, a), apply(hd, b), hd.n_pad
 
 
-def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
-                         sketch_size: int, seed: int) -> Preconditioner:
-    """Run both preconditioning steps with the automatic retry policy.
-
-    On RankDeficientError the sketch is rebuilt once with doubled s
-    (capped below n); a second failure propagates.
+def sketched_r(a: np.ndarray, sketch_kind: str, sketch_size: int, seed: int,
+               hda: np.ndarray | None = None) -> np.ndarray:
+    """R of the seeded sketch S A with the automatic retry policy: on
+    RankDeficientError the sketch is redrawn once with doubled s (capped
+    below n); a second failure propagates. An SRHT given ``hda`` (see
+    :func:`build_r`) samples it on both tries and transforms nothing.
     """
     n = a.shape[0]
-    sk = make_sketch(sketch_kind, sketch_size, n, seed)
     try:
-        r = build_r(a, sk)
+        return build_r(a, make_sketch(sketch_kind, sketch_size, n, seed), hda)
     except RankDeficientError:
         retry_s = min(2 * sketch_size, n - 1)
         if retry_s <= sketch_size:
@@ -87,9 +86,16 @@ def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
             sk = make_sketch(sketch_kind, retry_s, n, seed)
         except SketchSizeError:
             raise RankDeficientError("sketch lost rank and cannot grow further")
-        r = build_r(a, sk)
-    _, hda, hdb, n_pad = build_hd(a, b, seed)
-    return Preconditioner(r_factor=r, n_pad=n_pad, hda=hda, hdb=hdb)
+        return build_r(a, sk, hda)
+
+
+def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
+                         sketch_size: int, seed: int) -> Preconditioner:
+    """One Hadamard pass over A and b, and the R of ``sketched_r``,
+    which an SRHT samples from that pass."""
+    _, hda, hdb, _ = build_hd(a, b, seed)
+    return Preconditioner(r_factor=sketched_r(a, sketch_kind, sketch_size, seed, hda),
+                          hda=hda, hdb=hdb)
 
 
 def row_norm_spread(row_norms: np.ndarray, c: float = 10.0) -> tuple[float, float]:

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import DimensionMismatchError, SketchSizeError
 from .linalg import fwht_inplace, next_pow2
 
-__all__ = ["SketchOperator", "make_sketch", "apply", "embedding_distortion",
-           "default_sketch_size", "KINDS"]
+__all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply",
+           "subsample", "embedding_distortion", "default_sketch_size", "KINDS"]
 
 KINDS = ("gaussian", "countsketch", "srht", "identity")
 
@@ -30,8 +30,9 @@ class SketchOperator:
 
     ``signs`` holds the +-1 row flips (length n for countsketch, n_pad
     for srht); ``buckets`` the CountSketch target row per input row;
-    ``rows`` the SRHT sampled rows in the padded space. Gaussian entries
-    are regenerated from the seed on each apply.
+    ``rows`` the SRHT sampled rows in the padded space, or None for the
+    unsampled transform H D of :func:`hadamard_operator`. Gaussian
+    entries are regenerated from the seed on each apply.
     """
 
     kind: str
@@ -88,6 +89,25 @@ def make_sketch(kind: str, s: int, n: int, seed: int) -> SketchOperator:
     return SketchOperator(kind=kind, s=s, n=n, seed=seed)  # gaussian
 
 
+def hadamard_operator(n: int, seed: int) -> SketchOperator:
+    """The randomized Hadamard transform H D on R^n, zero padded to n_pad
+    rows: the SRHT ``make_sketch("srht", s, n, seed)`` for any s, with
+    the same signs (the first draw of its stream) but no row sampling
+    and no rescale. :func:`subsample` turns its output into that SRHT's.
+    """
+    n_pad = next_pow2(n)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _kind_tag("srht")]))
+    signs = rng.choice(np.array([-1.0, 1.0]), size=n_pad)
+    return SketchOperator(kind="srht", s=n_pad, n=n, seed=seed, signs=signs, n_pad=n_pad)
+
+
+def subsample(sk: SketchOperator, hdm: np.ndarray) -> np.ndarray:
+    """S m for an SRHT ``sk``, given hdm = H D m under its signs (what
+    ``apply(hadamard_operator(n, seed), m)`` returns): the rescaled
+    sampled rows, bitwise ``apply(sk, m)`` with no second transform."""
+    return np.sqrt(sk.n_pad / sk.s) * hdm[sk.rows]
+
+
 def _kind_tag(kind: str) -> int:
     return {"gaussian": 1, "countsketch": 2, "srht": 3, "identity": 4}[kind]
 
@@ -118,7 +138,7 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         padded = np.zeros((sk.n_pad, m.shape[1]))
         np.multiply(m, sk.signs[: sk.n, None], out=padded[: sk.n])
         fwht_inplace(padded)
-        out = np.sqrt(sk.n_pad / sk.s) * padded[sk.rows]
+        out = padded if sk.rows is None else subsample(sk, padded)
     else:  # gaussian, N(0, 1/s) entries streamed in row blocks
         rng = np.random.default_rng(np.random.SeedSequence([int(sk.seed), _kind_tag("gaussian")]))
         out = np.zeros((sk.s, m.shape[1]))

@@ -2,8 +2,9 @@
 
 Four preconditioned methods plus one baseline:
 
-* ``hd_pw_batch_sgd``   -- two-step preconditioning, then mini-batch SGD
-  with uniform row sampling on the preconditioned problem.
+* ``hd_pw_batch_sgd``   -- preconditioning by one randomized Hadamard
+  pass and a sketch's R, then mini-batch SGD with uniform row sampling
+  on the preconditioned problem.
 * ``hd_pw_acc_batch_sgd`` -- same preconditioning, multi-epoch accelerated
   stochastic gradient with geometric error halving across epochs.
 * ``pw_gradient``       -- one sketch, full-gradient R-metric descent;
@@ -13,6 +14,11 @@ Four preconditioned methods plus one baseline:
   pw_gradient at eta = 1/2.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
+
+Every solver takes R from ``precond.sketched_r``, under one rank-loss
+retry policy. The SGD solvers get it from ``build_preconditioner``,
+which transforms A and b once and samples an SRHT's rows from that
+same H D A.
 
 The three SGD solvers share one pipeline, ``_sgd_solve``, and differ only
 in their loops. They step in y = R x coordinates over U = HDA R^-1 (U = A,
@@ -32,9 +38,10 @@ few vector operations and the projection. The iterates are bitwise
 those of a per-step gather with ``@``.
 
 All solvers are deterministic given the config seed: independent RNG
-streams are derived for the sketch, the Hadamard signs, the sampled
-batch indices, and the sampled gradient-variance estimate. The
-smoothness constants are exact and draw no random numbers.
+streams are derived for the sketch (whose SRHT stream also gives the
+Hadamard signs), the sampled batch indices, and the sampled
+gradient-variance estimate. The smoothness constants are exact and draw
+no random numbers.
 """
 
 import time
@@ -51,9 +58,11 @@ from .errors import (
     UnboundedSetError,
 )
 from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidean
-from .linalg import qr_thin, tri_solve
-from .precond import build_preconditioner
-from .sketches import KINDS, apply, default_sketch_size, make_sketch
+# qr_thin and apply run inside precond.sketched_r; perfbench/tracer.py
+# also wraps them under this module's names, so they stay importable here.
+from .linalg import qr_thin, tri_solve  # noqa: F401
+from .precond import build_preconditioner, sketched_r
+from .sketches import KINDS, apply, default_sketch_size  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -478,7 +487,8 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     and the exact objective of the reported x as the last trace point."""
     a, b = _validate_problem(a, b, w)
     x0 = _start_point(cfg, a.shape[1])
-    f0 = objective_value(a, b, x0)
+    # At x0 = 0 the residual is -b, and b @ b is the same bits as f(0).
+    f0 = float(b @ b) if cfg.x0 is None else objective_value(a, b, x0)
     pre_seconds = 0.0
     if precondition:
         tic = time.perf_counter()
@@ -562,9 +572,9 @@ def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
 
 def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                     cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Two-step preconditioned mini-batch SGD (uniform sampling).
+    """Preconditioned mini-batch SGD (uniform sampling).
 
-    Preconditions once (R factor + Hadamard transform of A and b), then
+    Preconditions once (Hadamard transform of A and b, R factor), then
     runs T projected steps in y = R x coordinates on i.i.d. batches of
     ``batch_size`` rows of the transformed, zero-padded problem. The
     trace and ``final_x_avg`` follow the averaged iterate, which the
@@ -597,23 +607,25 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
-    def sketched_prox(seed: int) -> RMetricProx:
-        sa = apply(make_sketch(cfg.sketch_kind, s, n, seed), a)
-        return RMetricProx(qr_thin(sa, with_q=False).r, w)
+    def sketched_prox(seed: int, warm_from: RMetricProx | None = None) -> RMetricProx:
+        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
 
     tic = time.perf_counter()
     prox = None if fresh_sketch else sketched_prox(cfg.seed)
     pre_seconds = time.perf_counter() - tic
 
     x = _start_point(cfg, d)
-    resid = a @ x - b
+    # At x0 = 0 the residual is exactly -b: no pass over A.
+    resid = -b if cfg.x0 is None else a @ x - b
     f = float(resid @ resid)
     rec = _Recorder(cfg, f_star, f, dense=True)
     ran = 0
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch:
+            # The new R's l1 solve starts from the last step's face; its
+            # KKT test still decides.
             prox = sketched_prox(int(np.random.SeedSequence(
-                [int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]))
+                [int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]), prox)
         x = prox.solve(x, grad_scale * (a.T @ resid), eta)
         resid = a @ x - b
         f_prev, f = f, float(resid @ resid)

@@ -172,13 +172,13 @@ def test_criterion_06_minibatch_variance_reduction():
     pre = build_preconditioner(a, b, "srht", 100, seed=4)
     x = np.random.default_rng(5).standard_normal(10)
     resid = pre.hda @ x - pre.hdb
-    singles = 2.0 * pre.n_pad * pre.hda * resid[:, None]
+    singles = 2.0 * pre.hda.shape[0] * pre.hda * resid[:, None]
     mean_grad = singles.mean(axis=0)
     sigma2 = float(np.mean(np.sum((singles - mean_grad) ** 2, axis=1)))
     rng = np.random.default_rng(6)
     deviations = {}
     for r in (1, 2, 4, 8):
-        idx = rng.integers(0, pre.n_pad, size=(10_000, r))
+        idx = rng.integers(0, pre.hda.shape[0], size=(10_000, r))
         batch = singles[idx].mean(axis=1)
         sigma2_r = float(np.mean(np.sum((batch - mean_grad) ** 2, axis=1)))
         deviations[r] = sigma2_r * r / sigma2 - 1.0
@@ -240,11 +240,11 @@ def test_criterion_08_x_y_space_equivalence():
     pre = build_preconditioner(a, b, "gaussian", 25, seed=seed)
     u = tri_solve(pre.r_factor, pre.hda.T, transposed=True).T
     y = np.zeros(5)
-    stream = batch_index_stream(seed, pre.n_pad, r)
+    stream = batch_index_stream(seed, pre.hda.shape[0], r)
     for _ in range(t_max):
         idx = next(stream)
         rows = u[idx]
-        y = y - eta * (2.0 * pre.n_pad / r) * (rows.T @ (rows @ y - pre.hdb[idx]))
+        y = y - eta * (2.0 * pre.hda.shape[0] / r) * (rows.T @ (rows @ y - pre.hdb[idx]))
     diff = float(np.max(np.abs(rep.final_x - tri_solve(pre.r_factor, y))))
     criterion(8, diff <= 1e-9, f"max |x_T - R^-1 y_T| = {diff:.2e}")
 

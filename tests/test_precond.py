@@ -1,19 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sketchreg.linalg as linalg_mod
 import sketchreg.precond as precond_mod
+import sketchreg.sketches as sketches_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic
 from sketchreg.errors import RankDeficientError
+from sketchreg.feasible import FeasibleSet
 from sketchreg.linalg import condition_number, qr_thin, tri_solve
 from sketchreg.precond import (
     build_hd,
     build_preconditioner,
     build_r,
-    hadamard_flatten,
     row_norm_spread,
 )
-from sketchreg.sketches import apply, default_sketch_size, make_sketch
+from sketchreg.sketches import apply, default_sketch_size, hadamard_operator, make_sketch
+from sketchreg.solvers import SOLVERS, SolverConfig, pw_gradient
 from helpers import dense_sketch
 
 
@@ -57,7 +62,7 @@ class TestBuildR:
 class TestBuildHd:
     def test_forced_positive_signs_equal_plain_hadamard(self):
         a = np.random.default_rng(2).standard_normal((16, 3))
-        hda = hadamard_flatten(a, np.ones(16))
+        hda = apply(dataclasses.replace(hadamard_operator(16, seed=0), signs=np.ones(16)), a)
         dense = scipy.linalg.hadamard(16) / 4.0
         np.testing.assert_allclose(hda, dense @ a, atol=1e-12)
 
@@ -131,11 +136,11 @@ class TestBuildPreconditioner:
         real_build_r = build_r
         calls = []
 
-        def flaky(a_, sk):
+        def flaky(a_, sk, hda=None):
             calls.append(sk.s)
             if len(calls) == 1:
                 raise RankDeficientError("forced")
-            return real_build_r(a_, sk)
+            return real_build_r(a_, sk, hda)
 
         monkeypatch.setattr(precond_mod, "build_r", flaky)
         pre = precond_mod.build_preconditioner(a, b, "gaussian", 8, seed=12)
@@ -146,7 +151,7 @@ class TestBuildPreconditioner:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((64, 4))
 
-        def always_fails(a_, sk):
+        def always_fails(a_, sk, hda=None):
             raise RankDeficientError("forced")
 
         monkeypatch.setattr(precond_mod, "build_r", always_fails)
@@ -174,3 +179,88 @@ class TestBuildPreconditioner:
             sv = np.linalg.svd(conditioned_basis(a, r), compute_uv=False)
             betas.append(1.0 / sv[-1])
         assert np.median(betas) <= 1.5
+
+
+def count_fwht_shapes(monkeypatch) -> list:
+    """Shapes of every FWHT the package runs from now on, wherever it is
+    called from."""
+    shapes = []
+    for module in (linalg_mod, sketches_mod, precond_mod):
+        original = module.fwht_inplace
+        monkeypatch.setattr(module, "fwht_inplace",
+                            lambda v, _f=original: shapes.append(v.shape) or _f(v))
+    return shapes
+
+
+class TestOneHadamardPass:
+    @pytest.mark.parametrize("n,d,s,seed", [(1000, 5, 40, 3), (1024, 8, 64, 0),
+                                            (3000, 12, 96, 21)])
+    def test_srht_r_is_bitwise_build_r(self, n, d, s, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((n, d)), rng.standard_normal(n)
+        pre = build_preconditioner(a, b, "srht", s, seed)
+        assert pre.r_factor.tobytes() == build_r(a, make_sketch("srht", s, n, seed)).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 17, 256, 999])
+    def test_build_hd_signs_are_the_srht_signs(self, s):
+        signs, hda, _, n_pad = build_hd(np.ones((1000, 2)), np.ones(1000), seed=7)
+        assert n_pad == hda.shape[0] == 1024
+        np.testing.assert_array_equal(signs, make_sketch("srht", s, 1000, seed=7).signs)
+
+    def test_rank_loss_resamples_hda_without_a_second_transform(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((1000, 5)), rng.standard_normal(1000)
+        expected = build_r(a, make_sketch("srht", 80, 1000, seed=9))
+        real_qr = qr_thin
+        sizes = []
+
+        def flaky(m, with_q=True):
+            sizes.append(m.shape[0])
+            if len(sizes) == 1:
+                raise RankDeficientError("forced")
+            return real_qr(m, with_q)
+
+        monkeypatch.setattr(precond_mod, "qr_thin", flaky)
+        shapes = count_fwht_shapes(monkeypatch)
+        pre = build_preconditioner(a, b, "srht", 40, seed=9)
+        assert sizes == [40, 80]
+        assert shapes == [(1024, 5), (1024, 1)]  # H D A and H D b, once each
+        assert pre.r_factor.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc"])
+    def test_sgd_solve_transforms_a_once(self, name, monkeypatch):
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((1000, 5)), rng.standard_normal(1000)
+        shapes = count_fwht_shapes(monkeypatch)
+        SOLVERS[name](a, b, FeasibleSet.unconstrained(5),
+                      SolverConfig(iterations=20, batch_size=4, seed=1, sketch_kind="srht"))
+        assert shapes.count((1024, 5)) == 1
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    def test_full_gradient_solver_retries_like_the_sgd_path(self, kind, monkeypatch):
+        # pwgrad's first sketch loses rank: it redraws at 2s, with the R
+        # that build_preconditioner takes under the same failure.
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((512, 4)), rng.standard_normal(512)
+        w = FeasibleSet.unconstrained(4)
+        cfg = SolverConfig(iterations=3, seed=12, sketch_kind=kind, sketch_size=20)
+        real_build_r = build_r
+        sizes, factors = [], []
+
+        def flaky(a_, sk, hda=None):
+            sizes.append(sk.s)
+            if len(sizes) == 1:
+                raise RankDeficientError("forced")
+            factors.append(real_build_r(a_, sk, hda))
+            return factors[-1]
+
+        monkeypatch.setattr(precond_mod, "build_r", flaky)
+        retried = pw_gradient(a, b, w, cfg)
+        assert sizes == [20, 40]
+        sizes.clear()
+        pre = build_preconditioner(a, b, kind, 20, seed=12)
+        assert sizes == [20, 40]
+        assert factors[0].tobytes() == factors[1].tobytes() == pre.r_factor.tobytes()
+        monkeypatch.undo()
+        grown = pw_gradient(a, b, w, dataclasses.replace(cfg, sketch_size=40))
+        np.testing.assert_array_equal(retried.final_x, grown.final_x)

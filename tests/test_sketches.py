@@ -13,6 +13,7 @@ from sketchreg.sketches import (
     apply,
     default_sketch_size,
     embedding_distortion,
+    hadamard_operator,
     make_sketch,
 )
 from helpers import dense_sketch
@@ -102,11 +103,9 @@ class TestApply:
             np.testing.assert_array_equal(out, expected)
 
     def test_srht_hd_stage_is_isometry(self):
-        from sketchreg.precond import hadamard_flatten
-
-        sk = make_sketch("srht", 6, 33, seed=4)
         v = np.random.default_rng(5).standard_normal(33)
-        flattened = hadamard_flatten(v[:, None], sk.signs)
+        flattened = apply(hadamard_operator(33, seed=4), v)
+        assert flattened.shape == (64,)
         assert abs(np.linalg.norm(flattened) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
     def test_dimension_mismatch(self):

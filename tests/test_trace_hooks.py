@@ -7,19 +7,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchreg.bench import DatasetSpec, gen_synthetic
+from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.feasible import FeasibleSet
 from sketchreg.solvers import SOLVERS, SolverConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, without putting perfbench on the
+    import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Imports nothing heavy, so it is safe to read at collection.
+WORKLOADS = load_perfbench("workloads")
+LIBRARY_WORKLOADS = [name for name in WORKLOADS.NAMES if isinstance(
+    WORKLOADS.get(name, tiny=True), WORKLOADS.LibraryWorkload)]
 
 
 @pytest.fixture(scope="module")
 def tracer_mod():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def tiny_problem():
@@ -73,3 +86,28 @@ def test_traced_sgd_solve_is_bitwise_untraced_and_counts_its_steps(tracer_mod, n
     assert traced.iterations_run == plain.iterations_run == 600
     assert tracer.counters[f"solvers.{name}.iters"] == traced.iterations_run
     assert tracer_mod.layer_metrics(tracer)[f"solvers.{name}.iters"] == 600
+
+
+@pytest.mark.parametrize("name", LIBRARY_WORKLOADS)
+def test_tiny_workload_fires_its_required_spans(tracer_mod, name):
+    # A traced benchmark run fails when a required span never fires. Set
+    # up as it does (the set-up is traced too), then run every job with
+    # at most 20 iterations.
+    wl = WORKLOADS.get(name, tiny=True)
+    seed = WORKLOADS.DATASET_SEEDS[0]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        a, b, _ = gen_synthetic(DatasetSpec(n=wl.n, d=wl.d, target_kappa=wl.kappa,
+                                            noise_std=wl.noise_std, seed=seed))
+        sets, f_star = {}, {}
+        for key, (constraint, scale) in wl.sets.items():
+            sets[key] = make_feasible_set(a, b, constraint, radius_scale=scale)
+            f_star[key] = ground_truth(a, b, sets[key], seed=seed)[1]
+        for job in wl.jobs:
+            config = dict(job.config, iterations=min(job.config.get("iterations", 20), 20))
+            cfg = SolverConfig(seed=1, stop_below_rel=job.target, **config)
+            SOLVERS[job.solver](a, b, sets[job.feasible], cfg, f_star=f_star[job.feasible])
+    finally:
+        tracer.uninstall()
+    assert set(wl.required_spans) - tracer.fired() == set()
