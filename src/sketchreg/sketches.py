@@ -6,6 +6,8 @@ by (kind, s, n, seed); applying the same operator twice is bitwise
 reproducible.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +20,17 @@ __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply",
 
 KINDS = ("gaussian", "countsketch", "srht", "identity")
 
-# Gaussian rows are generated lazily in fixed-size row blocks so the
-# dense s x n matrix never has to be materialized; the block size is part
-# of the determinism contract.
-_GAUSS_BLOCK = 8192
+# A Gaussian S is streamed in row panels: panel p is rows
+# [p k, (p + 1) k) of S, k = _PANEL_ROWS. It draws its entries tile by
+# tile, _PANEL_COLS columns at a time in column order, from its own
+# child seed SeedSequence([seed, _kind_tag("gaussian")], spawn_key=(p,))
+# into one reused k x _PANEL_COLS buffer, and accumulates tile @ m[cols]
+# into its own rows of S m, scaled by 1/sqrt(s) once at the end. So S is
+# a fixed linear map set by (s, n, seed), each row of S m is written by
+# one panel, and S m is bitwise the same whatever the number of workers
+# or the order they run in. Both constants are part of that contract.
+_PANEL_ROWS = 64
+_PANEL_COLS = 4096
 
 
 @dataclass(frozen=True)
@@ -139,15 +148,49 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         np.multiply(m, sk.signs[: sk.n, None], out=padded[: sk.n])
         fwht_inplace(padded)
         out = padded if sk.rows is None else subsample(sk, padded)
-    else:  # gaussian, N(0, 1/s) entries streamed in row blocks
-        rng = np.random.default_rng(np.random.SeedSequence([int(sk.seed), _kind_tag("gaussian")]))
-        out = np.zeros((sk.s, m.shape[1]))
-        scale = 1.0 / np.sqrt(sk.s)
-        for start in range(0, sk.n, _GAUSS_BLOCK):
-            stop = min(start + _GAUSS_BLOCK, sk.n)
-            block = rng.standard_normal((sk.s, stop - start))
-            out += scale * (block @ m[start:stop])
+    else:
+        out = _gaussian_apply(sk, m)
     return out[:, 0] if vector_in else out
+
+
+def _worker_count(panels: int) -> int:
+    """Threads for ``panels`` Gaussian panels: one per CPU this process
+    may run on, and no more than there are panels."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, panels))
+
+
+def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
+    """S m for a Gaussian ``sk`` (N(0, 1/s) entries), streamed in row
+    panels (see ``_PANEL_ROWS``). Workers call only numpy, whose RNG
+    fill and matmul release the GIL."""
+    out = np.zeros((sk.s, m.shape[1]))
+    panels = -(-sk.s // _PANEL_ROWS)
+    root = [int(sk.seed), _kind_tag("gaussian")]
+
+    def fill(p: int) -> None:
+        rows = out[p * _PANEL_ROWS:(p + 1) * _PANEL_ROWS]
+        k = rows.shape[0]
+        rng = np.random.default_rng(np.random.SeedSequence(root, spawn_key=(p,)))
+        buf = np.empty(k * min(_PANEL_COLS, sk.n))
+        for start in range(0, sk.n, _PANEL_COLS):
+            stop = min(start + _PANEL_COLS, sk.n)
+            tile = buf[: k * (stop - start)].reshape(k, stop - start)
+            rng.standard_normal(out=tile)
+            rows += tile @ m[start:stop]
+        rows *= 1.0 / np.sqrt(sk.s)
+
+    workers = _worker_count(panels)
+    if workers == 1:
+        for p in range(panels):
+            fill(p)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(panels)))
+    return out
 
 
 def embedding_distortion(sk: SketchOperator, m: np.ndarray, trials: int = 100) -> float:

@@ -155,6 +155,17 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1 (None picks the default)")
         if self.sketch_kind not in KINDS:
             raise ValueError(f"unknown sketch_kind {self.sketch_kind!r}; pick one of {KINDS}")
+        # Each test is written so that NaN fails it.
+        if not self.epochs >= 1:
+            raise ValueError("epochs must be >= 1")
+        if self.sketch_size is not None and not self.sketch_size >= 1:
+            raise ValueError("sketch_size must be >= 1 (None picks the default)")
+        if self.diameter_bound is not None and not self.diameter_bound > 0.0:
+            raise ValueError("diameter_bound must be > 0")
+        for name in ("max_seconds", "objective_tol", "stop_below_rel"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 class TracePoint(NamedTuple):
@@ -342,7 +353,9 @@ def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray
     """Empirical variance (x safety factor 2) of single-row gradients of
     ||rows y - rhs||^2 at y0."""
     n = rows.shape[0]
-    resid = rows @ y0 - rhs
+    # At y0 = 0 (every default hdpwacc start) the residual is -rhs; skip
+    # the O(nd) product.
+    resid = rows @ y0 - rhs if y0.any() else -rhs
     mean_grad = 2.0 * (rows.T @ resid)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_ESTIMATE, 1]))
     idx = rng.integers(0, n, size=draws)

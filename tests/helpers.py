@@ -24,8 +24,10 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
 
 def dense_sketch(sk: SketchOperator) -> np.ndarray:
-    """S materialized as an s x n array."""
-    return apply(sk, np.eye(sk.n))
+    """S materialized as an s x n array, applied to 512 columns of the
+    identity at a time so that no n x n array is formed."""
+    return np.hstack([apply(sk, np.eye(sk.n, min(512, sk.n - j), -j))
+                      for j in range(0, sk.n, 512)])
 
 
 def l2_ball_bisection(r_factor: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:

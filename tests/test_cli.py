@@ -89,6 +89,13 @@ class TestSolve:
         assert main(["solve", "--data", str(tmp_path / "nope.csv"),
                      "--solver", "pwgrad"]) == 2
 
+    def test_zero_epochs_is_input_error(self, tmp_path, capsys):
+        # Rejected when the config is built, before any solve runs.
+        data = write_dataset(tmp_path, n=256, d=4)
+        assert main(["solve", "--data", str(data), "--solver", "hdpwacc",
+                     "--epochs", "0"]) == 2
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
     def test_ill_conditioned_l1_solve_exits_0(self, tmp_path, capsys):
         # kappa(A) = 1e7 on an l1 ball: the exact l1 prox passes its KKT
         # check here (exit-3 coverage is test_divergence_exits_3).

@@ -1,14 +1,19 @@
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sketchreg.sketches as sketches_mod
 from sketchreg.errors import DimensionMismatchError, SketchSizeError
 from sketchreg.sketches import (
+    _PANEL_COLS,
+    _PANEL_ROWS,
     SketchOperator,
     apply,
     default_sketch_size,
@@ -112,6 +117,69 @@ class TestApply:
         sk = make_sketch("gaussian", 4, 10, seed=0)
         with pytest.raises(DimensionMismatchError):
             apply(sk, np.ones((11, 2)))
+
+
+def force_workers(monkeypatch, workers):
+    """Fill Gaussian panels on ``workers`` threads, whatever the CPU count."""
+    monkeypatch.setattr(sketches_mod, "_worker_count", lambda panels: min(workers, panels))
+
+
+class TestGaussianPanels:
+    def test_bitwise_independent_of_worker_count(self, monkeypatch):
+        # Four panels, the last one ragged, and three column tiles.
+        s, n = 3 * _PANEL_ROWS + 5, 2 * _PANEL_COLS + 7
+        sk = make_sketch("gaussian", s, n, seed=8)
+        m = np.random.default_rng(8).standard_normal((n, 3))
+        outs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            outs.append(apply(sk, m))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_matches_dense_at_ragged_edges(self, shape):
+        s, n = 2 * _PANEL_ROWS + 3, 2 * _PANEL_COLS + 5
+        sk = make_sketch("gaussian", s, n, seed=12)
+        m = np.random.default_rng(12).standard_normal((n, *shape))
+        expected = dense_sketch(sk) @ m
+        out = apply(sk, m)
+        assert out.shape == expected.shape == (s, *shape)
+        np.testing.assert_allclose(out, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_panels_draw_independent_streams(self):
+        # A seed shared by every panel would repeat panel 0 in panel 1.
+        sk = make_sketch("gaussian", 2 * _PANEL_ROWS, 3000, seed=4)
+        dense = dense_sketch(sk)
+        first, second = dense[:_PANEL_ROWS].ravel(), dense[_PANEL_ROWS:].ravel()
+        assert abs(np.corrcoef(first, second)[0, 1]) <= 0.05
+
+    def test_peak_memory_is_panel_buffers(self, monkeypatch):
+        # Two 64 x 4096 buffers (4 MiB) and s x d outputs; the old
+        # s x 8192 row blocks peaked at 75 MiB here.
+        force_workers(monkeypatch, 2)
+        m = np.random.default_rng(1).standard_normal((2**14, 20))
+        sk = make_sketch("gaussian", 600, 2**14, seed=1)
+        tracemalloc.start()
+        try:
+            apply(sk, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_no_thread_outlives_apply(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        sk = make_sketch("gaussian", 4 * _PANEL_ROWS, 1000, seed=2)
+        before = threading.active_count()
+        apply(sk, np.ones((1000, 2)))
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_worker_count_is_cpus_capped_by_panels(self):
+        assert sketches_mod._worker_count(1) == 1
+        assert sketches_mod._worker_count(10**6) == len(os.sched_getaffinity(0))
 
 
 class TestEmbeddingDistortion:

@@ -13,6 +13,7 @@ from sketchreg.solvers import (
     _GRAM_BLOCK,
     SOLVERS,
     SolverConfig,
+    _sampled_gradient_variance,
     _smoothness_bounds,
     _stochastic_smoothness,
     acc_epoch_schedule,
@@ -102,10 +103,23 @@ class TestSolverConfig:
         dict(iterations=-1), dict(batch_size=0), dict(step_size=0.0),
         dict(step_size="fast"),
         dict(record_every=0), dict(record_every=-2), dict(sketch_kind="fourier"),
+        dict(epochs=0), dict(epochs=float("nan")),
+        dict(sketch_size=0), dict(sketch_size=float("nan")),
+        dict(max_seconds=-1.0), dict(max_seconds=float("nan")),
+        dict(objective_tol=-1e-12), dict(objective_tol=float("nan")),
+        dict(stop_below_rel=-0.5), dict(stop_below_rel=float("nan")),
+        dict(diameter_bound=0.0), dict(diameter_bound=-1.0),
+        dict(diameter_bound=float("nan")),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+    def test_zero_budgets_and_tolerances_are_legal(self):
+        # max_seconds=0 stops after the first step (TestStopReason.test_time).
+        cfg = SolverConfig(max_seconds=0.0, objective_tol=0.0, stop_below_rel=0.0,
+                           epochs=1, sketch_size=1, diameter_bound=1e-300)
+        assert cfg.max_seconds == 0.0
 
 
 class TestAllSolvers:
@@ -331,6 +345,22 @@ class TestSmoothnessConstants:
                 one_shot, rel=1e-12)
         assert _stochastic_smoothness(_smoothness_bounds(a, None), self.N) == pytest.approx(
             2.0 * self.N * np.max(np.sum(a**2, axis=1)), rel=1e-12)
+
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_variance_at_zero_start_skips_the_product_bitwise(self, seed):
+        # At y0 = 0 the residual is taken as -rhs without forming U y0;
+        # sigma^2 must equal the general formula bit for bit.
+        rng = np.random.default_rng(seed)
+        u, rhs, y0 = rng.standard_normal((300, 5)), rng.standard_normal(300), np.zeros(5)
+        rhs[::7] = 0.0  # 0 - 0 is +0 but -0 is -0: the sign must not matter
+        resid = u @ y0 - rhs
+        mean_grad = 2.0 * (u.T @ resid)
+        idx = np.random.default_rng(np.random.SeedSequence(
+            [seed, solvers_mod._STREAM_ESTIMATE, 1])).integers(0, 300, size=200)
+        grads = 2.0 * 300 * u[idx] * resid[idx][:, None]
+        expected = 2.0 * float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
+        assert _sampled_gradient_variance(u, rhs, y0, seed) == expected
 
 
 class TestAccSchedule:

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchreg.precond as precond_mod
+import sketchreg.sketches as sketches_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.feasible import FeasibleSet
 from sketchreg.solvers import SOLVERS, SolverConfig
@@ -86,6 +88,34 @@ def test_traced_sgd_solve_is_bitwise_untraced_and_counts_its_steps(tracer_mod, n
     assert traced.iterations_run == plain.iterations_run == 600
     assert tracer.counters[f"solvers.{name}.iters"] == traced.iterations_run
     assert tracer_mod.layer_metrics(tracer)[f"solvers.{name}.iters"] == 600
+
+
+@pytest.mark.parametrize("name", ["ihs-fixed", "ihs"])
+def test_threaded_gaussian_sketch_is_traced_once_and_bitwise(tracer_mod, monkeypatch, name):
+    # The benchmark's determinism check compares traced and untraced
+    # iterates; Gaussian panels filled on two threads must not move them,
+    # and the threads must not touch the tracer's span stack. Installing
+    # the tracer raises WrapTargetMissing when a wrapped name is gone.
+    monkeypatch.setattr(sketches_mod, "_worker_count", lambda panels: min(2, panels))
+    drawn = []
+
+    def counting_make_sketch(kind, s, n, seed, _make=precond_mod.make_sketch):
+        drawn.append(kind)
+        return _make(kind, s, n, seed)
+
+    monkeypatch.setattr(precond_mod, "make_sketch", counting_make_sketch)
+    # 150 rows: three panels, so a pool fills them.
+    cfg = SolverConfig(iterations=5, seed=2, sketch_kind="gaussian", sketch_size=150)
+    w = FeasibleSet.unconstrained(4)
+    tracer, traced = traced_solve(tracer_mod, name, w, cfg)
+    sketches_traced = len(drawn)
+    plain = SOLVERS[name](*tiny_problem(), w, cfg)
+    np.testing.assert_array_equal(traced.final_x, plain.final_x)
+    assert traced.iterations_run == plain.iterations_run
+    assert set(drawn) == {"gaussian"}
+    spans = [span for span in tracer.spans if span[0] == "sketches.apply.gaussian"]
+    assert len(spans) == sketches_traced == (
+        1 if name == "ihs-fixed" else traced.iterations_run)
 
 
 @pytest.mark.parametrize("name", LIBRARY_WORKLOADS)
