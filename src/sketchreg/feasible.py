@@ -83,9 +83,9 @@ class FeasibleSet:
 
 def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {z : ||z||_1 <= radius} by the sorted
-    soft-threshold scan, O(d log d)."""
+    soft-threshold scan, O(d log d); x itself when it is inside."""
     if np.sum(np.abs(x)) <= radius:
-        return x.copy()
+        return x
     mags = np.sort(np.abs(x))[::-1]
     cumulative = np.cumsum(mags) - radius
     counts = np.arange(1, x.shape[0] + 1)
@@ -98,14 +98,15 @@ def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_euclidean(w: FeasibleSet, x: np.ndarray) -> np.ndarray:
-    """argmin_{z in W} ||z - x||_2; returns x unchanged when feasible."""
-    x = np.asarray(x, dtype=np.float64)
+    """argmin_{z in W} ||z - x||_2 of a float64 vector x; returns x
+    itself, not a copy, when it is feasible. The plain SGD loop projects
+    every step, where a copy would cost more than the test."""
     if w.kind == UNCONSTRAINED:
-        return x.copy()
+        return x
     if w.kind == L2_BALL:
         norm = math.sqrt(x.dot(x))
         if norm <= w.radius:
-            return x.copy()
+            return x
         return (w.radius / norm) * x
     return project_l1_ball(x, w.radius)
 

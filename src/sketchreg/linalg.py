@@ -1,10 +1,24 @@
 """Dense kernels: thin QR, triangular solves, the fast Walsh-Hadamard
-transform, and singular-value diagnostics.
+transform, singular-value diagnostics, and the one rule for spreading a
+pass over threads.
 
 Matrices are plain row-major ``numpy.ndarray`` of float64 throughout the
 package; there is no wrapper type.
+
+``parallel`` runs the package's big passes (the Gaussian sketch's
+panels, the Walsh-Hadamard transform, the SRHT's sign pass and the SGD
+solvers' U pass) on one thread per CPU this process may use. Each task
+writes its own part of the output, with the same arithmetic inline or on
+any number of threads, so every result is bitwise independent of the
+worker count. Workers call only numpy, which releases the GIL in BLAS
+and in its ufunc loops; a pool lives for one call and its threads are
+joined before the call returns.
 """
 
+import contextlib
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +38,25 @@ __all__ = [
     "fwht_inplace",
     "condition_number",
     "next_pow2",
+    "parallel",
+    "split",
 ]
+
+# Passes over fewer float64 elements than this run inline. Measured on a
+# 2-core Xeon VM with one BLAS thread (median of 15, inline -> 2 threads):
+# at 2^15 x 50 (1.6M elements) the FWHT went 12.6 -> 14.5 ms and the U
+# pass 18.0 -> 20.2 ms; at 2^16 x 50 (3.1M) the two were near a tie; at
+# 2^17 x 32 (2^22) 61 -> 42 and 41 -> 27 ms; at 2^17 x 50 98 -> 58 and
+# 68 -> 40 ms. It is a property of the input, not a setting. The
+# Gaussian sketch's panels ignore it: their normal draws always pay.
+_PARALLEL_MIN_SIZE = 1 << 22
+# A threaded pass is cut into this many pieces per worker, which take
+# them as they finish: a worker slowed by another process's load then
+# holds up one small piece, not a fixed share of the pass. On the same VM
+# the 2^17 x 50 FWHT's median of 21 calls ranged over 53-92 ms in eight
+# trials with one piece per worker and 51-65 ms with four; beside a
+# process busy half the time, 92 against 82-85 ms.
+_PIECES_PER_WORKER = 4
 
 
 class QRFactors(NamedTuple):
@@ -97,6 +129,42 @@ def tri_solve(r: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.nd
     )
 
 
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: one per CPU this process
+    may run on, and no more than there are tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
+
+
+@contextlib.contextmanager
+def parallel(tasks: int, size: float = math.inf):
+    """Yield (workers, run) for a pass of ``tasks`` independent tasks over
+    ``size`` float64 elements: ``workers`` threads (``_worker_count``, or
+    1 below ``_PARALLEL_MIN_SIZE``) and run(fn, items), which calls fn on
+    every item, on one pool of that many threads when there are several.
+    The pool's threads are joined when the block exits."""
+    workers = _worker_count(tasks) if size >= _PARALLEL_MIN_SIZE else 1
+    if workers == 1:
+        yield 1, lambda fn, items: list(map(fn, items))
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield workers, lambda fn, items: list(pool.map(fn, items))
+
+
+def split(total: int, workers: int, unit: int = 1) -> list[slice]:
+    """range(total) cut for ``workers`` threads: one slice inline, else up
+    to ``_PIECES_PER_WORKER`` per worker, of near-equal length with inner
+    edges at multiples of ``unit``; the tail short of a unit joins the
+    last slice."""
+    units = max(1, total // unit)
+    parts = max(1, min(_PIECES_PER_WORKER * workers if workers > 1 else 1, units))
+    edges = [unit * (units * i // parts) for i in range(parts)] + [total]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     return 1 << max(n - 1, 0).bit_length()
@@ -120,6 +188,15 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     ``v`` and a single scratch buffer. The transform is an isometry and
     an involution. 2-D inputs are transformed column by column.
 
+    Above ``_PARALLEL_MIN_SIZE`` elements each product is split over the
+    workers of :func:`parallel`: by ranges of ``outer`` when there are
+    at least as many as workers, else by column strips of ``rest``, each
+    at least 64 wide, with edges at multiples of 64. BLAS rounds a column
+    the same way in any strip so aligned, so the output is bitwise the
+    same for every worker count (the tests check it); a ragged or
+    one-column strip may round differently. The final 1/sqrt(n) scale is
+    split by rows.
+
     Raises NotPowerOfTwoError unless len(v) is a power of two.
     """
     n = v.shape[0]
@@ -130,16 +207,24 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     bits = n.bit_length() - 1
     levels = -(-bits // _HADAMARD_BLOCK_BITS)
     src, dst = v, np.empty_like(v)
-    outer = 1
-    for level in range(levels):
-        # Near-equal factor sizes minimise the total work n * sum(m_i).
-        m = 1 << (bits // levels + (level < bits % levels))
-        rest = v.size // (outer * m)
-        np.matmul(_HADAMARD_BLOCK[:m, :m], src.reshape(outer, m, rest),
-                  out=dst.reshape(outer, m, rest))
-        src, dst = dst, src
-        outer *= m
-    np.multiply(src, 1.0 / np.sqrt(n), out=v)
+    with parallel(n, v.size) as (workers, run):
+        outer = 1
+        for level in range(levels):
+            # Near-equal factor sizes minimise the total work n * sum(m_i).
+            m = 1 << (bits // levels + (level < bits % levels))
+            rest = v.size // (outer * m)
+            h = _HADAMARD_BLOCK[:m, :m]
+            x, y = src.reshape(outer, m, rest), dst.reshape(outer, m, rest)
+            if outer >= workers:
+                parts = [(part,) for part in split(outer, workers)]
+            else:
+                parts = [(slice(None), slice(None), part) for part in
+                         split(rest, workers, 1 << _HADAMARD_BLOCK_BITS)]
+            run(lambda p: np.matmul(h, x[p], out=y[p]), parts)
+            src, dst = dst, src
+            outer *= m
+        scale = 1.0 / np.sqrt(n)
+        run(lambda rows: np.multiply(src[rows], scale, out=v[rows]), split(n, workers))
     return v
 
 

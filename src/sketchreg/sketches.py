@@ -3,17 +3,17 @@
 Each operator S maps R^n -> R^s (s < n) and approximately preserves
 ||Ax||_2 for all x at once. Operators are immutable and fully determined
 by (kind, s, n, seed); applying the same operator twice is bitwise
-reproducible.
+reproducible, and independent of how many threads apply it: the
+Gaussian panels, and the SRHT's sign pass and transform above
+``linalg._PARALLEL_MIN_SIZE`` elements, run on ``linalg.parallel``.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SketchSizeError
-from .linalg import fwht_inplace, next_pow2
+from .linalg import fwht_inplace, next_pow2, parallel, split
 
 __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply",
            "subsample", "embedding_distortion", "default_sketch_size", "KINDS"]
@@ -145,22 +145,14 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         out = s_mat @ m
     elif sk.kind == "srht":
         padded = np.zeros((sk.n_pad, m.shape[1]))
-        np.multiply(m, sk.signs[: sk.n, None], out=padded[: sk.n])
+        with parallel(sk.n, padded.size) as (workers, run):
+            run(lambda rows: np.multiply(m[rows], sk.signs[rows, None], out=padded[rows]),
+                split(sk.n, workers))
         fwht_inplace(padded)
         out = padded if sk.rows is None else subsample(sk, padded)
     else:
         out = _gaussian_apply(sk, m)
     return out[:, 0] if vector_in else out
-
-
-def _worker_count(panels: int) -> int:
-    """Threads for ``panels`` Gaussian panels: one per CPU this process
-    may run on, and no more than there are panels."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, panels))
 
 
 def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
@@ -183,13 +175,8 @@ def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
             rows += tile @ m[start:stop]
         rows *= 1.0 / np.sqrt(sk.s)
 
-    workers = _worker_count(panels)
-    if workers == 1:
-        for p in range(panels):
-            fill(p)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, range(panels)))
+    with parallel(panels) as (_, run):
+        run(fill, range(panels))
     return out
 
 

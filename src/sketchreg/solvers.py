@@ -24,18 +24,15 @@ The three SGD solvers share one pipeline, ``_sgd_solve``, and differ only
 in their loops. They step in y = R x coordinates over U = HDA R^-1 (U = A,
 R = I for plain SGD), i.e. SGD on min ||U y - HDb||^2 over R W: a step
 costs O(batch * d) with no triangular solve on R^d, and on a ball only a
-step that leaves W pays for the R-metric projection. One blocked pass
-writes U over the Hadamard-transformed rows and yields the exact
-smoothness constants and the eigendecomposition of G = U^T U, so trace
-points cost O(d^2) each (see ``_trace_objective``); the returned iterates
-are x = R^-1 y.
-
-With batch * d in the hundreds, a step's arithmetic is cheaper than
-numpy's per-call dispatch, so the loops make as few calls as they can:
-``_batches`` gathers the rows and responses of 256 steps with one take()
-each, and a step is two BLAS gemv calls through ``ndarray.dot`` plus a
-few vector operations and the projection. The iterates are bitwise
-those of a per-step gather with ``@``.
+step that leaves W pays for the R-metric projection. One blocked pass,
+on every CPU for tall inputs and bitwise the same on any number, writes
+U over the Hadamard-transformed rows and yields the exact smoothness
+constants and the eigendecomposition of G = U^T U, so trace points cost
+O(d^2) each (see ``_trace_objective``); the returned iterates are
+x = R^-1 y. A step costs less arithmetic than numpy dispatch, so the
+loops make few calls: 256 steps' rows are gathered by one take(), a
+gradient is two gemv calls, and hdpwacc's three vectors are rows of one
+array, so each update is one product with a coefficient vector.
 
 All solvers are deterministic given the config seed: independent RNG
 streams are derived for the sketch (whose SRHT stream also gives the
@@ -44,8 +41,10 @@ gradient-variance estimate. The smoothness constants are exact and draw
 no random numbers.
 """
 
+import queue
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -60,28 +59,14 @@ from .errors import (
 from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidean
 # qr_thin and apply run inside precond.sketched_r; perfbench/tracer.py
 # also wraps them under this module's names, so they stay importable here.
-from .linalg import qr_thin, tri_solve  # noqa: F401
+from .linalg import parallel, qr_thin, tri_solve  # noqa: F401
 from .precond import build_preconditioner, sketched_r
 from .sketches import KINDS, apply, default_sketch_size  # noqa: F401
 
-__all__ = [
-    "SolverConfig",
-    "SolveReport",
-    "TracePoint",
-    "sgd_step_size",
-    "acc_epoch_schedule",
-    "hd_pw_batch_sgd",
-    "hd_pw_acc_batch_sgd",
-    "pw_gradient",
-    "ihs",
-    "ihs_fixed",
-    "plain_sgd_baseline",
-    "batch_index_stream",
-    "resolve_sketch_size",
-    "objective_value",
-    "relative_error",
-    "SOLVERS",
-]
+__all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
+           "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
+           "ihs", "ihs_fixed", "plain_sgd_baseline", "batch_index_stream",
+           "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
 
 # Child-stream tags for SeedSequence([seed, tag]); sketch internals use
 # small tags, so solver streams live in a disjoint range.
@@ -329,34 +314,46 @@ class _Constants(NamedTuple):
 def _smoothness_bounds(rows: np.ndarray, r_factor: np.ndarray | None) -> _Constants:
     """Exact (L, mu) = 2 (sigma_max^2, sigma_min^2) of U = rows R^-1
     (rows itself when r_factor is None), the eigendecomposition of its
-    Gram matrix and its largest squared row norm, from one pass over
-    consecutive blocks of ``_GRAM_BLOCK`` rows. Given r_factor, each block
-    is overwritten by its GEMM against an explicit d x d inverse, so
-    ``rows`` ends as U and no n x d array is allocated."""
+    Gram matrix G and its largest squared row norm, from one pass over
+    blocks of ``_GRAM_BLOCK`` rows on ``linalg.parallel``'s workers. Given
+    r_factor, each block is overwritten by its GEMM against an explicit
+    d x d inverse, so ``rows`` ends as U and no n x d array is allocated.
+    Summed in block order, G is bitwise the same on any worker count."""
     n, d = rows.shape
     r_inv = None if r_factor is None else tri_solve(r_factor, np.eye(d))
-    gram = np.zeros((d, d))
-    worst = 0.0
-    for start in range(0, n, _GRAM_BLOCK):
-        u = rows[start:start + _GRAM_BLOCK]
-        if r_inv is not None:
-            u[...] = u @ r_inv
-        gram += u.T @ u
-        worst = max(worst, float(np.max(np.sum(u * u, axis=1))))
-    eigs, vecs = np.linalg.eigh(gram)
-    return _Constants(2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0), worst,
-                      eigs, vecs)
+    starts = range(0, n, _GRAM_BLOCK)
+    grams = np.empty((len(starts), d, d))
+    worst = [0.0] * len(starts)
+    with parallel(len(starts), rows.size) as (workers, run):
+        # Scratch made here, one per worker: a worker's freed memory stays in its arena.
+        scratch = queue.SimpleQueue()
+        for _ in range(workers):
+            scratch.put(np.empty((min(n, _GRAM_BLOCK), d)))
+
+        def block(i: int) -> None:
+            u, buf = rows[starts[i]:starts[i] + _GRAM_BLOCK], scratch.get()
+            tmp = buf[:u.shape[0]]
+            if r_inv is not None:
+                u[...] = np.matmul(u, r_inv, out=tmp)
+            grams[i] = u.T @ u
+            worst[i] = float(np.max(np.sum(np.multiply(u, u, out=tmp), axis=1)))
+            scratch.put(buf)
+
+        run(block, range(len(starts)))
+    eigs, vecs = np.linalg.eigh(sum(grams, np.zeros((d, d))))
+    return _Constants(2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0),
+                      max(worst, default=0.0), eigs, vecs)
 
 
 def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray,
-                               seed: int, draws: int = 200) -> float:
+                               seed: int, u_rhs: np.ndarray, draws: int = 200) -> float:
     """Empirical variance (x safety factor 2) of single-row gradients of
-    ||rows y - rhs||^2 at y0."""
+    ||rows y - rhs||^2 at y0, given u_rhs = rows^T rhs."""
     n = rows.shape[0]
-    # At y0 = 0 (every default hdpwacc start) the residual is -rhs; skip
-    # the O(nd) product.
+    # At y0 = 0 (every default hdpwacc start) the residual is -rhs and the
+    # mean gradient is bitwise -2 u_rhs: no O(nd) pass.
     resid = rows @ y0 - rhs if y0.any() else -rhs
-    mean_grad = 2.0 * (rows.T @ resid)
+    mean_grad = 2.0 * (rows.T @ resid) if y0.any() else -2.0 * u_rhs
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_ESTIMATE, 1]))
     idx = rng.integers(0, n, size=draws)
     grads = 2.0 * n * rows[idx] * resid[idx][:, None]
@@ -382,14 +379,14 @@ class _YProblem(NamedTuple):
     project: Callable[[np.ndarray], np.ndarray]
     to_x: Callable[[np.ndarray], np.ndarray]
     r_factor: np.ndarray | None
+    u_rhs: np.ndarray | None = None  # U^T rhs, for the trace's y_c and sigma^2 at y0 = 0
 
 
 def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
     """Explicit ``step_size``, or the auto rule on the sampled problem."""
     if cfg.step_size != "auto":
         return float(cfg.step_size)
-    r = cfg.batch_size
-    L = prob.consts.L
+    r, L = cfg.batch_size, prob.consts.L
     # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))), additionally
     # capped for stochastic stability: with L the full-gradient
     # smoothness alone, single-row steps are wildly unstable (the
@@ -402,7 +399,7 @@ def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
         d_w = diameter_param(w, cfg.diameter_bound, prob.r_factor)
     except UnboundedSetError:
         return cap
-    sigma2 = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed)
+    sigma2 = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs)
     return min(cap, sgd_step_size(L, d_w, cfg.iterations, sigma2 / r))
 
 
@@ -419,7 +416,7 @@ def _trace_objective(a: np.ndarray, b: np.ndarray,
     lam, vecs = prob.consts.eigvals, prob.consts.eigvecs
     if lam[0] <= 0.0 or lam[-1] > _CENTRED_MAX_COND * lam[0]:
         return lambda y: objective_value(a, b, prob.to_x(y))
-    y_c = vecs @ ((vecs.T @ (prob.u.T @ prob.rhs)) / lam)
+    y_c = vecs @ ((vecs.T @ prob.u_rhs) / lam)
     f_c = objective_value(prob.u, prob.rhs, y_c)
     half = np.sqrt(lam)[:, None] * vecs.T
     return lambda y: f_c + float(np.square(half @ (y - y_c)).sum())
@@ -441,8 +438,7 @@ class _Recorder:
         self.cfg = cfg
         self.f_star = f_star
         # Full-gradient loops get each objective for free and trace every
-        # iteration by default; SGD loops estimate a point in O(d^2) and
-        # trace ~512.
+        # iteration by default; SGD points cost O(d^2), ~512 are traced.
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
         self.trace = [self._point(0, 0.0, f0)]
         self.stop_reason = "iterations"
@@ -516,7 +512,8 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
                          pre.r_factor @ x0, f0, prox.project, prox.to_x, pre.r_factor)
     else:
         prob = _YProblem(a, b, _smoothness_bounds(a, None), x0, f0,
-                         lambda y: project_euclidean(w, y), lambda y: y, None)
+                         partial(project_euclidean, w), lambda y: y, None)
+    prob = prob._replace(u_rhs=prob.u.T @ prob.rhs)  # U is written by now
     rec, ran, x, x_avg = loop(a, b, w, cfg, f_star, prob)
     return rec.report(solver, ran, x, x_avg, pre_seconds, objective_value(a, b, x_avg))
 
@@ -549,11 +546,15 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
 def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
              f_star: float | None, prob: _YProblem) -> tuple:
     """Loop of hdpwacc: the epochs of ``acc_epoch_schedule`` with
-    V_0 = f0 and the sampled sigma^2. It traces and reports y_hat."""
+    V_0 = f0 and the sampled sigma^2. It traces and reports y_hat. The
+    rows of z are (y, y_hat, g): y_tilde = [alpha, 1 - alpha] z[:2], and
+    the new y is P(c z), c the coefficients of (y + eta_t mu y_tilde -
+    eta_t scale g) / (1 + eta_t mu)."""
     m, r = prob.u.shape[0], cfg.batch_size
     L, mu = prob.consts.L, prob.consts.mu
-    sigma2_batch = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed) / r
-    y_hat = prob.y0.copy()
+    sigma2_r = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
+    z = np.tile(prob.y0, (3, 1))  # y_hat = y0; y and g are set before they are read
+    y_pair = z[:2]
     scale = 2.0 * m / r
     batches = _batches(prob.u, prob.rhs, cfg.seed, r)
     objective = _trace_objective(a, b, prob)
@@ -562,24 +563,23 @@ def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
+        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, prob.f0, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
-        y = y_hat.copy()
+        z[0] = z[1]
         for t, (rows, rhs) in zip(range(1, min(n_s, cfg.iterations - total) + 1), batches):
             alpha = 2.0 / (t + 1.0)
-            y_tilde = y_hat + alpha * (y - y_hat)
-            eta_t = eta_s * t
-            y_next = prob.project((y + eta_t * mu * y_tilde
-                                   - eta_t * scale * (rows.dot(y_tilde) - rhs).dot(rows))
-                                  / (1.0 + eta_t * mu))
-            # (1 - alpha) y_hat + alpha y_next, reusing y_tilde.
-            y_hat = y_tilde + alpha * (y_next - y)
-            y = y_next
+            avg = np.array((alpha, 1.0 - alpha))
+            (rows.dot(avg.dot(y_pair)) - rhs).dot(rows, out=z[2])
+            e = eta_s * t * mu
+            c = ((1.0 + e * alpha) / (1.0 + e), e * (1.0 - alpha) / (1.0 + e),
+                 -eta_s * t * scale / (1.0 + e))
+            z[0] = prob.project(np.array(c).dot(z))
+            z[1] = avg.dot(y_pair)  # alpha (new y) + (1 - alpha) y_hat
             total += 1
-            if rec.due(total) and rec.stop(total, objective(y_hat)):
+            if rec.due(total) and rec.stop(total, objective(z[1])):
                 break
-    x_hat = prob.to_x(y_hat)
+    x_hat = prob.to_x(z[1])
     return rec, total, x_hat, x_hat
 
 

@@ -2,11 +2,19 @@
 
 import numpy as np
 
+import sketchreg.linalg as linalg_mod
 import sketchreg.solvers as solvers_mod
 from sketchreg.errors import EpochBudgetError
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
 from sketchreg.sketches import SketchOperator, apply
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Run every ``linalg.parallel`` pass, however small, on ``workers``
+    threads, whatever the CPU and task counts."""
+    monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: workers)
+    monkeypatch.setattr(linalg_mod, "_PARALLEL_MIN_SIZE", 0)
 
 
 def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
@@ -136,12 +144,55 @@ def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
 
 
 def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
-    """Reference for ``solvers._acc_sgd``, gathering each step's batch as
-    ``batch_sgd_per_step`` does."""
+    """Reference for ``solvers._acc_sgd``: the same stacked recursion on
+    z = (y, y_hat, g), gathering each step's batch as
+    ``batch_sgd_per_step`` does and multiplying with @."""
     m, r = prob.u.shape[0], cfg.batch_size
     L, mu = prob.consts.L, prob.consts.mu
     sigma2_batch = solvers_mod._sampled_gradient_variance(
-        prob.u, prob.rhs, prob.y0, cfg.seed) / r
+        prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
+    z = np.zeros((3, prob.y0.shape[0]))
+    z[1] = prob.y0
+    scale = 2.0 * m / r
+    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    objective = solvers_mod._trace_objective(a, b, prob)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    total = 0
+    for s in range(1, cfg.epochs + 1):
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
+            break
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
+        if n_s > solvers_mod._EPOCH_ITER_CAP:
+            raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
+        z[0] = z[1]
+        for t in range(1, min(n_s, cfg.iterations - total) + 1):
+            alpha = 2.0 / (t + 1.0)
+            avg = np.array([alpha, 1.0 - alpha])
+            idx = next(indices)
+            rows = prob.u.take(idx, axis=0)
+            z[2] = rows.T @ (rows @ (avg @ z[:2]) - prob.rhs.take(idx))
+            e = eta_s * t * mu
+            c = np.array([(1.0 + e * alpha) / (1.0 + e), e * (1.0 - alpha) / (1.0 + e),
+                          -eta_s * t * scale / (1.0 + e)])
+            z[0] = prob.project(c @ z)
+            z[1] = avg @ z[:2]
+            total += 1
+            if rec.due(total) and rec.stop(total, objective(z[1])):
+                break
+    x_hat = prob.to_x(z[1])
+    return rec, total, x_hat, x_hat
+
+
+def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
+    """The accelerated recursion as written before its vectors were
+    stacked: y_tilde = y_hat + alpha (y - y_hat), y_next = P((y + eta_t mu
+    y_tilde - eta_t scale g) / (1 + eta_t mu)), y_hat = y_tilde +
+    alpha (y_next - y). The same arithmetic in another order, so it holds
+    ``solvers._acc_sgd`` to a tolerance, not bit for bit."""
+    m, r = prob.u.shape[0], cfg.batch_size
+    L, mu = prob.consts.L, prob.consts.mu
+    sigma2_batch = solvers_mod._sampled_gradient_variance(
+        prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
     y_hat = prob.y0.copy()
     scale = 2.0 * m / r
     indices = solvers_mod.batch_index_stream(cfg.seed, m, r)

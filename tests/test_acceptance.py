@@ -59,7 +59,8 @@ def tuned_step(a, b, f_star, target_rel, seed=0):
     pre = build_preconditioner(a, b, "srht", default_sketch_size("srht", d), seed)
     # The pass writes U = HDA R^-1 over pre.hda, as in the solvers.
     mu = _smoothness_bounds(pre.hda, pre.r_factor).mu
-    sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, np.zeros(d), seed)
+    sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, np.zeros(d), seed,
+                                              pre.hda.T @ pre.hdb)
                   * f_star / f0)
     eps = target_rel * f_star
     eta_base = 0.5 * eps * mu / sigma2_opt

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from sketchreg.errors import (
     SingularFactorError,
 )
 from sketchreg.linalg import condition_number, fwht_inplace, qr_thin, tri_solve
-from helpers import fwht
+from helpers import force_workers, fwht
 
 
 class TestQrThin:
@@ -164,6 +166,26 @@ class TestFwht:
         v = np.random.default_rng(9).standard_normal(2**16)
         norm = np.linalg.norm(v)
         assert abs(np.linalg.norm(fwht(v)) - norm) <= 1e-12 * norm
+
+    # Level 0 (outer = 1) splits rest into strips of whole 64-column units
+    # (2^10 x 5: 160 = 64 + 96), or not at all when rest < 128 (2^7 x 5);
+    # later levels split outer, ragged at three workers (2^17 x 1).
+    @pytest.mark.parametrize("shape", [(2,), (2**7, 5), (2**10, 5), (2**12, 3), (2**13,),
+                                       (2**13, 1), (2**17, 1)])
+    def test_bitwise_independent_of_worker_count(self, monkeypatch, shape):
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+        outs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            outs.append(fwht(v))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        fwht(np.ones((2**12, 2)))
+        assert threading.active_count() == before
 
     def test_not_power_of_two(self):
         with pytest.raises(NotPowerOfTwoError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import sketchreg.sketches as sketches_mod
+import sketchreg.linalg as linalg_mod
 from sketchreg.errors import DimensionMismatchError, SketchSizeError
 from sketchreg.sketches import (
     _PANEL_COLS,
@@ -21,7 +21,7 @@ from sketchreg.sketches import (
     hadamard_operator,
     make_sketch,
 )
-from helpers import dense_sketch
+from helpers import dense_sketch, force_workers
 
 
 class TestMakeSketch:
@@ -113,15 +113,21 @@ class TestApply:
         assert flattened.shape == (64,)
         assert abs(np.linalg.norm(flattened) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_srht_bitwise_independent_of_worker_count(self, monkeypatch, n):
+        # The sign pass splits rows [0, n) and leaves the padding zero.
+        m = np.random.default_rng(n).standard_normal((n, 3))
+        outs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            outs.append(apply(hadamard_operator(n, seed=6), m))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
     def test_dimension_mismatch(self):
         sk = make_sketch("gaussian", 4, 10, seed=0)
         with pytest.raises(DimensionMismatchError):
             apply(sk, np.ones((11, 2)))
-
-
-def force_workers(monkeypatch, workers):
-    """Fill Gaussian panels on ``workers`` threads, whatever the CPU count."""
-    monkeypatch.setattr(sketches_mod, "_worker_count", lambda panels: min(workers, panels))
 
 
 class TestGaussianPanels:
@@ -178,8 +184,8 @@ class TestGaussianPanels:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
     def test_worker_count_is_cpus_capped_by_panels(self):
-        assert sketches_mod._worker_count(1) == 1
-        assert sketches_mod._worker_count(10**6) == len(os.sched_getaffinity(0))
+        assert linalg_mod._worker_count(1) == 1
+        assert linalg_mod._worker_count(10**6) == len(os.sched_getaffinity(0))
 
 
 class TestEmbeddingDistortion:

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,8 @@ from sketchreg.solvers import (
     pw_gradient,
     sgd_step_size,
 )
-from helpers import acc_sgd_per_step, batch_sgd_per_step
+from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_sgd_per_step,
+                     force_workers)
 
 
 def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
@@ -347,10 +349,30 @@ class TestSmoothnessConstants:
             2.0 * self.N * np.max(np.sum(a**2, axis=1)), rel=1e-12)
 
 
+    @pytest.mark.parametrize("preconditioned", [True, False])
+    def test_bitwise_independent_of_worker_count(self, monkeypatch, preconditioned):
+        # Four blocks, the last ragged: three workers take two, one, one.
+        a, b, _ = gen_synthetic(DatasetSpec(n=3 * _GRAM_BLOCK + 905, d=7,
+                                            target_kappa=1e3, noise_std=1.0, seed=5))
+        r_factor = build_preconditioner(a, b, "srht", 140, seed=5).r_factor
+        outs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            rows = a.copy()
+            before = threading.active_count()
+            consts = _smoothness_bounds(rows, r_factor if preconditioned else None)
+            assert threading.active_count() == before
+            outs.append((rows, consts))
+        for rows, consts in outs[1:]:
+            assert np.array_equal(rows, outs[0][0])
+            assert (consts.L, consts.mu, consts.worst_row_sq) == outs[0][1][:3]
+            assert np.array_equal(consts.eigvecs, outs[0][1].eigvecs)
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_variance_at_zero_start_skips_the_product_bitwise(self, seed):
-        # At y0 = 0 the residual is taken as -rhs without forming U y0;
-        # sigma^2 must equal the general formula bit for bit.
+        # At y0 = 0 the residual is taken as -rhs and the mean gradient
+        # as -2 U^T rhs, without forming U y0 or U^T (-rhs); sigma^2 must
+        # equal the general formula bit for bit.
         rng = np.random.default_rng(seed)
         u, rhs, y0 = rng.standard_normal((300, 5)), rng.standard_normal(300), np.zeros(5)
         rhs[::7] = 0.0  # 0 - 0 is +0 but -0 is -0: the sign must not matter
@@ -360,7 +382,7 @@ class TestSmoothnessConstants:
             [seed, solvers_mod._STREAM_ESTIMATE, 1])).integers(0, 300, size=200)
         grads = 2.0 * 300 * u[idx] * resid[idx][:, None]
         expected = 2.0 * float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
-        assert _sampled_gradient_variance(u, rhs, y0, seed) == expected
+        assert _sampled_gradient_variance(u, rhs, y0, seed, u.T @ rhs) == expected
 
 
 class TestAccSchedule:
@@ -673,6 +695,25 @@ class TestGatheredBatches:
         np.testing.assert_array_equal(got.final_x_avg, want.final_x_avg)
         assert ([(p.iteration, p.objective) for p in got.trace]
                 == [(p.iteration, p.objective) for p in want.trace])
+
+    # Steps leave each ball: 463 of 5000 the l2 ball of radius ||x_ls||,
+    # 16 the l1 ball of radius 1.5 ||x_ls||_1 (at ||x_ls||_1, 936 do, and
+    # their d = 50 ball solves take 8 s).
+    @pytest.mark.parametrize("constraint,radius_scale", [("none", 1.0), ("l2", 1.0),
+                                                         ("l1", 1.5)])
+    def test_stacked_acc_step_tracks_the_unstacked_recursion(self, constraint,
+                                                             radius_scale):
+        # The stacked step rounds differently from the recursion it
+        # replaced; over 5000 steps the two may drift apart only by
+        # accumulated rounding.
+        a, b, _ = gen_synthetic(DatasetSpec(n=4096, d=50, target_kappa=10.0,
+                                            noise_std=1.0, seed=12))
+        w = make_feasible_set(a, b, constraint, radius_scale=radius_scale)
+        cfg = SolverConfig(iterations=5000, batch_size=8, epochs=40, seed=4)
+        got, want = (solvers_mod._sgd_solve(a, b, w, cfg, None, "hdpwacc", fn, True)
+                     for fn in (solvers_mod._acc_sgd, acc_sgd_unstacked_per_step))
+        assert got.iterations_run == want.iterations_run == 5000
+        np.testing.assert_allclose(got.final_x, want.final_x, rtol=1e-12)
 
     def test_batches_follow_the_index_stream(self):
         rng = np.random.default_rng(4)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import sketchreg.precond as precond_mod
-import sketchreg.sketches as sketches_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.feasible import FeasibleSet
 from sketchreg.solvers import SOLVERS, SolverConfig
+from helpers import force_workers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,7 +96,7 @@ def test_threaded_gaussian_sketch_is_traced_once_and_bitwise(tracer_mod, monkeyp
     # iterates; Gaussian panels filled on two threads must not move them,
     # and the threads must not touch the tracer's span stack. Installing
     # the tracer raises WrapTargetMissing when a wrapped name is gone.
-    monkeypatch.setattr(sketches_mod, "_worker_count", lambda panels: min(2, panels))
+    force_workers(monkeypatch, 2)
     drawn = []
 
     def counting_make_sketch(kind, s, n, seed, _make=precond_mod.make_sketch):
@@ -116,6 +116,21 @@ def test_threaded_gaussian_sketch_is_traced_once_and_bitwise(tracer_mod, monkeyp
     spans = [span for span in tracer.spans if span[0] == "sketches.apply.gaussian"]
     assert len(spans) == sketches_traced == (
         1 if name == "ihs-fixed" else traced.iterations_run)
+
+
+def test_threaded_hadamard_and_u_pass_are_traced_once_and_bitwise(tracer_mod, monkeypatch):
+    # The FWHT, sign pass and U pass on two threads must neither move
+    # the iterates nor add spans: workers call no wrapped name, so
+    # linalg.fwht fires once per transform (A, then b).
+    force_workers(monkeypatch, 2)
+    cfg = SolverConfig(iterations=200, batch_size=4, seed=2)
+    w = FeasibleSet.l2_ball(0.5, 4)
+    tracer, traced = traced_solve(tracer_mod, "hdpwbatch", w, cfg)
+    plain = SOLVERS["hdpwbatch"](*tiny_problem(), w, cfg)
+    np.testing.assert_array_equal(traced.final_x, plain.final_x)
+    np.testing.assert_array_equal(traced.final_x_avg, plain.final_x_avg)
+    assert [span[0] for span in tracer.spans].count("linalg.fwht") == 2
+    assert tracer_mod.layer_metrics(tracer)["linalg.fwht.calls"] == 2
 
 
 @pytest.mark.parametrize("name", LIBRARY_WORKLOADS)
