@@ -1,3 +1,4 @@
+import sys
 import threading
 from dataclasses import replace
 
@@ -351,18 +352,24 @@ class TestSmoothnessConstants:
 
     @pytest.mark.parametrize("preconditioned", [True, False])
     def test_bitwise_independent_of_worker_count(self, monkeypatch, preconditioned):
-        # Four blocks, the last ragged: three workers take two, one, one.
-        a, b, _ = gen_synthetic(DatasetSpec(n=3 * _GRAM_BLOCK + 905, d=7,
+        # Eight blocks, the last ragged; eight workers outnumber the cores,
+        # and a short switch interval interleaves them.
+        a, b, _ = gen_synthetic(DatasetSpec(n=7 * _GRAM_BLOCK + 905, d=40,
                                             target_kappa=1e3, noise_std=1.0, seed=5))
-        r_factor = build_preconditioner(a, b, "srht", 140, seed=5).r_factor
+        r_factor = build_preconditioner(a, b, "srht", 320, seed=5).r_factor
         outs = []
-        for workers in (1, 2, 3):
-            force_workers(monkeypatch, workers)
-            rows = a.copy()
-            before = threading.active_count()
-            consts = _smoothness_bounds(rows, r_factor if preconditioned else None)
-            assert threading.active_count() == before
-            outs.append((rows, consts))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                force_workers(monkeypatch, workers)
+                rows = a.copy()
+                before = threading.active_count()
+                consts = _smoothness_bounds(rows, r_factor if preconditioned else None)
+                assert threading.active_count() == before
+                outs.append((rows, consts))
+        finally:
+            sys.setswitchinterval(interval)
         for rows, consts in outs[1:]:
             assert np.array_equal(rows, outs[0][0])
             assert (consts.L, consts.mu, consts.worst_row_sq) == outs[0][1][:3]
