@@ -193,9 +193,9 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     at least as many as workers, else by column strips of ``rest``, each
     at least 64 wide, with edges at multiples of 64. BLAS rounds a column
     the same way in any strip so aligned, so the output is bitwise the
-    same for every worker count (the tests check it); a ragged or
-    one-column strip may round differently. The final 1/sqrt(n) scale is
-    split by rows.
+    same for every worker count (the tests check it); a strip with other
+    edges, or one column wide, may round differently. The final
+    1/sqrt(n) scale is split by rows.
 
     Raises NotPowerOfTwoError unless len(v) is a power of two.
     """
