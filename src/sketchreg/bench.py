@@ -51,15 +51,12 @@ class DatasetSpec:
     target_kappa: float = 1.0
     noise_std: float = 0.1
     seed: int = 0
-    constraint: str = "none"  # none | l1 | l2
 
     def __post_init__(self):
         if not self.n > self.d >= 1:
             raise ValueError(f"need n > d >= 1, got n={self.n}, d={self.d}")
         if self.target_kappa < 1.0:
             raise ValueError("target_kappa must be >= 1")
-        if self.constraint not in ("none", "l1", "l2"):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
 
 
 def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

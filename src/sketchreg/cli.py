@@ -12,17 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench
-from .errors import (
-    DegenerateOptimumError,
-    DivergenceError,
-    EpochBudgetError,
-    InnerSolverStallError,
-    OracleDisagreementError,
-    RankDeficientError,
-    SingularFactorError,
-    SketchRegError,
-)
+from . import bench, errors
 from .linalg import condition_number, tri_solve
 from .precond import build_hd, build_r, row_norm_spread
 from .sketches import KINDS, embedding_distortion, make_sketch
@@ -30,11 +20,39 @@ from .solvers import SOLVERS, SolverConfig, resolve_sketch_size
 
 DEFAULT_SEED = 1729
 
-_INPUT_ERRORS = (OSError, ValueError)
-_NUMERICAL_ERRORS = (RankDeficientError, SingularFactorError,
-                     InnerSolverStallError, EpochBudgetError,
-                     OracleDisagreementError, DegenerateOptimumError,
-                     DivergenceError)
+_INPUT_ERRORS = (errors.SketchRegError, OSError, ValueError)
+_NUMERICAL_ERRORS = (errors.RankDeficientError, errors.SingularFactorError,
+                     errors.InnerSolverStallError, errors.EpochBudgetError,
+                     errors.OracleDisagreementError, errors.DegenerateOptimumError,
+                     errors.DivergenceError)
+
+
+# Flag types: argparse reports the ValueError of a bad value as a usage error.
+def _eta(raw: str) -> float | str:
+    return raw if raw == "auto" else float(raw)
+
+
+def _sketch_size(raw: str) -> int:
+    """Sketch rows; 1e3 reads as 1000."""
+    size = float(raw)
+    if not np.isfinite(size):
+        raise ValueError(raw)
+    return int(size)
+
+
+def _solver_names(raw: str) -> list[str]:
+    names = [name for name in raw.split(",") if name]
+    if not set(names) <= SOLVERS.keys():
+        raise argparse.ArgumentTypeError(
+            f"unknown solver in {raw!r}; choose from {sorted(SOLVERS)}")
+    return names
+
+
+def _batch_sizes(raw: str) -> list[int]:
+    sizes = [int(size) for size in raw.split(",")] if raw else []
+    if not all(size >= 1 for size in sizes):
+        raise ValueError(raw)
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,6 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sketch = argparse.ArgumentParser(add_help=False)  # solve, bench, diag
+    sketch.add_argument("--sketch", default="srht", choices=KINDS)
+    sketch.add_argument("--sketch-size", type=_sketch_size, default=None)
+    sketch.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+    solver = argparse.ArgumentParser(add_help=False)  # solve, bench
+    solver.add_argument("--constraint", choices=["none", "l1", "l2"], default="none")
+    solver.add_argument("--radius-scale", type=float, default=1.0)
+    solver.add_argument("--batch", type=int, default=1, help="mini-batch size r")
+    solver.add_argument("--eta", type=_eta, default="auto",
+                        help="step size (float or 'auto'; pwgrad auto = 1/2, ihs auto = 1)")
+    solver.add_argument("--epochs", type=int, default=8)
+
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     gen.add_argument("--n", type=float, required=True, help="rows")
     gen.add_argument("--d", type=float, required=True, help="columns")
@@ -52,80 +83,101 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", required=True, help="output CSV path")
 
-    solve = sub.add_parser("solve", help="run one solver on a dataset")
+    solve = sub.add_parser("solve", parents=[sketch, solver],
+                           help="run one solver on a dataset")
     solve.add_argument("--data", required=True, help="CSV with d+1 columns, last is b")
     solve.add_argument("--normalize", action="store_true",
                        help="zero-mean/unit-variance feature columns")
     solve.add_argument("--solver", required=True, choices=sorted(SOLVERS))
-    solve.add_argument("--constraint", choices=["none", "l1", "l2"], default="none")
-    solve.add_argument("--radius-scale", type=float, default=1.0)
-    solve.add_argument("--sketch", default="srht", choices=KINDS)
-    solve.add_argument("--sketch-size", type=float, default=None)
-    solve.add_argument("--batch", type=int, default=1, help="mini-batch size r")
     solve.add_argument("--iters", type=int, default=1000)
-    solve.add_argument("--eta", default="auto",
-                       help="step size (float or 'auto'; pwgrad auto = 1/2, ihs auto = 1)")
-    solve.add_argument("--epochs", type=int, default=8)
-    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     solve.add_argument("--diameter-bound", type=float, default=None,
                        help="norm bound standing in for D_W on unconstrained runs")
     solve.add_argument("--record-every", type=int, default=None)
     solve.add_argument("--trace-out", default=None, help="trace CSV path")
 
-    bch = sub.add_parser("bench", help="multi-solver / batch-sweep experiment")
-    bch.add_argument("--config", default=None, help="YAML config (overrides flags)")
+    bch = sub.add_parser("bench", parents=[sketch, solver],
+                         help="multi-solver / batch-sweep experiment")
+    bch.add_argument("--config", default=None,
+                     help="YAML of bench flag names to values (overrides flags)")
     bch.add_argument("--data", default=None, help="CSV dataset (else synthetic)")
     bch.add_argument("--n", type=float, default=8192)
     bch.add_argument("--d", type=float, default=20)
     bch.add_argument("--kappa", type=float, default=1e3)
     bch.add_argument("--noise-std", type=float, default=0.1)
-    bch.add_argument("--constraint", choices=["none", "l1", "l2"], default="none")
-    bch.add_argument("--radius-scale", type=float, default=1.0)
-    bch.add_argument("--solvers", default="hdpwbatch,pwgrad",
+    bch.add_argument("--solvers", type=_solver_names, default=["hdpwbatch", "pwgrad"],
                      help="comma-separated solver names")
-    bch.add_argument("--batch-sweep", default=None,
+    bch.add_argument("--batch-sweep", type=_batch_sizes, default=[],
                      help="comma-separated batch sizes to sweep for hdpwbatch")
     bch.add_argument("--iters", type=int, default=2000)
-    bch.add_argument("--batch", type=int, default=1)
-    bch.add_argument("--epochs", type=int, default=8)
-    bch.add_argument("--eta", default="auto")
-    bch.add_argument("--sketch", default="srht", choices=KINDS)
-    bch.add_argument("--sketch-size", type=float, default=None)
     bch.add_argument("--seeds", type=int, default=10, help="number of seeds per solver")
-    bch.add_argument("--seed", type=int, default=DEFAULT_SEED)
     bch.add_argument("--target", type=float, default=1e-2,
                      help="relative error target for the iterations-to-target table")
     bch.add_argument("--out-dir", required=True)
 
-    diag = sub.add_parser("diag", help="preconditioning diagnostics for a dataset")
+    diag = sub.add_parser("diag", parents=[sketch],
+                          help="preconditioning diagnostics for a dataset")
     diag.add_argument("--data", required=True)
-    diag.add_argument("--sketch", default="srht", choices=KINDS)
-    diag.add_argument("--sketch-size", type=float, default=None)
-    diag.add_argument("--seed", type=int, default=DEFAULT_SEED)
     diag.add_argument("--trials", type=int, default=100,
                       help="random directions for the distortion estimate")
 
     return parser
 
 
-def _parse_eta(raw) -> float | str:
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if raw == "auto":
-        return "auto"
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"--eta must be a number or 'auto', got {raw!r}") from None
+def _with_config(parser: argparse.ArgumentParser, args) -> argparse.Namespace:
+    """``bench`` arguments with the ``--config`` YAML on top. The file's
+    ``key: value`` pairs are parsed alone as ``--key=value`` flags (a list
+    joined with commas), so ``null`` is the flag's default; argv fills in the rest."""
+    # Imported here so that CLI runs without --config skip its start-up cost.
+    import yaml
+
+    with open(args.config, "r", encoding="utf-8") as handle:
+        try:
+            settings = yaml.safe_load(handle) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config is not valid YAML: {' '.join(str(exc).split())}") from None
+    if not isinstance(settings, dict):
+        raise ValueError("config must map bench flag names to values")
+    keys = set(vars(args)) - {"command", "config", "out_dir"}
+    unknown = set(settings) - keys
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(map(str, unknown))}")
+    flags = []
+    for key, value in settings.items():
+        if value is None:
+            continue
+        listed = isinstance(getattr(args, key), list)
+        if isinstance(value, list) != listed:
+            raise ValueError(f"config key {key!r} takes {'a list' if listed else 'one value'}")
+        text = ",".join(map(str, value)) if listed else str(value)
+        flags.append(f"--{key.replace('_', '-')}={text}")
+    merged = parser.parse_args([args.command, f"--out-dir={args.out_dir}", *flags])
+    for key in keys - settings.keys():
+        setattr(merged, key, getattr(args, key))
+    return merged
 
 
-def _resolve_size(raw, n: int, kind: str) -> int | None:
-    if raw is None:
-        return None
-    s = int(raw)
-    if kind == "identity":
-        return min(s, n)
-    return s
+def _load_problem(args):
+    """(A, b, W): A and b read from ``--data``, else (bench) synthetic."""
+    if args.data:
+        a, b = bench.load_csv(args.data, normalize=getattr(args, "normalize", False))
+    else:
+        a, b, _ = bench.gen_synthetic(bench.DatasetSpec(
+            n=int(args.n), d=int(args.d), target_kappa=args.kappa,
+            noise_std=args.noise_std, seed=args.seed))
+    return a, b, bench.make_feasible_set(a, b, args.constraint,
+                                         radius_scale=args.radius_scale)
+
+
+def _solver_config(args, n: int, **fields) -> SolverConfig:
+    """The SolverConfig of the sketch flags, and of the solver flags where
+    the command has them; an identity sketch keeps at most the n rows."""
+    if "epochs" in args:
+        fields.update(iterations=args.iters, batch_size=args.batch,
+                      step_size=args.eta, epochs=args.epochs)
+    size = args.sketch_size
+    if size is not None and args.sketch == "identity":
+        size = min(size, n)
+    return SolverConfig(seed=args.seed, sketch_kind=args.sketch, sketch_size=size, **fields)
 
 
 def cmd_gen(args) -> int:
@@ -139,26 +191,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_problem(args):
-    a, b = bench.load_csv(args.data, normalize=getattr(args, "normalize", False))
-    w = bench.make_feasible_set(a, b, args.constraint,
-                                radius_scale=args.radius_scale)
-    return a, b, w
-
-
 def cmd_solve(args) -> int:
     a, b, w = _load_problem(args)
-    cfg = SolverConfig(
-        iterations=args.iters,
-        batch_size=args.batch,
-        step_size=_parse_eta(args.eta),
-        epochs=args.epochs,
-        seed=args.seed,
-        record_every=args.record_every,
-        sketch_kind=args.sketch,
-        sketch_size=_resolve_size(args.sketch_size, a.shape[0], args.sketch),
-        diameter_bound=args.diameter_bound,
-    )
+    cfg = _solver_config(args, a.shape[0], record_every=args.record_every,
+                         diameter_bound=args.diameter_bound)
     _, f_star = bench.ground_truth(a, b, w, seed=args.seed)
     tic = time.perf_counter()
     report = SOLVERS[args.solver](a, b, w, cfg, f_star=f_star)
@@ -174,35 +210,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _bench_settings(args) -> dict:
-    settings = {
-        "n": int(args.n), "d": int(args.d), "kappa": args.kappa,
-        "noise_std": args.noise_std, "constraint": args.constraint,
-        "radius_scale": args.radius_scale, "data": args.data,
-        "solvers": [s for s in args.solvers.split(",") if s],
-        "batch_sweep": [int(v) for v in args.batch_sweep.split(",")]
-        if args.batch_sweep else None,
-        "iters": args.iters, "batch": args.batch, "epochs": args.epochs,
-        "eta": args.eta, "sketch": args.sketch,
-        "sketch_size": args.sketch_size, "seeds": args.seeds,
-        "seed": args.seed, "target": args.target,
-    }
-    if args.config:
-        # Imported here so that CLI runs without --config skip its start-up cost.
-        import yaml
-
-        with open(args.config, "r", encoding="utf-8") as handle:
-            overrides = yaml.safe_load(handle) or {}
-        unknown = set(overrides) - set(settings)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(overrides)
-    return settings
-
-
 def cmd_bench(args) -> int:
-    cfg = _bench_settings(args)
-    if not cfg["solvers"] and not cfg["batch_sweep"]:
+    if not args.solvers and not args.batch_sweep:
         raise ValueError("empty solver list")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,31 +219,18 @@ def cmd_bench(args) -> int:
     probe.write_text("")
     probe.unlink()
 
-    if cfg["data"]:
-        a, b = bench.load_csv(cfg["data"])
-    else:
-        a, b, _ = bench.gen_synthetic(bench.DatasetSpec(
-            n=cfg["n"], d=cfg["d"], target_kappa=cfg["kappa"], noise_std=cfg["noise_std"],
-            seed=cfg["seed"], constraint=cfg["constraint"]))
-    w = bench.make_feasible_set(a, b, cfg["constraint"], cfg["radius_scale"])
-    _, f_star = bench.ground_truth(a, b, w, seed=cfg["seed"])
+    a, b, w = _load_problem(args)
+    base = _solver_config(args, a.shape[0])
+    configs: dict[str, SolverConfig] = {name: base for name in args.solvers}
+    for r in args.batch_sweep:
+        configs[f"hdpwbatch@r={r}"] = replace(
+            base, batch_size=r, iterations=max(1, args.iters // r))
+    _, f_star = bench.ground_truth(a, b, w, seed=args.seed)
 
-    base = SolverConfig(
-        iterations=cfg["iters"], batch_size=cfg["batch"],
-        step_size=_parse_eta(cfg["eta"]), epochs=cfg["epochs"],
-        sketch_kind=cfg["sketch"],
-        sketch_size=_resolve_size(cfg["sketch_size"], a.shape[0], cfg["sketch"]),
-    )
-    configs: dict[str, SolverConfig] = {name: base for name in cfg["solvers"]}
-    if cfg["batch_sweep"]:
-        for r in cfg["batch_sweep"]:
-            configs[f"hdpwbatch@r={r}"] = replace(
-                base, batch_size=r, iterations=max(1, cfg["iters"] // r))
-
-    seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
+    seeds = [args.seed + i for i in range(args.seeds)]
     result = bench.run_experiment(a, b, w, configs, seeds=seeds, f_star=f_star)
 
-    target = cfg["target"]
+    target = args.target
     print(f"f* = {f_star:.12e}")
     print(f"{'solver':>16} {'median rel-err':>15} {'best rel-err':>14} "
           f"{'median iters@{:g}'.format(target):>18}")
@@ -251,10 +247,9 @@ def cmd_bench(args) -> int:
               f"{str(med_iters if med_iters is not None else '--'):>18}")
         path = out_dir / f"{name.replace('@', '_').replace('=', '')}.csv"
         bench.write_trace_csv(path, [(name, seed, rep) for seed, rep in result.runs[name]])
-    if cfg["batch_sweep"]:
-        sweep = cfg["batch_sweep"]
+    if args.batch_sweep:
         print("batch-size speedup (iterations-to-target ratios):")
-        for lo, hi in zip(sweep, sweep[1:]):
+        for lo, hi in zip(args.batch_sweep, args.batch_sweep[1:]):
             a_i, b_i = crossings.get(f"hdpwbatch@r={lo}"), crossings.get(f"hdpwbatch@r={hi}")
             ratio = a_i / b_i if a_i and b_i else float("nan")
             print(f"  r={lo} -> r={hi}: {ratio:.2f}x")
@@ -265,11 +260,8 @@ def cmd_bench(args) -> int:
 def cmd_diag(args) -> int:
     a, b = bench.load_csv(args.data)
     n, d = a.shape
-    kind = args.sketch
-    s = resolve_sketch_size(SolverConfig(
-        sketch_kind=kind, sketch_size=_resolve_size(args.sketch_size, n, kind)),
-        n, d, high_precision=False)
-    sk = make_sketch(kind, s, n, args.seed)
+    s = resolve_sketch_size(_solver_config(args, n), n, d, high_precision=False)
+    sk = make_sketch(args.sketch, s, n, args.seed)
     r = build_r(a, sk)
     u = tri_solve(r, a.T, transposed=True).T
     kappa_a = condition_number(a)
@@ -277,7 +269,7 @@ def cmd_diag(args) -> int:
     distortion = embedding_distortion(sk, a, trials=args.trials)
     signs, hdu, _, n_pad = build_hd(u, np.zeros(n), args.seed)
     observed, bound = row_norm_spread(np.linalg.norm(hdu, axis=1))
-    print(f"n = {n}, d = {d}, sketch = {kind}, s = {s}")
+    print(f"n = {n}, d = {d}, sketch = {args.sketch}, s = {s}")
     print(f"kappa(A)        = {kappa_a:.6g}")
     print(f"kappa(A R^-1)   = {kappa_u:.6g}")
     print(f"embedding distortion (max over {args.trials} dirs) = {distortion:.4f}")
@@ -292,13 +284,12 @@ def main(argv=None) -> int:
     handlers = {"gen": cmd_gen, "solve": cmd_solve,
                 "bench": cmd_bench, "diag": cmd_diag}
     try:
+        if getattr(args, "config", None):
+            args = _with_config(parser, args)
         return handlers[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SketchRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

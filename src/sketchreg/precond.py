@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankDeficientError, SketchSizeError
+from .errors import RankDeficientError
 # fwht_inplace runs inside ``apply``; perfbench/tracer.py wraps it under
 # this module's name too, so it stays importable from here.
 from .linalg import fwht_inplace, qr_thin  # noqa: F401
@@ -26,6 +26,9 @@ from .sketches import SketchOperator, apply, hadamard_operator, make_sketch, sub
 
 __all__ = ["Preconditioner", "build_r", "build_hd", "sketched_r",
            "build_preconditioner", "row_norm_spread"]
+
+# row_norm_spread's bound fails with probability at most 1/_SPREAD_C.
+_SPREAD_C = 10.0
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,7 @@ def sketched_r(a: np.ndarray, sketch_kind: str, sketch_size: int, seed: int,
         retry_s = min(2 * sketch_size, n - 1)
         if retry_s <= sketch_size:
             raise
-        try:
-            sk = make_sketch(sketch_kind, retry_s, n, seed)
-        except SketchSizeError:
-            raise RankDeficientError("sketch lost rank and cannot grow further")
-        return build_r(a, sk, hda)
+        return build_r(a, make_sketch(sketch_kind, retry_s, n, seed), hda)
 
 
 def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
@@ -98,9 +97,10 @@ def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
                           hda=hda, hdb=hdb)
 
 
-def row_norm_spread(row_norms: np.ndarray, c: float = 10.0) -> tuple[float, float]:
+def row_norm_spread(row_norms: np.ndarray) -> tuple[float, float]:
     """Observed max row norm of a Hadamard-transformed basis vs the
-    theoretical spreading bound (1 + sqrt(8 log(c n))) * alpha / sqrt(n).
+    theoretical spreading bound (1 + sqrt(8 log(c n))) * alpha / sqrt(n),
+    c = ``_SPREAD_C``.
 
     ``row_norms`` are the n row norms of HDU; alpha = ||U||_F is
     recovered from them since HD is orthogonal. The bound fails with
@@ -109,5 +109,5 @@ def row_norm_spread(row_norms: np.ndarray, c: float = 10.0) -> tuple[float, floa
     row_norms = np.asarray(row_norms, dtype=np.float64)
     n = row_norms.shape[0]
     alpha = float(np.sqrt(np.sum(row_norms**2)))
-    bound = (1.0 + np.sqrt(8.0 * np.log(c * n))) * alpha / np.sqrt(n)
+    bound = (1.0 + np.sqrt(8.0 * np.log(_SPREAD_C * n))) * alpha / np.sqrt(n)
     return float(np.max(row_norms)), float(bound)

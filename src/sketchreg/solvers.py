@@ -65,8 +65,7 @@ from .sketches import KINDS, apply, default_sketch_size  # noqa: F401
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
-           "ihs", "ihs_fixed", "plain_sgd_baseline", "batch_index_stream",
-           "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
+           "ihs", "ihs_fixed", "plain_sgd_baseline", "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
 
 # Child-stream tags for SeedSequence([seed, tag]); sketch internals use
 # small tags, so solver streams live in a disjoint range.
@@ -88,6 +87,8 @@ _GRAM_BLOCK = 4096
 _CENTRED_MAX_COND = 1e8
 # hdpwacc raises EpochBudgetError for an epoch that wants more steps.
 _EPOCH_ITER_CAP = 10_000_000
+# Rows sampled for the gradient-variance estimate sigma^2.
+_VARIANCE_DRAWS = 200
 
 
 @dataclass
@@ -239,16 +240,9 @@ def _index_blocks(seed: int, n: int, batch: int) -> Iterator[np.ndarray]:
         yield rng.integers(0, n, size=(_INDEX_CHUNK, batch))
 
 
-def batch_index_stream(seed: int, n: int, batch: int) -> Iterator[np.ndarray]:
-    """The exact uniform-with-replacement index stream the SGD solvers
-    consume, exposed so tests can replay a run's sample sequence."""
-    for block in _index_blocks(seed, n, batch):
-        yield from block
-
-
 def _batches(u: np.ndarray, rhs: np.ndarray, seed: int,
              batch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(U_B, rhs_B) per step, in ``batch_index_stream`` order. Rows are
+    """(U_B, rhs_B) per step, in ``_index_blocks`` order. Rows are
     gathered ``_GATHER_STEPS`` steps at a time, so the per-step cost is
     iterating a view rather than two take() calls."""
     for block in _index_blocks(seed, u.shape[0], batch):
@@ -346,7 +340,7 @@ def _smoothness_bounds(rows: np.ndarray, r_factor: np.ndarray | None) -> _Consta
 
 
 def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray,
-                               seed: int, u_rhs: np.ndarray, draws: int = 200) -> float:
+                               seed: int, u_rhs: np.ndarray) -> float:
     """Empirical variance (x safety factor 2) of single-row gradients of
     ||rows y - rhs||^2 at y0, given u_rhs = rows^T rhs."""
     n = rows.shape[0]
@@ -355,7 +349,7 @@ def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray
     resid = rows @ y0 - rhs if y0.any() else -rhs
     mean_grad = 2.0 * (rows.T @ resid) if y0.any() else -2.0 * u_rhs
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_ESTIMATE, 1]))
-    idx = rng.integers(0, n, size=draws)
+    idx = rng.integers(0, n, size=_VARIANCE_DRAWS)
     grads = 2.0 * n * rows[idx] * resid[idx][:, None]
     return 2.0 * float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
 
@@ -620,11 +614,14 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
-    def sketched_prox(seed: int, warm_from: RMetricProx | None = None) -> RMetricProx:
-        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
+    def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> RMetricProx:
+        seed = (np.random.SeedSequence([int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]
+                if fresh_sketch else cfg.seed)
+        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, int(seed)), w, warm_from)
 
+    # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
     tic = time.perf_counter()
-    prox = None if fresh_sketch else sketched_prox(cfg.seed)
+    prox = sketched_prox(1)
     pre_seconds = time.perf_counter() - tic
 
     x = _start_point(cfg, d)
@@ -634,11 +631,10 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     rec = _Recorder(cfg, f_star, f, dense=True)
     ran = 0
     for t in range(1, cfg.iterations + 1):
-        if fresh_sketch:
+        if fresh_sketch and t > 1:
             # The new R's l1 solve starts from the last step's face; its
             # KKT test still decides.
-            prox = sketched_prox(int(np.random.SeedSequence(
-                [int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]), prox)
+            prox = sketched_prox(t, prox)
         x = prox.solve(x, grad_scale * (a.T @ resid), eta)
         resid = a @ x - b
         f_prev, f = f, float(resid @ resid)

@@ -120,6 +120,13 @@ def l1_kkt_residual(r_factor: np.ndarray, radius: float, z: np.ndarray,
     return max(sign_gap / scale, abs(float(np.sum(np.abs(x))) - radius) / radius)
 
 
+def batch_index_stream(seed: int, n: int, batch: int):
+    """The uniform-with-replacement index stream the SGD solvers consume,
+    one batch per step, so tests can replay a run's sample sequence."""
+    for block in solvers_mod._index_blocks(seed, n, batch):
+        yield from block
+
+
 def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
     """Reference for ``solvers._batch_sgd``: the same update, with one
     ``next`` on ``batch_index_stream``, two take() gathers and two @
@@ -129,7 +136,7 @@ def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
     scale = 2.0 * m / r
     y = prob.y0
     y_sum = np.zeros_like(y)
-    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
     rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
     for t in range(1, cfg.iterations + 1):
@@ -154,7 +161,7 @@ def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
     z = np.zeros((3, prob.y0.shape[0]))
     z[1] = prob.y0
     scale = 2.0 * m / r
-    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
     rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
     total = 0
@@ -195,7 +202,7 @@ def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
         prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
     y_hat = prob.y0.copy()
     scale = 2.0 * m / r
-    indices = solvers_mod.batch_index_stream(cfg.seed, m, r)
+    indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
     rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
     total = 0

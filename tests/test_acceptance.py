@@ -25,7 +25,6 @@ from sketchreg.solvers import (
     SolverConfig,
     _sampled_gradient_variance,
     _smoothness_bounds,
-    batch_index_stream,
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs_fixed,
@@ -33,7 +32,7 @@ from sketchreg.solvers import (
     plain_sgd_baseline,
     pw_gradient,
 )
-from helpers import fwht
+from helpers import batch_index_stream, fwht
 
 SEEDS = tuple(range(10))
 

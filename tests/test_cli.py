@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sketchreg.cli as cli_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, load_csv, save_dataset_csv
 from sketchreg.cli import main
 from sketchreg.linalg import qr_thin
@@ -195,3 +196,74 @@ class TestDiag:
             assert main(["diag", "--data", str(data), "--seed", str(seed)]) == 0
             holds += "holds: True" in capsys.readouterr().out
         assert holds >= 9
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value this way
+        return exc.code
+
+
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail the test if the command makes data or solves for f*."""
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the settings were checked")
+    monkeypatch.setattr(cli_mod.bench, "gen_synthetic", fail)
+    monkeypatch.setattr(cli_mod.bench, "ground_truth", fail)
+
+
+@pytest.fixture
+def bench_args(monkeypatch):
+    """The parsed arguments ``cmd_bench`` receives, in place of running it."""
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_bench", lambda args: seen.append(args) or 0)
+    return seen
+
+
+class TestBenchSettings:
+    @pytest.mark.parametrize("yaml_text", ["solvers: pwgrad\n", "batch_sweep: 2\n",
+                                           "constraint: l5\n"],
+                             ids=["solvers-scalar", "batch_sweep-scalar", "constraint-l5"])
+    def test_bad_config_value_exits_2_before_any_data(self, tmp_path, capsys, no_data,
+                                                      yaml_text):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(yaml_text)
+        assert exit_code(["bench", "--config", str(cfgfile),
+                          "--out-dir", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if "error" in ln]) == 1
+
+    @pytest.mark.parametrize("flags", [["--solvers", "foo"], ["--batch-sweep", "2,x"],
+                                       ["--batch-sweep", "2,0"]],
+                             ids=["solvers-foo", "batch-sweep-2,x", "batch-sweep-2,0"])
+    def test_bad_list_flag_exits_2_before_any_data(self, tmp_path, capsys, no_data, flags):
+        assert exit_code(["bench", *flags, "--out-dir", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if "error" in ln]) == 1
+
+    def test_config_value_overrides_flag(self, tmp_path, bench_args):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text("iters: 50\nsolvers: [pwgrad, ihs]\neta: 0.25\n")
+        assert main(["bench", "--config", str(cfgfile), "--iters", "7", "--solvers", "sgd",
+                     "--seeds", "3", "--out-dir", str(tmp_path / "res")]) == 0
+        (args,) = bench_args
+        assert (args.iters, args.solvers, args.eta) == (50, ["pwgrad", "ihs"], 0.25)
+        assert args.seeds == 3  # not in the file: the command line's value
+
+    def test_null_is_the_flag_default(self, tmp_path, bench_args):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text("sketch_size: null\nbatch_sweep: null\niters: null\n")
+        assert main(["bench", "--config", str(cfgfile), "--iters", "7",
+                     "--out-dir", str(tmp_path / "res")]) == 0
+        (args,) = bench_args
+        assert (args.sketch_size, args.batch_sweep, args.iters) == (None, [], 2000)
+
+    def test_config_sketch_size_in_scientific_notation(self, tmp_path, bench_args):
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text("sketch_size: 1e3\n")  # YAML reads 1e3 as a string
+        out = ["--out-dir", str(tmp_path / "res")]
+        assert main(["bench", "--config", str(cfgfile), *out]) == 0
+        assert main(["bench", "--sketch-size", "1e3", *out]) == 0
+        assert [args.sketch_size for args in bench_args] == [1000, 1000]

@@ -7,7 +7,8 @@ import pytest
 
 import sketchreg.solvers as solvers_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
-from sketchreg.errors import DegenerateOptimumError, DivergenceError, EpochBudgetError
+from sketchreg.errors import (DegenerateOptimumError, DivergenceError, EpochBudgetError,
+                              SketchSizeError)
 from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
@@ -19,7 +20,6 @@ from sketchreg.solvers import (
     _smoothness_bounds,
     _stochastic_smoothness,
     acc_epoch_schedule,
-    batch_index_stream,
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs,
@@ -29,8 +29,8 @@ from sketchreg.solvers import (
     pw_gradient,
     sgd_step_size,
 )
-from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_sgd_per_step,
-                     force_workers)
+from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
+                     batch_sgd_per_step, force_workers)
 
 
 def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
@@ -134,6 +134,13 @@ class TestAllSolvers:
         assert [p.iteration for p in rep.trace] == [0]
         np.testing.assert_array_equal(rep.final_x, np.zeros(4))
         np.testing.assert_array_equal(rep.final_x_avg, np.zeros(4))
+
+    @pytest.mark.parametrize("name", sorted(set(SOLVERS) - {"sgd"}))
+    def test_bad_sketch_size_raises_at_set_up(self, name):
+        # Every solver but sgd draws a sketch; none takes a step first.
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        with pytest.raises(SketchSizeError):
+            SOLVERS[name](a, b, w, SolverConfig(iterations=0, sketch_size=256, seed=0))
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_zero_optimum_raises(self, name):
@@ -619,6 +626,18 @@ class TestIhs:
         x_star, _ = ground_truth(a, b, w)
         rep = ihs(a, b, w, SolverConfig(iterations=4, seed=9, x0=x_star))
         assert np.max(np.abs(rep.final_x - x_star)) <= 1e-12 * max(np.max(np.abs(x_star)), 1.0)
+
+    def test_one_sketch_per_iteration_the_first_at_set_up(self, monkeypatch):
+        a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=18)
+        seeds = []
+        sketched_r = solvers_mod.sketched_r
+        monkeypatch.setattr(solvers_mod, "sketched_r",
+                            lambda *args: seeds.append(args[3]) or sketched_r(*args))
+        ihs(a, b, w, SolverConfig(iterations=0, seed=9))
+        assert len(seeds) == 1
+        rep = ihs(a, b, w, SolverConfig(iterations=3, seed=9))
+        assert rep.iterations_run == 3
+        assert seeds[1] == seeds[0] and len(set(seeds[1:])) == 3
 
     def test_l1_prox_warm_starts_across_fresh_sketches(self, monkeypatch):
         # The ball-constrained benchmark's l1 set (d = 20, radius
