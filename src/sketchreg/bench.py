@@ -163,6 +163,9 @@ def run_experiment(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     truth; keeps every run so callers can take best-of or medians."""
     if not solver_configs:
         raise ValueError("no solvers configured")
+    seeds = tuple(seeds)  # each solver runs every seed, so a generator is read once
+    if not seeds:
+        raise ValueError("no seeds given")
     if f_star is None:
         _, f_star = ground_truth(a, b, w)
     result = ExperimentResult(f_star=f_star)

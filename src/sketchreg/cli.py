@@ -32,12 +32,12 @@ def _eta(raw: str) -> float | str:
     return raw if raw == "auto" else float(raw)
 
 
-def _sketch_size(raw: str) -> int:
-    """Sketch rows; 1e3 reads as 1000."""
-    size = float(raw)
-    if not np.isfinite(size):
+def _count(raw: str) -> int:
+    """A positive integer; 1e3 reads as 1000."""
+    count = float(raw)
+    if not (count.is_integer() and count >= 1):
         raise ValueError(raw)
-    return int(size)
+    return int(count)
 
 
 def _solver_names(raw: str) -> list[str]:
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sketch = argparse.ArgumentParser(add_help=False)  # solve, bench, diag
     sketch.add_argument("--sketch", default="srht", choices=KINDS)
-    sketch.add_argument("--sketch-size", type=_sketch_size, default=None)
+    sketch.add_argument("--sketch-size", type=_count, default=None)
     sketch.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     solver = argparse.ArgumentParser(add_help=False)  # solve, bench
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--epochs", type=int, default=8)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    gen.add_argument("--n", type=float, required=True, help="rows")
-    gen.add_argument("--d", type=float, required=True, help="columns")
+    gen.add_argument("--n", type=_count, required=True, help="rows")
+    gen.add_argument("--d", type=_count, required=True, help="columns")
     gen.add_argument("--kappa", type=float, default=1.0, help="target condition number")
     gen.add_argument("--noise-std", type=float, default=0.1)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     bch.add_argument("--config", default=None,
                      help="YAML of bench flag names to values (overrides flags)")
     bch.add_argument("--data", default=None, help="CSV dataset (else synthetic)")
-    bch.add_argument("--n", type=float, default=8192)
-    bch.add_argument("--d", type=float, default=20)
+    bch.add_argument("--n", type=_count, default=8192)
+    bch.add_argument("--d", type=_count, default=20)
     bch.add_argument("--kappa", type=float, default=1e3)
     bch.add_argument("--noise-std", type=float, default=0.1)
     bch.add_argument("--solvers", type=_solver_names, default=["hdpwbatch", "pwgrad"],
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     bch.add_argument("--batch-sweep", type=_batch_sizes, default=[],
                      help="comma-separated batch sizes to sweep for hdpwbatch")
     bch.add_argument("--iters", type=int, default=2000)
-    bch.add_argument("--seeds", type=int, default=10, help="number of seeds per solver")
+    bch.add_argument("--seeds", type=_count, default=10, help="number of seeds per solver")
     bch.add_argument("--target", type=float, default=1e-2,
                      help="relative error target for the iterations-to-target table")
     bch.add_argument("--out-dir", required=True)
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diag", parents=[sketch],
                           help="preconditioning diagnostics for a dataset")
     diag.add_argument("--data", required=True)
-    diag.add_argument("--trials", type=int, default=100,
+    diag.add_argument("--trials", type=_count, default=100,
                       help="random directions for the distortion estimate")
 
     return parser
@@ -162,39 +162,36 @@ def _load_problem(args):
         a, b = bench.load_csv(args.data, normalize=getattr(args, "normalize", False))
     else:
         a, b, _ = bench.gen_synthetic(bench.DatasetSpec(
-            n=int(args.n), d=int(args.d), target_kappa=args.kappa,
+            n=args.n, d=args.d, target_kappa=args.kappa,
             noise_std=args.noise_std, seed=args.seed))
     return a, b, bench.make_feasible_set(a, b, args.constraint,
                                          radius_scale=args.radius_scale)
 
 
-def _solver_config(args, n: int, **fields) -> SolverConfig:
+def _solver_config(args, **fields) -> SolverConfig:
     """The SolverConfig of the sketch flags, and of the solver flags where
-    the command has them; an identity sketch keeps at most the n rows."""
+    the command has them."""
     if "epochs" in args:
         fields.update(iterations=args.iters, batch_size=args.batch,
                       step_size=args.eta, epochs=args.epochs)
-    size = args.sketch_size
-    if size is not None and args.sketch == "identity":
-        size = min(size, n)
-    return SolverConfig(seed=args.seed, sketch_kind=args.sketch, sketch_size=size, **fields)
+    return SolverConfig(seed=args.seed, sketch_kind=args.sketch,
+                        sketch_size=args.sketch_size, **fields)
 
 
 def cmd_gen(args) -> int:
-    n, d = int(args.n), int(args.d)
-    spec = bench.DatasetSpec(n=n, d=d, target_kappa=args.kappa,
+    spec = bench.DatasetSpec(n=args.n, d=args.d, target_kappa=args.kappa,
                              noise_std=args.noise_std, seed=args.seed)
     a, b, _ = bench.gen_synthetic(spec)
     bench.save_dataset_csv(args.out, a, b)
-    print(f"wrote {n} rows x {d + 1} cols to {args.out}")
+    print(f"wrote {args.n} rows x {args.d + 1} cols to {args.out}")
     print(f"measured kappa(A) = {condition_number(a):.6g}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    a, b, w = _load_problem(args)
-    cfg = _solver_config(args, a.shape[0], record_every=args.record_every,
+    cfg = _solver_config(args, record_every=args.record_every,
                          diameter_bound=args.diameter_bound)
+    a, b, w = _load_problem(args)
     _, f_star = bench.ground_truth(a, b, w, seed=args.seed)
     tic = time.perf_counter()
     report = SOLVERS[args.solver](a, b, w, cfg, f_star=f_star)
@@ -219,12 +216,12 @@ def cmd_bench(args) -> int:
     probe.write_text("")
     probe.unlink()
 
-    a, b, w = _load_problem(args)
-    base = _solver_config(args, a.shape[0])
+    base = _solver_config(args)
     configs: dict[str, SolverConfig] = {name: base for name in args.solvers}
     for r in args.batch_sweep:
         configs[f"hdpwbatch@r={r}"] = replace(
             base, batch_size=r, iterations=max(1, args.iters // r))
+    a, b, w = _load_problem(args)
     _, f_star = bench.ground_truth(a, b, w, seed=args.seed)
 
     seeds = [args.seed + i for i in range(args.seeds)]
@@ -260,7 +257,7 @@ def cmd_bench(args) -> int:
 def cmd_diag(args) -> int:
     a, b = bench.load_csv(args.data)
     n, d = a.shape
-    s = resolve_sketch_size(_solver_config(args, n), n, d, high_precision=False)
+    s = resolve_sketch_size(_solver_config(args), n, d, high_precision=False)
     sk = make_sketch(args.sketch, s, n, args.seed)
     r = build_r(a, sk)
     u = tri_solve(r, a.T, transposed=True).T

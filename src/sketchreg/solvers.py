@@ -10,8 +10,8 @@ Four preconditioned methods plus one baseline:
 * ``pw_gradient``       -- one sketch, full-gradient R-metric descent;
   linearly convergent for the high precision regime.
 * ``ihs``               -- the iterative-Hessian-sketch baseline, a fresh
-  sketch per iteration; ``ihs_fixed`` keeps one sketch and reproduces
-  pw_gradient at eta = 1/2.
+  sketch per iteration; ``ihs_fixed`` keeps one sketch and is bit for
+  bit pw_gradient at half its step.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
 
@@ -41,6 +41,7 @@ gradient-variance estimate. The smoothness constants are exact and draw
 no random numbers.
 """
 
+import numbers
 import queue
 import time
 from dataclasses import dataclass
@@ -102,8 +103,8 @@ class SolverConfig:
     blocked pass over the rows), D = D_W measured in y = R x, the
     coordinates of the prox (``feasible.diameter_param``), and, only when
     D is finite, a sampled gradient-variance estimate sigma^2 at x0.
-    hdpwacc always uses that sigma^2 and V_0 = f(x0). ``ihs`` and
-    ``ihs_fixed`` take the unit step when ``step_size`` is "auto".
+    hdpwacc always uses that sigma^2 and V_0 = f(x0). For the full-gradient
+    solvers "auto" is step 1 on A^T (Ax - b), which is 1/2 in pwgrad's units.
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -129,23 +130,23 @@ class SolverConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # Counts are integers (numpy's too); None picks the default where one exists.
+        for name, low in (("iterations", 0), ("batch_size", 1), ("epochs", 1),
+                          ("sketch_size", 1), ("record_every", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("sketch_size", "record_every"):
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not isinstance(self.step_size, str) and self.step_size <= 0.0:
             raise ValueError("explicit step_size must be > 0")
         if isinstance(self.step_size, str) and self.step_size != "auto":
             raise ValueError(f"step_size must be a number or 'auto', got {self.step_size!r}")
-        if self.record_every is not None and self.record_every < 1:
-            raise ValueError("record_every must be >= 1 (None picks the default)")
         if self.sketch_kind not in KINDS:
             raise ValueError(f"unknown sketch_kind {self.sketch_kind!r}; pick one of {KINDS}")
         # Each test is written so that NaN fails it.
-        if not self.epochs >= 1:
-            raise ValueError("epochs must be >= 1")
-        if self.sketch_size is not None and not self.sketch_size >= 1:
-            raise ValueError("sketch_size must be >= 1 (None picks the default)")
         if self.diameter_bound is not None and not self.diameter_bound > 0.0:
             raise ValueError("diameter_bound must be > 0")
         for name in ("max_seconds", "objective_tol", "stop_below_rel"):
@@ -252,7 +253,10 @@ def _batches(u: np.ndarray, rhs: np.ndarray, seed: int,
             yield from zip(u.take(idx, axis=0), rhs.take(idx))
 
 
-def _validate_problem(a: np.ndarray, b: np.ndarray, w: FeasibleSet):
+def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
+    """(A, b, x0, r0): the checked float64 problem, the start x0 (zero
+    unless ``cfg.x0`` is given) and its residual r0 = A x0 - b. At
+    x0 = 0, r0 is -b with no pass over A, and r0 @ r0 is f(x0)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
@@ -265,30 +269,28 @@ def _validate_problem(a: np.ndarray, b: np.ndarray, w: FeasibleSet):
         )
     if not np.isfinite(a).all() or not np.isfinite(b).all():
         raise ValueError("input data contains non-finite entries")
-    return a, b
-
-
-def _start_point(cfg: SolverConfig, d: int) -> np.ndarray:
+    d = a.shape[1]
     if cfg.x0 is None:
-        return np.zeros(d)
+        return a, b, np.zeros(d), -b
     x0 = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x0.shape != (d,):
         raise DimensionMismatchError(f"x0 has shape {x0.shape}, expected ({d},)")
-    return x0
+    return a, b, x0, a @ x0 - b
 
 
 def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
                         high_precision: bool) -> int:
     """Sketch rows a solver uses on an n x d problem: ``cfg.sketch_size``
     if set, else the default for its kind (larger for the full-gradient
-    high-precision methods), kept between d + 1 and n - 1."""
+    high-precision methods), kept between d + 1 and n - 1. An identity
+    sketch keeps at most the n rows."""
+    if cfg.sketch_kind == "identity":
+        return n if cfg.sketch_size is None else min(cfg.sketch_size, n)
     if cfg.sketch_size is not None:
         return cfg.sketch_size
-    if cfg.sketch_kind == "identity":
-        return n
     if high_precision:
-        # Full-gradient methods need sigma_max(A R^-1)^2 < 2 for the
-        # eta = 1/2 step, hence a distinctly larger sketch than SGD.
+        # Full-gradient methods need sigma_max(A R^-1)^2 < 2 for the unit
+        # step on the half gradient, hence a distinctly larger sketch than SGD.
         s = 50 * d
     else:
         s = default_sketch_size(cfg.sketch_kind, d)
@@ -373,7 +375,7 @@ class _YProblem(NamedTuple):
     project: Callable[[np.ndarray], np.ndarray]
     to_x: Callable[[np.ndarray], np.ndarray]
     r_factor: np.ndarray | None
-    u_rhs: np.ndarray | None = None  # U^T rhs, for the trace's y_c and sigma^2 at y0 = 0
+    u_rhs: np.ndarray  # U^T rhs, for the trace's y_c and sigma^2 at y0 = 0
 
 
 def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
@@ -488,10 +490,8 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     at ``iterations=0``, which reports x0 and runs no estimator), the
     y-problem, ``loop`` -> (recorder, iterations run, last x, reported x),
     and the exact objective of the reported x as the last trace point."""
-    a, b = _validate_problem(a, b, w)
-    x0 = _start_point(cfg, a.shape[1])
-    # At x0 = 0 the residual is -b, and b @ b is the same bits as f(0).
-    f0 = float(b @ b) if cfg.x0 is None else objective_value(a, b, x0)
+    a, b, x0, r0 = _start(a, b, w, cfg)
+    f0 = float(r0 @ r0)
     pre_seconds = 0.0
     if precondition:
         tic = time.perf_counter()
@@ -502,12 +502,13 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
         return _Recorder(cfg, f_star, f0).report(solver, 0, x0, x0.copy(), pre_seconds, f0)
     if precondition:
         prox = RMetricProx(pre.r_factor, w)
-        prob = _YProblem(pre.hda, pre.hdb, _smoothness_bounds(pre.hda, pre.r_factor),
-                         pre.r_factor @ x0, f0, prox.project, prox.to_x, pre.r_factor)
+        u, rhs, r_factor = pre.hda, pre.hdb, pre.r_factor
+        y0, project, to_x = r_factor @ x0, prox.project, prox.to_x
     else:
-        prob = _YProblem(a, b, _smoothness_bounds(a, None), x0, f0,
-                         partial(project_euclidean, w), lambda y: y, None)
-    prob = prob._replace(u_rhs=prob.u.T @ prob.rhs)  # U is written by now
+        u, rhs, r_factor = a, b, None
+        y0, project, to_x = x0, partial(project_euclidean, w), lambda y: y
+    consts = _smoothness_bounds(u, r_factor)  # writes U over the rows of u
+    prob = _YProblem(u, rhs, consts, y0, f0, project, to_x, r_factor, u.T @ rhs)
     rec, ran, x, x_avg = loop(a, b, w, cfg, f_star, prob)
     return rec.report(solver, ran, x, x_avg, pre_seconds, objective_value(a, b, x_avg))
 
@@ -605,12 +606,14 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 
 
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
-                           auto_eta: float, grad_scale: float,
                            fresh_sketch: bool) -> SolveReport:
-    """Shared loop of pw_gradient and IHS: full gradient, R-metric prox,
-    step ``auto_eta`` unless ``step_size`` is given."""
-    eta = auto_eta if cfg.step_size == "auto" else float(cfg.step_size)
-    a, b = _validate_problem(a, b, w)
+    """Shared loop of pw_gradient and IHS: R-metric prox steps on the half
+    gradient A^T (Ax - b), step 1 unless ``step_size`` is given. pwgrad's
+    step is in units of the full gradient, so its explicit step doubles:
+    scaling by 2 is exact, and ihs-fixed at eta is pwgrad at eta / 2."""
+    unit = 2.0 if solver == "pwgrad" else 1.0
+    eta = 1.0 if cfg.step_size == "auto" else unit * float(cfg.step_size)
+    a, b, x, resid = _start(a, b, w, cfg)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
@@ -624,9 +627,6 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     prox = sketched_prox(1)
     pre_seconds = time.perf_counter() - tic
 
-    x = _start_point(cfg, d)
-    # At x0 = 0 the residual is exactly -b: no pass over A.
-    resid = -b if cfg.x0 is None else a @ x - b
     f = float(resid @ resid)
     rec = _Recorder(cfg, f_star, f, dense=True)
     ran = 0
@@ -635,7 +635,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
             # The new R's l1 solve starts from the last step's face; its
             # KKT test still decides.
             prox = sketched_prox(t, prox)
-        x = prox.solve(x, grad_scale * (a.T @ resid), eta)
+        x = prox.solve(x, a.T @ resid, eta)
         resid = a @ x - b
         f_prev, f = f, float(resid @ resid)
         ran = t
@@ -647,27 +647,25 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                 cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Preconditioned projected gradient descent: one sketch, one R,
-    full gradient 2 A^T (Ax - b) each iteration. Default step 1/2."""
-    return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad",
-                                  auto_eta=0.5, grad_scale=2.0, fresh_sketch=False)
+    full gradient 2 A^T (Ax - b) each iteration, the unit of
+    ``step_size``; default step 1/2."""
+    return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad", fresh_sketch=False)
 
 
 def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
         cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Iterative Hessian sketch: a new seeded sketch every iteration.
-    Default step 1."""
-    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs",
-                                  auto_eta=1.0, grad_scale=1.0, fresh_sketch=True)
+    ``step_size`` is in units of A^T (Ax - b); default step 1."""
+    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs", fresh_sketch=True)
 
 
 def ihs_fixed(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
               cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Iterative Hessian sketch with one sketch for all iterations. The
-    update is algebraically identical to pw_gradient with eta = 1/2,
-    since the inner argmin depends on M = SA only through R^T R.
-    Default step 1."""
-    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed",
-                                  auto_eta=1.0, grad_scale=1.0, fresh_sketch=False)
+    """Iterative Hessian sketch with one sketch for all iterations: the
+    inner argmin depends on M = SA only through R^T R. ``step_size`` is
+    in units of A^T (Ax - b); default step 1. Its iterates are bit for
+    bit pw_gradient's at half the step."""
+    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed", fresh_sketch=False)
 
 
 def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,

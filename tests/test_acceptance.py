@@ -96,17 +96,19 @@ def test_criterion_01_batch_size_speedup():
 
 
 def test_criterion_02_pw_gradient_ihs_equivalence():
-    # Fixed-sketch IHS and pwGradient at eta=1/2 produce the same
-    # iterates, unconstrained and on an active l2 ball.
+    # Fixed-sketch IHS and pwGradient at half its step produce the same
+    # iterates bit for bit, unconstrained and on an active l2 ball.
     a, b = syn_instance(n=2048, d=10, kappa=1e3, noise=1.0, seed=3)
-    worst = 0.0
+    worst, same_trace = 0.0, True
     for w in (FeasibleSet.unconstrained(10),
               make_feasible_set(a, b, "l2", radius_scale=0.8)):
         cfg = SolverConfig(iterations=10, seed=5)
         pw = pw_gradient(a, b, w, cfg)
         fixed = ihs_fixed(a, b, w, cfg)
         worst = max(worst, float(np.max(np.abs(pw.final_x - fixed.final_x))))
-    criterion(2, worst <= 1e-9, f"max coordinate difference {worst:.2e}")
+        same_trace &= [p.objective for p in pw.trace] == [p.objective for p in fixed.trace]
+    criterion(2, worst == 0.0 and same_trace,
+              f"max coordinate difference {worst:.2e}, same trace objectives: {same_trace}")
 
 
 def test_criterion_03_pw_gradient_linear_convergence():

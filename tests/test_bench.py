@@ -237,6 +237,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(a, b, FeasibleSet.unconstrained(4), {})
 
+    @pytest.mark.parametrize("seeds", [(), iter(())], ids=["tuple", "generator"])
+    def test_empty_seed_list_rejected(self, monkeypatch, seeds):
+        a, b, _ = gen_synthetic(DatasetSpec(n=128, d=4, target_kappa=5.0, seed=11))
+        monkeypatch.setattr(bench_mod, "ground_truth", lambda *args: pytest.fail("solved f*"))
+        with pytest.raises(ValueError, match="no seeds"):
+            run_experiment(a, b, FeasibleSet.unconstrained(4),
+                           {"pwgrad": SolverConfig(iterations=5)}, seeds=seeds)
+
+    def test_seed_generator_serves_every_solver(self):
+        a, b, _ = gen_synthetic(DatasetSpec(n=128, d=4, target_kappa=5.0, seed=11))
+        cfgs = {"pwgrad": SolverConfig(iterations=5), "ihs": SolverConfig(iterations=5)}
+        result = run_experiment(a, b, FeasibleSet.unconstrained(4), cfgs,
+                                seeds=(seed for seed in (3, 4)))
+        assert {name: [seed for seed, _ in runs] for name, runs in result.runs.items()} == {
+            "pwgrad": [3, 4], "ihs": [3, 4]}
+
     def test_reproducible_given_seed_list(self):
         a, b, _ = gen_synthetic(DatasetSpec(n=256, d=6, target_kappa=100.0,
                                             noise_std=1.0, seed=12))

@@ -49,6 +49,12 @@ class TestGen:
         a, _ = load_csv(out)
         assert a.shape == (100, 4)
 
+    def test_1e3_rows_is_1000(self, tmp_path, capsys):
+        out = tmp_path / "sci.csv"
+        assert main(["gen", "--n", "1e3", "--d", "4", "--out", str(out)]) == 0
+        assert load_csv(out)[0].shape == (1000, 4)
+        assert "wrote 1000 rows x 5 cols" in capsys.readouterr().out
+
 
 class TestSolve:
     def test_pwgrad_high_precision(self, tmp_path, capsys):
@@ -74,7 +80,7 @@ class TestSolve:
                      "--eta", "0.5", "--iters", "10", "--seed", "1",
                      "--trace-out", str(t2)]) == 0
         obj1, obj2 = read_trace(t1)[:, 1], read_trace(t2)[:, 1]
-        np.testing.assert_allclose(obj1, obj2, rtol=1e-9)
+        np.testing.assert_array_equal(obj1, obj2)
 
     def test_missing_data_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -207,11 +213,12 @@ def exit_code(argv):
 
 @pytest.fixture
 def no_data(monkeypatch):
-    """Fail the test if the command makes data or solves for f*."""
+    """Fail the test if the command reads or makes data or solves for f*."""
     def fail(*args, **kwargs):
         raise AssertionError("ran before the settings were checked")
     monkeypatch.setattr(cli_mod.bench, "gen_synthetic", fail)
     monkeypatch.setattr(cli_mod.bench, "ground_truth", fail)
+    monkeypatch.setattr(cli_mod.bench, "load_csv", fail)
 
 
 @pytest.fixture
@@ -224,8 +231,9 @@ def bench_args(monkeypatch):
 
 class TestBenchSettings:
     @pytest.mark.parametrize("yaml_text", ["solvers: pwgrad\n", "batch_sweep: 2\n",
-                                           "constraint: l5\n"],
-                             ids=["solvers-scalar", "batch_sweep-scalar", "constraint-l5"])
+                                           "constraint: l5\n", "seeds: 0\n"],
+                             ids=["solvers-scalar", "batch_sweep-scalar", "constraint-l5",
+                                  "seeds-0"])
     def test_bad_config_value_exits_2_before_any_data(self, tmp_path, capsys, no_data,
                                                       yaml_text):
         cfgfile = tmp_path / "cfg.yaml"
@@ -267,3 +275,27 @@ class TestBenchSettings:
         assert main(["bench", "--config", str(cfgfile), *out]) == 0
         assert main(["bench", "--sketch-size", "1e3", *out]) == 0
         assert [args.sketch_size for args in bench_args] == [1000, 1000]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "inf", "--d", "3"], ["gen", "--n", "nan", "--d", "3"],
+        ["gen", "--n", "1000.7", "--d", "3"], ["gen", "--n", "0", "--d", "3"],
+        ["gen", "--n", "-5", "--d", "3"], ["gen", "--n", "100", "--d", "inf"],
+        ["gen", "--n", "100", "--d", "2.5"],
+        ["bench", "--seeds", "0"], ["bench", "--seeds", "-1"], ["bench", "--seeds", "2.5"],
+        ["bench", "--n", "inf"], ["bench", "--d", "0"],
+        ["diag", "--trials", "0"], ["diag", "--trials", "-3"],
+        ["solve", "--solver", "pwgrad", "--sketch-size", "100.9"],
+        ["solve", "--solver", "pwgrad", "--sketch-size", "0"],
+    ], ids=" ".join)
+    def test_bad_count_exits_2_before_any_data(self, tmp_path, capsys, no_data, argv):
+        required = {"gen": ["--out", str(tmp_path / "x.csv")],
+                    "bench": ["--out-dir", str(tmp_path / "res")],
+                    "diag": ["--data", str(tmp_path / "x.csv")],
+                    "solve": ["--data", str(tmp_path / "x.csv")]}
+        with pytest.raises(SystemExit) as exc:  # from the parser, not a handler
+            main([*argv, *required[argv[0]]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if "error" in ln]) == 1

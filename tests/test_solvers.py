@@ -27,6 +27,7 @@ from sketchreg.solvers import (
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
+    resolve_sketch_size,
     sgd_step_size,
 )
 from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
@@ -108,6 +109,8 @@ class TestSolverConfig:
         dict(record_every=0), dict(record_every=-2), dict(sketch_kind="fourier"),
         dict(epochs=0), dict(epochs=float("nan")),
         dict(sketch_size=0), dict(sketch_size=float("nan")),
+        dict(iterations=50.0), dict(batch_size=2.0), dict(sketch_size=100.5),
+        dict(epochs=2.5), dict(record_every=2.5),
         dict(max_seconds=-1.0), dict(max_seconds=float("nan")),
         dict(objective_tol=-1e-12), dict(objective_tol=float("nan")),
         dict(stop_below_rel=-0.5), dict(stop_below_rel=float("nan")),
@@ -117,6 +120,11 @@ class TestSolverConfig:
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+    def test_numpy_integer_counts_are_legal(self):
+        cfg = SolverConfig(iterations=np.int64(5), batch_size=np.int32(2), epochs=np.int64(1),
+                           sketch_size=np.int64(40), record_every=np.int64(2))
+        assert cfg.iterations == 5
 
     def test_zero_budgets_and_tolerances_are_legal(self):
         # max_seconds=0 stops after the first step (TestStopReason.test_time).
@@ -284,9 +292,9 @@ class TestAnchoredTrace:
                             f_star=f_star)
         ran = rep.iterations_run
         assert [p.iteration for p in rep.trace] == sorted({*range(0, ran + 1, 10), ran})
-        # x0 (f(0) is b @ b, no pass over A), the centre f_c of the trace
-        # quadratic and the returned iterate.
-        assert len(calls) == (2 if x0 is None else 3)
+        # The centre f_c of the trace quadratic and the returned iterate;
+        # f(x0) is r0 @ r0 from the start's residual, not an evaluation.
+        assert len(calls) == 2
 
 
 class TestStepSize:
@@ -421,6 +429,13 @@ class TestHdPwBatchSgd:
                            sketch_kind="identity", sketch_size=d)
         rep = hd_pw_batch_sgd(a, b, w, cfg)
         assert np.linalg.norm(rep.final_x_avg - b) <= 1e-2 * np.linalg.norm(b)
+
+    def test_identity_sketch_keeps_at_most_n_rows(self):
+        cfg = SolverConfig(iterations=3, sketch_kind="identity", sketch_size=10**6)
+        assert resolve_sketch_size(cfg, 64, 4, high_precision=True) == 64
+        assert resolve_sketch_size(replace(cfg, sketch_size=32), 64, 4, False) == 32
+        a, b, w, _ = make_problem(n=64, d=4, kappa=5.0, seed=3)
+        assert hd_pw_batch_sgd(a, b, w, cfg).iterations_run == 3
 
     def test_full_batch_tracks_pw_gradient(self):
         # Step chosen so both runs are still bias-dominated at t=50;
@@ -603,7 +618,23 @@ class TestIhs:
         cfg = SolverConfig(iterations=5, seed=7)
         pw = pw_gradient(a, b, w, cfg, f_star=f_star)
         fixed = ihs_fixed(a, b, w, cfg, f_star=f_star)
-        assert np.max(np.abs(pw.final_x - fixed.final_x)) <= 1e-10
+        np.testing.assert_array_equal(fixed.final_x, pw.final_x)
+        assert [p.objective for p in fixed.trace] == [p.objective for p in pw.trace]
+
+    @pytest.mark.parametrize("eta", [0.6, 0.37])
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("constraint", ["none", "l1", "l2"])
+    @pytest.mark.parametrize("x0", [None, "given"])
+    def test_fixed_sketch_is_pw_gradient_at_half_the_step(self, eta, kind, constraint, x0):
+        # Both step on A^T (Ax - b); pwgrad's explicit step doubles, exactly.
+        a, b, w, _ = make_problem(n=512, d=6, kappa=100.0, seed=21, constraint=constraint,
+                                  radius_scale=0.7)
+        start = None if x0 is None else np.linspace(-0.1, 0.1, 6)
+        cfg = SolverConfig(iterations=8, seed=3, sketch_kind=kind, x0=start)
+        fixed = ihs_fixed(a, b, w, replace(cfg, step_size=eta))
+        pw = pw_gradient(a, b, w, replace(cfg, step_size=eta / 2))
+        np.testing.assert_array_equal(fixed.final_x, pw.final_x)
+        assert [p.objective for p in fixed.trace] == [p.objective for p in pw.trace]
 
     def test_fresh_sketch_converges(self):
         a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=17)
