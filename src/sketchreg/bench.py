@@ -13,6 +13,7 @@ import numpy as np
 from .errors import CsvParseError, OracleDisagreementError, RaggedRowsError
 from .feasible import FeasibleSet, project_euclidean
 from .linalg import qr_thin, tri_solve
+from .sketches import check_integer
 from .solvers import (
     SOLVERS,
     SolveReport,
@@ -53,10 +54,12 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.n > self.d >= 1:
-            raise ValueError(f"need n > d >= 1, got n={self.n}, d={self.d}")
-        if self.target_kappa < 1.0:
-            raise ValueError("target_kappa must be >= 1")
+        check_integer("d", self.d, 1)
+        check_integer("n", self.n, self.d + 1)
+        check_integer("seed", self.seed, 0)
+        if not (1.0 <= self.target_kappa < np.inf and abs(self.noise_std) < np.inf):
+            raise ValueError(f"need finite target_kappa >= 1 and noise_std, got "
+                             f"{self.target_kappa!r} and {self.noise_std!r}")
 
 
 def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

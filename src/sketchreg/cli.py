@@ -264,7 +264,7 @@ def cmd_diag(args) -> int:
     kappa_a = condition_number(a)
     kappa_u = condition_number(u)
     distortion = embedding_distortion(sk, a, trials=args.trials)
-    signs, hdu, _, n_pad = build_hd(u, np.zeros(n), args.seed)
+    hdu, _ = build_hd(u, np.zeros(n), args.seed)
     observed, bound = row_norm_spread(np.linalg.norm(hdu, axis=1))
     print(f"n = {n}, d = {d}, sketch = {args.sketch}, s = {s}")
     print(f"kappa(A)        = {kappa_a:.6g}")

@@ -31,7 +31,6 @@ UNCONSTRAINED = "unconstrained"
 L2_BALL = "l2_ball"
 L1_BALL = "l1_ball"
 
-_MEMBERSHIP_TOL = 1e-12
 _KKT_TOL = 1e-10
 # Newton steps of the l2 secular equation; a handful is typical.
 _NEWTON_CAP = 50
@@ -55,8 +54,9 @@ class FeasibleSet:
     def __post_init__(self):
         if self.kind not in (UNCONSTRAINED, L2_BALL, L1_BALL):
             raise ValueError(f"unknown feasible set kind {self.kind!r}")
-        if self.kind != UNCONSTRAINED and self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        # NaN fails the test; an infinite radius is legal.
+        if self.kind != UNCONSTRAINED and not self.radius > 0.0:
+            raise ValueError(f"ball radius must be positive, got {self.radius!r}")
 
     @classmethod
     def unconstrained(cls, dim: int) -> "FeasibleSet":
@@ -70,7 +70,7 @@ class FeasibleSet:
     def l1_ball(cls, radius: float, dim: int) -> "FeasibleSet":
         return cls(kind=L1_BALL, dim=dim, radius=float(radius))
 
-    def contains(self, x: np.ndarray, tol: float = _MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray, tol: float) -> bool:
         if self.kind == UNCONSTRAINED:
             return True
         if self.kind == L2_BALL:

@@ -65,10 +65,10 @@ def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
     Rows are zero padded up to the next power of two (padding rows add
     nothing to the objective, so the minimizer is unchanged).
 
-    Returns (signs, hda, hdb, n_pad).
+    Returns (hda, hdb).
     """
     hd = hadamard_operator(np.shape(a)[0], seed)
-    return hd.signs, apply(hd, a), apply(hd, b), hd.n_pad
+    return apply(hd, a), apply(hd, b)
 
 
 def sketched_r(a: np.ndarray, sketch_kind: str, sketch_size: int, seed: int,
@@ -92,7 +92,7 @@ def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
                          sketch_size: int, seed: int) -> Preconditioner:
     """One Hadamard pass over A and b, and the R of ``sketched_r``,
     which an SRHT samples from that pass."""
-    _, hda, hdb, _ = build_hd(a, b, seed)
+    hda, hdb = build_hd(a, b, seed)
     return Preconditioner(r_factor=sketched_r(a, sketch_kind, sketch_size, seed, hda),
                           hda=hda, hdb=hdb)
 

@@ -8,6 +8,7 @@ Gaussian panels, and the SRHT's sign pass and transform above
 ``linalg._PARALLEL_MIN_SIZE`` elements, run on ``linalg.parallel``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,10 @@ import numpy as np
 from .errors import DimensionMismatchError, SketchSizeError
 from .linalg import fwht_inplace, next_pow2, parallel, split
 
-__all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply",
-           "subsample", "embedding_distortion", "default_sketch_size", "KINDS"]
+__all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply", "KINDS",
+           "subsample", "embedding_distortion", "default_sketch_size", "check_integer"]
 
-KINDS = ("gaussian", "countsketch", "srht", "identity")
+KINDS = ("gaussian", "countsketch", "srht")
 
 # A Gaussian S is streamed in row panels: panel p is rows
 # [p k, (p + 1) k) of S, k = _PANEL_ROWS. It draws its entries tile by
@@ -54,6 +55,15 @@ class SketchOperator:
     n_pad: int = 0
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= low:
+    a count, or a seed, which every SeedSequence([seed, tag]) needs >= 0."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 def default_sketch_size(kind: str, d: int) -> int:
     """Default sketch row count for a d-column problem.
 
@@ -72,16 +82,12 @@ def default_sketch_size(kind: str, d: int) -> int:
 def make_sketch(kind: str, s: int, n: int, seed: int) -> SketchOperator:
     """Construct a seeded sketch operator.
 
-    Raises SketchSizeError unless 0 < s < n (the ``identity`` kind,
-    meant for tests and diagnostics, instead allows 0 < s <= n and
-    selects the first s rows).
+    Raises SketchSizeError unless 0 < s < n, and ValueError for an
+    unknown kind or a seed that is not an integer >= 0.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown sketch kind {kind!r}; pick one of {KINDS}")
-    if kind == "identity":
-        if not 0 < s <= n:
-            raise SketchSizeError(f"identity restriction needs 0 < s <= n, got s={s}, n={n}")
-        return SketchOperator(kind=kind, s=s, n=n, seed=seed)
+    check_integer("seed", seed, 0)
     if not 0 < s < n:
         raise SketchSizeError(f"sketch needs 0 < s < n, got s={s}, n={n}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _kind_tag(kind)]))
@@ -118,7 +124,7 @@ def subsample(sk: SketchOperator, hdm: np.ndarray) -> np.ndarray:
 
 
 def _kind_tag(kind: str) -> int:
-    return {"gaussian": 1, "countsketch": 2, "srht": 3, "identity": 4}[kind]
+    return {"gaussian": 1, "countsketch": 2, "srht": 3}[kind]
 
 
 def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
@@ -131,9 +137,7 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator expects {sk.n} rows, matrix has {m.shape[0]}"
         )
-    if sk.kind == "identity":
-        out = m[: sk.s].copy()
-    elif sk.kind == "countsketch":
+    if sk.kind == "countsketch":
         # Imported here so that processes which never apply a
         # CountSketch do not pay scipy.sparse's start-up time and memory.
         # Column i holds signs[i] in row buckets[i]; the product adds

@@ -41,7 +41,6 @@ gradient-variance estimate. The smoothness constants are exact and draw
 no random numbers.
 """
 
-import numbers
 import queue
 import time
 from dataclasses import dataclass
@@ -62,7 +61,7 @@ from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidea
 # also wraps them under this module's names, so they stay importable here.
 from .linalg import parallel, qr_thin, tri_solve  # noqa: F401
 from .precond import build_preconditioner, sketched_r
-from .sketches import KINDS, apply, default_sketch_size  # noqa: F401
+from .sketches import KINDS, apply, check_integer, default_sketch_size  # noqa: F401
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
@@ -130,23 +129,19 @@ class SolverConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        # Counts are integers (numpy's too); None picks the default where one exists.
-        for name, low in (("iterations", 0), ("batch_size", 1), ("epochs", 1),
+        # None picks the default where one exists.
+        for name, low in (("iterations", 0), ("batch_size", 1), ("epochs", 1), ("seed", 0),
                           ("sketch_size", 1), ("record_every", 1)):
             value = getattr(self, name)
-            if value is None and name in ("sketch_size", "record_every"):
-                continue
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if not isinstance(self.step_size, str) and self.step_size <= 0.0:
-            raise ValueError("explicit step_size must be > 0")
+            if value is not None or name not in ("sketch_size", "record_every"):
+                check_integer(name, value, low)
         if isinstance(self.step_size, str) and self.step_size != "auto":
             raise ValueError(f"step_size must be a number or 'auto', got {self.step_size!r}")
         if self.sketch_kind not in KINDS:
             raise ValueError(f"unknown sketch_kind {self.sketch_kind!r}; pick one of {KINDS}")
         # Each test is written so that NaN fails it.
+        if not isinstance(self.step_size, str) and not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"explicit step_size must be finite and > 0, got {self.step_size!r}")
         if self.diameter_bound is not None and not self.diameter_bound > 0.0:
             raise ValueError("diameter_bound must be > 0")
         for name in ("max_seconds", "objective_tol", "stop_below_rel"):
@@ -180,11 +175,11 @@ class SolveReport:
 
     @property
     def final_relative_error(self) -> float:
-        return self.trace[-1].relative_error if self.trace else float("nan")
+        return self.trace[-1].relative_error
 
     @property
     def final_objective(self) -> float:
-        return self.trace[-1].objective if self.trace else float("nan")
+        return self.trace[-1].objective
 
 
 def objective_value(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
@@ -259,9 +254,9 @@ def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
     x0 = 0, r0 is -b with no pass over A, and r0 @ r0 is f(x0)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0] or b.size == 0:
         raise DimensionMismatchError(
-            f"A is {a.shape}, b is {b.shape}; need (n, d) with matching n"
+            f"A is {a.shape}, b is {b.shape}; need (n, d) with matching n >= 1"
         )
     if w.dim != a.shape[1]:
         raise DimensionMismatchError(
@@ -282,10 +277,7 @@ def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
                         high_precision: bool) -> int:
     """Sketch rows a solver uses on an n x d problem: ``cfg.sketch_size``
     if set, else the default for its kind (larger for the full-gradient
-    high-precision methods), kept between d + 1 and n - 1. An identity
-    sketch keeps at most the n rows."""
-    if cfg.sketch_kind == "identity":
-        return n if cfg.sketch_size is None else min(cfg.sketch_size, n)
+    high-precision methods), kept between d + 1 and n - 1."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
     if high_precision:

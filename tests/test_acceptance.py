@@ -161,7 +161,7 @@ def test_criterion_05_row_norm_spreading():
     u = tri_solve(r, a.T, transposed=True).T
     holds = 0
     for seed in range(100):
-        _, hdu, _, _ = build_hd(u, np.zeros(256), seed)
+        hdu, _ = build_hd(u, np.zeros(256), seed)
         observed, bound = row_norm_spread(np.linalg.norm(hdu, axis=1))
         holds += observed <= bound
     criterion(5, holds >= 90, f"bound held in {holds}/100 trials")

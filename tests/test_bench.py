@@ -52,10 +52,19 @@ class TestGenSynthetic:
         assert hard.n == mild.n == 100_000
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetSpec(n=10, d=20)
-        with pytest.raises(ValueError):
-            DatasetSpec(n=30, d=2, target_kappa=0.5)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(n=10, d=20), dict(target_kappa=0.5), dict(target_kappa=nan),
+                    dict(target_kappa=inf), dict(noise_std=nan), dict(noise_std=inf),
+                    dict(noise_std=-inf), dict(n=30.5), dict(d=2.5), dict(n=30.0),
+                    dict(seed=1.5), dict(seed=-1)):
+            with pytest.raises(ValueError):
+                DatasetSpec(**{"n": 30, "d": 2, **bad})
+
+    def test_numpy_integer_spec_is_the_same_data(self):
+        ref = gen_synthetic(DatasetSpec(n=40, d=3, seed=2))
+        got = gen_synthetic(DatasetSpec(n=np.int64(40), d=np.int32(3), seed=np.int64(2)))
+        for x, y in zip(ref, got):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestGroundTruth:

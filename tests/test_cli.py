@@ -4,7 +4,6 @@ import pytest
 import sketchreg.cli as cli_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, load_csv, save_dataset_csv
 from sketchreg.cli import main
-from sketchreg.linalg import qr_thin
 
 
 def write_dataset(tmp_path, n=2048, d=10, kappa=1e3, noise=1.0, seed=2):
@@ -176,16 +175,6 @@ class TestBench:
 
 
 class TestDiag:
-    def test_orthonormal_with_identity_restriction(self, tmp_path, capsys):
-        q, _ = qr_thin(np.random.default_rng(0).standard_normal((64, 5)))
-        path = tmp_path / "ortho.csv"
-        save_dataset_csv(path, q, np.zeros(64))
-        assert main(["diag", "--data", str(path), "--sketch", "identity"]) == 0
-        printed = capsys.readouterr().out
-        kappa_u = float([ln for ln in printed.splitlines()
-                         if "kappa(A R^-1)" in ln][0].split("=")[1])
-        assert abs(kappa_u - 1.0) <= 1e-8
-
     def test_default_srht_conditions_hard_instance(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=2048, d=16, kappa=1e8, noise=1.0, seed=7)
         assert main(["diag", "--data", str(data), "--seed", "3"]) == 0
@@ -275,6 +264,44 @@ class TestBenchSettings:
         assert main(["bench", "--config", str(cfgfile), *out]) == 0
         assert main(["bench", "--sketch-size", "1e3", *out]) == 0
         assert [args.sketch_size for args in bench_args] == [1000, 1000]
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "pwgrad", "--eta", "nan"],
+        ["solve", "--solver", "hdpwbatch", "--eta", "inf"],
+        ["solve", "--solver", "pwgrad", "--seed", "-1"],
+        ["gen", "--n", "100", "--d", "3", "--kappa", "nan"],
+        ["gen", "--n", "100", "--d", "3", "--noise-std", "inf"],
+        ["gen", "--n", "100", "--d", "3", "--seed", "-2"],
+        ["bench", "--kappa", "inf"],
+    ], ids=" ".join)
+    def test_exits_2_before_any_data(self, tmp_path, capsys, no_data, argv):
+        required = {"gen": ["--out", str(tmp_path / "x.csv")],
+                    "bench": ["--out-dir", str(tmp_path / "res")],
+                    "solve": ["--data", str(tmp_path / "x.csv")]}
+        assert main([*argv, *required[argv[0]]]) == 2
+        err = capsys.readouterr().err
+        assert len([ln for ln in err.splitlines() if "error" in ln]) == 1
+
+    @pytest.mark.parametrize("constraint", ["l1", "l2"])
+    def test_nan_radius_exits_2_before_ground_truth(self, tmp_path, monkeypatch, constraint):
+        data = write_dataset(tmp_path, n=128, d=4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved for f* with a NaN radius")
+        monkeypatch.setattr(cli_mod.bench, "ground_truth", fail)
+        assert main(["solve", "--data", str(data), "--solver", "pwgrad",
+                     "--constraint", constraint, "--radius-scale", "nan"]) == 2
+
+    @pytest.mark.parametrize("argv", [["solve", "--solver", "pwgrad", "--data", "x.csv"],
+                                      ["bench", "--out-dir", "res"], ["diag", "--data", "x.csv"]],
+                             ids=lambda argv: argv[0])
+    def test_identity_sketch_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:  # from the parser, not a handler
+            main([*argv, "--sketch", "identity"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'identity'" in capsys.readouterr().err
 
 
 class TestCountFlags:

@@ -39,6 +39,21 @@ def l1_projection_oracle(x, radius):
     return np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
 
 
+class TestFeasibleSet:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("ball", [FeasibleSet.l2_ball, FeasibleSet.l1_ball])
+    def test_bad_radius_rejected(self, ball, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ball(radius, 3)
+
+    @pytest.mark.parametrize("ball", [FeasibleSet.l2_ball, FeasibleSet.l1_ball])
+    def test_infinite_radius_is_legal(self, ball):
+        w = ball(float("inf"), 3)
+        x = np.array([1e150, -1e150, 5.0])
+        assert w.contains(x, tol=0.0)
+        np.testing.assert_array_equal(project_euclidean(w, x), x)
+
+
 class TestProjectEuclidean:
     def test_unconstrained_identity(self):
         w = FeasibleSet.unconstrained(3)

@@ -14,6 +14,7 @@ from sketchreg.errors import DimensionMismatchError, SketchSizeError
 from sketchreg.sketches import (
     _PANEL_COLS,
     _PANEL_ROWS,
+    KINDS,
     SketchOperator,
     apply,
     default_sketch_size,
@@ -59,6 +60,24 @@ class TestMakeSketch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_sketch("fft", 2, 4, seed=0)
+
+    def test_kinds_are_the_three_embeddings(self):
+        assert KINDS == ("gaussian", "countsketch", "srht")
+        with pytest.raises(ValueError, match="unknown sketch kind"):
+            make_sketch("identity", 4, 4, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "1", None])
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            make_sketch("srht", 8, 64, seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        for kind in KINDS:
+            ref = make_sketch(kind, 8, 64, 3)
+            for seed in (np.int64(3), np.uint32(3)):
+                sk = make_sketch(kind, 8, 64, seed)
+                m = np.arange(64.0)
+                assert apply(sk, m).tobytes() == apply(ref, m).tobytes()
 
 
 class TestApply:
@@ -189,10 +208,9 @@ class TestGaussianPanels:
 
 
 class TestEmbeddingDistortion:
-    def test_identity_restriction_is_exact(self):
+    def test_hadamard_transform_is_isometric(self):
         m = np.random.default_rng(1).standard_normal((32, 4))
-        sk = make_sketch("identity", 32, 32, seed=0)
-        assert embedding_distortion(sk, m, trials=50) == 0.0
+        assert embedding_distortion(hadamard_operator(32, seed=0), m, trials=50) <= 1e-12
 
     def test_gaussian_embedding_quality(self):
         a = np.random.default_rng(2).standard_normal((2048, 10))

@@ -7,8 +7,8 @@ import pytest
 
 import sketchreg.solvers as solvers_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
-from sketchreg.errors import (DegenerateOptimumError, DivergenceError, EpochBudgetError,
-                              SketchSizeError)
+from sketchreg.errors import (DegenerateOptimumError, DimensionMismatchError,
+                              DivergenceError, EpochBudgetError, SketchSizeError)
 from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
@@ -27,7 +27,6 @@ from sketchreg.solvers import (
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
-    resolve_sketch_size,
     sgd_step_size,
 )
 from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
@@ -105,7 +104,8 @@ PINNED = {
 class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(iterations=-1), dict(batch_size=0), dict(step_size=0.0),
-        dict(step_size="fast"),
+        dict(step_size="fast"), dict(step_size=float("nan")), dict(step_size=float("inf")),
+        dict(seed=1.5), dict(seed=-1), dict(seed="3"), dict(sketch_kind="identity"),
         dict(record_every=0), dict(record_every=-2), dict(sketch_kind="fourier"),
         dict(epochs=0), dict(epochs=float("nan")),
         dict(sketch_size=0), dict(sketch_size=float("nan")),
@@ -123,7 +123,8 @@ class TestSolverConfig:
 
     def test_numpy_integer_counts_are_legal(self):
         cfg = SolverConfig(iterations=np.int64(5), batch_size=np.int32(2), epochs=np.int64(1),
-                           sketch_size=np.int64(40), record_every=np.int64(2))
+                           sketch_size=np.int64(40), record_every=np.int64(2),
+                           seed=np.uint32(7))
         assert cfg.iterations == 5
 
     def test_zero_budgets_and_tolerances_are_legal(self):
@@ -149,6 +150,12 @@ class TestAllSolvers:
         a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
         with pytest.raises(SketchSizeError):
             SOLVERS[name](a, b, w, SolverConfig(iterations=0, sketch_size=256, seed=0))
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_no_rows_raises(self, name):
+        w = FeasibleSet.unconstrained(3)
+        with pytest.raises(DimensionMismatchError, match="n >= 1"):
+            SOLVERS[name](np.zeros((0, 3)), np.zeros(0), w, SolverConfig(iterations=5))
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_zero_optimum_raises(self, name):
@@ -420,22 +427,17 @@ class TestAccSchedule:
 
 
 class TestHdPwBatchSgd:
-    def test_identity_instance_recovers_rhs(self):
+    def test_orthonormal_instance_recovers_planted_solution(self):
+        # Noiseless b = Q x_true with orthonormal Q: every row's gradient
+        # vanishes at x_true, so the last iterate converges to it; the
+        # average still carries the early iterates.
         d = 8
-        a = np.eye(d)
-        b = np.arange(1.0, d + 1.0) / 3.0
-        w = FeasibleSet.unconstrained(d)
-        cfg = SolverConfig(iterations=4000, batch_size=1, seed=0,
-                           sketch_kind="identity", sketch_size=d)
-        rep = hd_pw_batch_sgd(a, b, w, cfg)
-        assert np.linalg.norm(rep.final_x_avg - b) <= 1e-2 * np.linalg.norm(b)
-
-    def test_identity_sketch_keeps_at_most_n_rows(self):
-        cfg = SolverConfig(iterations=3, sketch_kind="identity", sketch_size=10**6)
-        assert resolve_sketch_size(cfg, 64, 4, high_precision=True) == 64
-        assert resolve_sketch_size(replace(cfg, sketch_size=32), 64, 4, False) == 32
-        a, b, w, _ = make_problem(n=64, d=4, kappa=5.0, seed=3)
-        assert hd_pw_batch_sgd(a, b, w, cfg).iterations_run == 3
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((512, d)))[0]
+        x_true = np.arange(1.0, d + 1.0) / 3.0
+        cfg = SolverConfig(iterations=4000, batch_size=1, seed=0)
+        rep = hd_pw_batch_sgd(q, q @ x_true, FeasibleSet.unconstrained(d), cfg)
+        assert np.linalg.norm(rep.final_x - x_true) <= 1e-10 * np.linalg.norm(x_true)
+        assert np.linalg.norm(rep.final_x_avg - x_true) <= 5e-2 * np.linalg.norm(x_true)
 
     def test_full_batch_tracks_pw_gradient(self):
         # Step chosen so both runs are still bias-dominated at t=50;

@@ -10,6 +10,7 @@ import pytest
 import sketchreg.precond as precond_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.feasible import FeasibleSet
+from sketchreg.sketches import KINDS
 from sketchreg.solvers import SOLVERS, SolverConfig
 from helpers import force_workers
 
@@ -40,6 +41,11 @@ def tracer_mod():
 def tiny_problem():
     return gen_synthetic(DatasetSpec(n=256, d=4, target_kappa=10.0,
                                      noise_std=1.0, seed=3))[:2]
+
+
+def test_every_sketch_kind_is_traced(tracer_mod):
+    # A kind the benchmark cannot trace would go unmeasured.
+    assert set(KINDS) == set(tracer_mod.SKETCH_KINDS)
 
 
 def traced_solve(tracer_mod, name, w, cfg):
