@@ -19,6 +19,7 @@ from .errors import (
     EpochBudgetError,
     InnerSolverStallError,
     NotPowerOfTwoError,
+    NumericalError,
     OracleDisagreementError,
     RaggedRowsError,
     RankDeficientError,

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CsvParseError, OracleDisagreementError, RaggedRowsError
 from .feasible import FeasibleSet, project_euclidean
 from .linalg import qr_thin, tri_solve
-from .sketches import check_integer
+from .sketches import check_integer, stream
 from .solvers import (
     SOLVERS,
     SolveReport,
@@ -69,7 +69,7 @@ def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     fills the rest log-uniformly, so the measured condition number
     matches the target up to orthogonal-factor rounding.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), 7001]))
+    rng = stream(spec.seed, "data")
     n, d = spec.n, spec.d
     left = np.linalg.qr(rng.standard_normal((n, d)), mode="reduced")[0]
     right = np.linalg.qr(rng.standard_normal((d, d)))[0]
@@ -121,8 +121,7 @@ def ground_truth(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     base = SolverConfig(iterations=500, step_size=0.5, seed=seed,
                         record_every=1, objective_tol=1e-13)
     first = pw_gradient(a, b, w, base)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1004]))
-    x0_alt = project_euclidean(w, rng.standard_normal(d))
+    x0_alt = project_euclidean(w, stream(seed, "oracle").standard_normal(d))
     second = pw_gradient(a, b, w, SolverConfig(
         iterations=500, step_size=0.5, seed=seed + 1, record_every=1,
         objective_tol=1e-13, x0=x0_alt))

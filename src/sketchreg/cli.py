@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, solving, benchmarking,
 and preconditioning diagnostics.
 
-Exit codes: 0 success, 2 input/usage errors, 3 numerical failures.
+Exit codes: 0 success, 2 input/usage errors, 3 numerical failures
+(``errors.NumericalError``).
 """
 
 import argparse
@@ -21,10 +22,6 @@ from .solvers import SOLVERS, SolverConfig, resolve_sketch_size
 DEFAULT_SEED = 1729
 
 _INPUT_ERRORS = (errors.SketchRegError, OSError, ValueError)
-_NUMERICAL_ERRORS = (errors.RankDeficientError, errors.SingularFactorError,
-                     errors.InnerSolverStallError, errors.EpochBudgetError,
-                     errors.OracleDisagreementError, errors.DegenerateOptimumError,
-                     errors.DivergenceError)
 
 
 # Flag types: argparse reports the ValueError of a bad value as a usage error.
@@ -284,7 +281,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = _with_config(parser, args)
         return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except errors.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:

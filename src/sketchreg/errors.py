@@ -5,11 +5,15 @@ class SketchRegError(Exception):
     """Base class for all sketchreg errors."""
 
 
-class RankDeficientError(SketchRegError):
+class NumericalError(SketchRegError):
+    """A numerical failure rather than bad input; the CLI exits 3 on it."""
+
+
+class RankDeficientError(NumericalError):
     """A matrix that must have full column rank does not (or a sketch lost rank)."""
 
 
-class SingularFactorError(SketchRegError):
+class SingularFactorError(NumericalError):
     """A triangular solve hit a zero pivot."""
 
 
@@ -25,7 +29,7 @@ class DimensionMismatchError(SketchRegError):
     """Operand shapes do not agree."""
 
 
-class InnerSolverStallError(SketchRegError):
+class InnerSolverStallError(NumericalError):
     """A ball prox step failed: a non-finite input, an exhausted step
     budget, or a result that fails its KKT self-check."""
 
@@ -34,7 +38,7 @@ class UnboundedSetError(SketchRegError):
     """A diameter was requested for an unbounded set without a user bound."""
 
 
-class EpochBudgetError(SketchRegError):
+class EpochBudgetError(NumericalError):
     """An accelerated-epoch schedule asked for more iterations than the cap."""
 
 
@@ -46,13 +50,14 @@ class RaggedRowsError(CsvParseError):
     """Rows of a dataset file have inconsistent column counts."""
 
 
-class DivergenceError(SketchRegError):
-    """A solver's objective became non-finite (inf or NaN): the step is too large."""
+class DivergenceError(NumericalError):
+    """A solver's objective became non-finite (inf or NaN) or rose past a
+    fixed multiple of its starting value: the step is too large."""
 
 
-class DegenerateOptimumError(SketchRegError):
+class DegenerateOptimumError(NumericalError):
     """Relative error is undefined because the optimal objective is ~0."""
 
 
-class OracleDisagreementError(SketchRegError):
+class OracleDisagreementError(NumericalError):
     """Two independent ground-truth runs disagree beyond tolerance."""

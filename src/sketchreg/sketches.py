@@ -17,19 +17,25 @@ from .errors import DimensionMismatchError, SketchSizeError
 from .linalg import fwht_inplace, next_pow2, parallel, split
 
 __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply", "KINDS",
-           "subsample", "embedding_distortion", "default_sketch_size", "check_integer"]
+           "subsample", "embedding_distortion", "default_sketch_size", "check_integer", "stream"]
 
 KINDS = ("gaussian", "countsketch", "srht")
+
+# The tag of every seeded stream in the package, one per name; see
+# ``stream``. A sketch kind's stream is named after the kind. Changing a
+# tag changes every draw of its stream.
+_TAGS = {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
+         "sample": 1002, "estimate": 1003, "oracle": 1004, "ihs": 1005, "data": 7001}
 
 # A Gaussian S is streamed in row panels: panel p is rows
 # [p k, (p + 1) k) of S, k = _PANEL_ROWS. It draws its entries tile by
 # tile, _PANEL_COLS columns at a time in column order, from its own
-# child seed SeedSequence([seed, _kind_tag("gaussian")], spawn_key=(p,))
-# into one reused k x _PANEL_COLS buffer, and accumulates tile @ m[cols]
-# into its own rows of S m, scaled by 1/sqrt(s) once at the end. So S is
-# a fixed linear map set by (s, n, seed), each row of S m is written by
-# one panel, and S m is bitwise the same whatever the number of workers
-# or the order they run in. Both constants are part of that contract.
+# stream(seed, "gaussian", spawn_key=(p,)) into one reused
+# k x _PANEL_COLS buffer, and accumulates tile @ m[cols] into its own
+# rows of S m, scaled by 1/sqrt(s) once at the end. So S is a fixed
+# linear map set by (s, n, seed), each row of S m is written by one
+# panel, and S m is bitwise the same whatever the number of workers or
+# the order they run in. Both constants are part of that contract.
 _PANEL_ROWS = 64
 _PANEL_COLS = 4096
 
@@ -57,11 +63,21 @@ class SketchOperator:
 
 def check_integer(name: str, value, low: int) -> None:
     """Raise ValueError unless ``value`` is an integer (numpy's too) >= low:
-    a count, or a seed, which every SeedSequence([seed, tag]) needs >= 0."""
+    a count, or a seed (see :func:`stream`)."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def stream(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """The one rule for a seeded random stream: the generator of
+    SeedSequence([seed, _TAGS[name], *key], spawn_key=spawn_key), so
+    streams of different names never share draws. Raises ValueError
+    unless ``seed`` is an integer >= 0, before anything is drawn."""
+    check_integer("seed", seed, 0)
+    return np.random.default_rng(
+        np.random.SeedSequence([int(seed), _TAGS[name], *key], spawn_key=spawn_key))
 
 
 def default_sketch_size(kind: str, d: int) -> int:
@@ -87,10 +103,9 @@ def make_sketch(kind: str, s: int, n: int, seed: int) -> SketchOperator:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown sketch kind {kind!r}; pick one of {KINDS}")
-    check_integer("seed", seed, 0)
+    rng = stream(seed, kind)
     if not 0 < s < n:
         raise SketchSizeError(f"sketch needs 0 < s < n, got s={s}, n={n}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _kind_tag(kind)]))
     if kind == "countsketch":
         buckets = rng.integers(0, s, size=n)
         signs = rng.choice(np.array([-1.0, 1.0]), size=n)
@@ -109,9 +124,10 @@ def hadamard_operator(n: int, seed: int) -> SketchOperator:
     rows: the SRHT ``make_sketch("srht", s, n, seed)`` for any s, with
     the same signs (the first draw of its stream) but no row sampling
     and no rescale. :func:`subsample` turns its output into that SRHT's.
+    Raises ValueError for a seed that is not an integer >= 0.
     """
+    rng = stream(seed, "srht")
     n_pad = next_pow2(n)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _kind_tag("srht")]))
     signs = rng.choice(np.array([-1.0, 1.0]), size=n_pad)
     return SketchOperator(kind="srht", s=n_pad, n=n, seed=seed, signs=signs, n_pad=n_pad)
 
@@ -121,10 +137,6 @@ def subsample(sk: SketchOperator, hdm: np.ndarray) -> np.ndarray:
     ``apply(hadamard_operator(n, seed), m)`` returns): the rescaled
     sampled rows, bitwise ``apply(sk, m)`` with no second transform."""
     return np.sqrt(sk.n_pad / sk.s) * hdm[sk.rows]
-
-
-def _kind_tag(kind: str) -> int:
-    return {"gaussian": 1, "countsketch": 2, "srht": 3}[kind]
 
 
 def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
@@ -165,12 +177,11 @@ def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
     fill and matmul release the GIL."""
     out = np.zeros((sk.s, m.shape[1]))
     panels = -(-sk.s // _PANEL_ROWS)
-    root = [int(sk.seed), _kind_tag("gaussian")]
 
     def fill(p: int) -> None:
         rows = out[p * _PANEL_ROWS:(p + 1) * _PANEL_ROWS]
         k = rows.shape[0]
-        rng = np.random.default_rng(np.random.SeedSequence(root, spawn_key=(p,)))
+        rng = stream(sk.seed, "gaussian", spawn_key=(p,))
         buf = np.empty(k * min(_PANEL_COLS, sk.n))
         for start in range(0, sk.n, _PANEL_COLS):
             stop = min(start + _PANEL_COLS, sk.n)
@@ -194,7 +205,7 @@ def embedding_distortion(sk: SketchOperator, m: np.ndarray, trials: int = 100) -
     """
     m = np.asarray(m, dtype=np.float64)
     sm = apply(sk, m)
-    rng = np.random.default_rng(np.random.SeedSequence([int(sk.seed), 99]))
+    rng = stream(sk.seed, "distortion")
     worst = 0.0
     for _ in range(trials):
         x = rng.standard_normal(m.shape[1])

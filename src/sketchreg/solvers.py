@@ -34,11 +34,11 @@ loops make few calls: 256 steps' rows are gathered by one take(), a
 gradient is two gemv calls, and hdpwacc's three vectors are rows of one
 array, so each update is one product with a coefficient vector.
 
-All solvers are deterministic given the config seed: independent RNG
-streams are derived for the sketch (whose SRHT stream also gives the
-Hadamard signs), the sampled batch indices, and the sampled
-gradient-variance estimate. The smoothness constants are exact and draw
-no random numbers.
+All solvers are deterministic given the config seed: ``sketches.stream``
+derives independent streams for the sketch (whose SRHT stream also gives
+the Hadamard signs), each ``ihs`` iteration's sketch seed, the sampled
+batch indices, and the sampled gradient-variance estimate. The
+smoothness constants are exact and draw no random numbers.
 """
 
 import queue
@@ -61,17 +61,11 @@ from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidea
 # also wraps them under this module's names, so they stay importable here.
 from .linalg import parallel, qr_thin, tri_solve  # noqa: F401
 from .precond import build_preconditioner, sketched_r
-from .sketches import KINDS, apply, check_integer, default_sketch_size  # noqa: F401
+from .sketches import KINDS, apply, check_integer, default_sketch_size, stream  # noqa: F401
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
            "ihs", "ihs_fixed", "plain_sgd_baseline", "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
-
-# Child-stream tags for SeedSequence([seed, tag]); sketch internals use
-# small tags, so solver streams live in a disjoint range.
-_STREAM_SAMPLE = 1002
-_STREAM_ESTIMATE = 1003
-_STREAM_IHS = 1005
 
 # Index rows per draw. numpy's bounded-integer draw buffers within one
 # call, so a different chunk gives a different stream.
@@ -89,6 +83,11 @@ _CENTRED_MAX_COND = 1e8
 _EPOCH_ITER_CAP = 10_000_000
 # Rows sampled for the gradient-variance estimate sigma^2.
 _VARIANCE_DRAWS = 200
+# A traced objective above this multiple of f(x0) raises DivergenceError.
+# Converging runs have peaked at 1.34 f(x0) (ihs with a 4d sketch) and SGD
+# traces at 1.09 f(x0); a unit step on a 2d-8d sketch passes 10 f(x0)
+# within 2-34 iterations and grows geometrically from there.
+_DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
@@ -139,6 +138,8 @@ class SolverConfig:
             raise ValueError(f"step_size must be a number or 'auto', got {self.step_size!r}")
         if self.sketch_kind not in KINDS:
             raise ValueError(f"unknown sketch_kind {self.sketch_kind!r}; pick one of {KINDS}")
+        if self.x0 is not None and not np.isfinite(np.asarray(self.x0, dtype=np.float64)).all():
+            raise ValueError("x0 must have finite entries")
         # Each test is written so that NaN fails it.
         if not isinstance(self.step_size, str) and not 0.0 < self.step_size < np.inf:
             raise ValueError(f"explicit step_size must be finite and > 0, got {self.step_size!r}")
@@ -231,7 +232,7 @@ def acc_epoch_schedule(L: float, mu: float, sigma2: float, v0: float,
 
 def _index_blocks(seed: int, n: int, batch: int) -> Iterator[np.ndarray]:
     """(_INDEX_CHUNK, batch) blocks of uniform-with-replacement indices."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SAMPLE]))
+    rng = stream(seed, "sample")
     while True:
         yield rng.integers(0, n, size=(_INDEX_CHUNK, batch))
 
@@ -342,7 +343,7 @@ def _sampled_gradient_variance(rows: np.ndarray, rhs: np.ndarray, y0: np.ndarray
     # mean gradient is bitwise -2 u_rhs: no O(nd) pass.
     resid = rows @ y0 - rhs if y0.any() else -rhs
     mean_grad = 2.0 * (rows.T @ resid) if y0.any() else -2.0 * u_rhs
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_ESTIMATE, 1]))
+    rng = stream(seed, "estimate", 1)
     idx = rng.integers(0, n, size=_VARIANCE_DRAWS)
     grads = 2.0 * n * rows[idx] * resid[idx][:, None]
     return 2.0 * float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
@@ -417,14 +418,16 @@ class _Recorder:
     iteration is due and applies ``stop_below_rel``, ``objective_tol``
     (given the previous objective) and ``max_seconds``, keeping the
     rule that fired as ``stop_reason``; ``report`` makes the exact
-    objective of the returned iterate the last point. A non-finite
-    objective, checked or traced, raises DivergenceError.
+    objective of the returned iterate the last point. An objective,
+    checked or traced, that is non-finite or above ``_DIVERGENCE_FACTOR``
+    times f0 = f(x0) raises DivergenceError.
     """
 
     def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
                  dense: bool = False):
         self.cfg = cfg
         self.f_star = f_star
+        self.f0 = f0
         # Full-gradient loops get each objective for free and trace every
         # iteration by default; SGD points cost O(d^2), ~512 are traced.
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
@@ -435,6 +438,9 @@ class _Recorder:
     def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
         if not np.isfinite(f):
             raise DivergenceError(f"objective is {f} at iteration {t}")
+        if f > _DIVERGENCE_FACTOR * self.f0:
+            raise DivergenceError(f"objective {f:.6e} exceeds {_DIVERGENCE_FACTOR:g} times "
+                                  f"f(x0) = {self.f0:.6e} at iteration {t}")
         return TracePoint(t, elapsed, f, relative_error(f, self.f_star))
 
     def _rule(self, point: TracePoint, f_prev: float | None) -> str | None:
@@ -610,9 +616,10 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     s = resolve_sketch_size(cfg, n, d, True)
 
     def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> RMetricProx:
-        seed = (np.random.SeedSequence([int(cfg.seed), _STREAM_IHS, t]).generate_state(1)[0]
+        # IHS seeds sketch t with the first word of stream "ihs", key t.
+        seed = (stream(cfg.seed, "ihs", t).bit_generator.seed_seq.generate_state(1)[0]
                 if fresh_sketch else cfg.seed)
-        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, int(seed)), w, warm_from)
+        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
     tic = time.perf_counter()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sketchreg.cli as cli_mod
+from sketchreg import errors
 from sketchreg.bench import DatasetSpec, gen_synthetic, load_csv, save_dataset_csv
 from sketchreg.cli import main
 
@@ -128,11 +129,37 @@ class TestSolve:
                      "--eta", "5", "--iters", "300", "--seed", "1"]) == 3
         assert "iteration" in capsys.readouterr().err
 
+    def test_small_sketch_divergence_exits_3(self, tmp_path, capsys):
+        # pwgrad's unit step needs a sketch of about 12d rows; at 4d f grows
+        # past 10 f(x0) and the solve stops with DivergenceError.
+        data = write_dataset(tmp_path, n=8192, d=50, kappa=1e4, seed=1)
+        assert main(["solve", "--data", str(data), "--solver", "pwgrad",
+                     "--sketch-size", "200", "--iters", "30", "--seed", "3"]) == 3
+        assert "exceeds 10 times f(x0)" in capsys.readouterr().err
+
     def test_sgd_solver_runs(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=512, d=6)
         assert main(["solve", "--data", str(data), "--solver", "hdpwbatch",
                      "--batch", "4", "--iters", "500", "--seed", "3"]) == 0
         assert "final relative error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.RankDeficientError, 3), (errors.SingularFactorError, 3),
+    (errors.InnerSolverStallError, 3), (errors.EpochBudgetError, 3),
+    (errors.OracleDisagreementError, 3), (errors.DegenerateOptimumError, 3),
+    (errors.DivergenceError, 3), (errors.SketchSizeError, 2), (errors.CsvParseError, 2),
+    (ValueError, 2)], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_numerical_errors_exit_3_and_input_errors_2(tmp_path, monkeypatch, capsys,
+                                                    error, code):
+    def fail(args):
+        raise error("forced")
+
+    monkeypatch.setattr(cli_mod, "cmd_gen", fail)
+    assert main(["gen", "--n", "8", "--d", "2", "--out", str(tmp_path / "x.csv")]) == code
+    assert issubclass(error, errors.NumericalError) == (code == 3)
+    prefix = "numerical failure" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: forced\n"
 
 
 class TestBench:

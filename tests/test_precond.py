@@ -189,6 +189,33 @@ def count_fwht_shapes(monkeypatch) -> list:
     return shapes
 
 
+class TestSeedCheckedBeforeAnyTransform:
+    @pytest.fixture
+    def no_transform(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("transformed before the seed was checked")
+
+        for module in (sketches_mod, precond_mod):
+            monkeypatch.setattr(module, "apply", fail)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_hadamard_operator(self, no_transform, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            hadamard_operator(64, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_build_hd(self, no_transform, seed):
+        a = np.ones((64, 3))
+        with pytest.raises(ValueError, match="seed must be"):
+            build_hd(a, a[:, 0], seed)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_build_preconditioner(self, no_transform, seed):
+        a = np.random.default_rng(0).standard_normal((64, 3))
+        with pytest.raises(ValueError, match="seed must be"):
+            build_preconditioner(a, a[:, 0], "srht", 16, seed)
+
+
 class TestOneHadamardPass:
     @pytest.mark.parametrize("n,d,s,seed", [(1000, 5, 40, 3), (1024, 8, 64, 0),
                                             (3000, 12, 96, 21)])

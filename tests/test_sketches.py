@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import pytest
 import scipy.linalg
 
 import sketchreg.linalg as linalg_mod
+import sketchreg.sketches as sketches_mod
 from sketchreg.errors import DimensionMismatchError, SketchSizeError
 from sketchreg.sketches import (
     _PANEL_COLS,
     _PANEL_ROWS,
+    _TAGS,
     KINDS,
     SketchOperator,
     apply,
@@ -21,6 +24,7 @@ from sketchreg.sketches import (
     embedding_distortion,
     hadamard_operator,
     make_sketch,
+    stream,
 )
 from helpers import dense_sketch, force_workers
 
@@ -78,6 +82,36 @@ class TestMakeSketch:
                 sk = make_sketch(kind, 8, 64, seed)
                 m = np.arange(64.0)
                 assert apply(sk, m).tobytes() == apply(ref, m).tobytes()
+
+
+class TestStreams:
+    def test_tag_table_is_pinned(self):
+        # Changing a tag changes every draw of its stream.
+        assert _TAGS == {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
+                         "sample": 1002, "estimate": 1003, "oracle": 1004, "ihs": 1005,
+                         "data": 7001}
+        assert len(set(_TAGS.values())) == len(_TAGS)
+        assert set(KINDS) <= _TAGS.keys()
+
+    def test_stream_is_the_tagged_seed_sequence(self):
+        for name, tag in _TAGS.items():
+            expected = np.random.default_rng(np.random.SeedSequence([5, tag, 2], spawn_key=(3,)))
+            got = stream(np.uint32(5), name, 2, spawn_key=(3,))
+            assert got.integers(0, 2**62, size=4).tolist() == \
+                expected.integers(0, 2**62, size=4).tolist()
+
+    def test_only_the_rule_builds_a_stream(self):
+        package = Path(sketches_mod.__file__).parent
+        tree = ast.parse((package / "sketches.py").read_text())
+        rule = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "stream")
+        inside = range(rule.lineno, rule.end_lineno + 1)
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                if "SeedSequence(" in line or "default_rng(" in line:
+                    found.append((path.name, lineno in inside))
+        assert found and all(name == "sketches.py" and ok for name, ok in found), found
 
 
 class TestApply:

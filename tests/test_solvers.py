@@ -12,6 +12,7 @@ from sketchreg.errors import (DegenerateOptimumError, DimensionMismatchError,
 from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
+from sketchreg.sketches import stream
 from sketchreg.solvers import (
     _GRAM_BLOCK,
     SOLVERS,
@@ -116,6 +117,7 @@ class TestSolverConfig:
         dict(stop_below_rel=-0.5), dict(stop_below_rel=float("nan")),
         dict(diameter_bound=0.0), dict(diameter_bound=-1.0),
         dict(diameter_bound=float("nan")),
+        dict(x0=[float("nan"), 0.0, 0.0, 0.0]), dict(x0=[0.0, float("-inf")]),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
@@ -213,6 +215,51 @@ class TestAllSolvers:
         np.testing.assert_allclose(rep.final_x_avg, final_x_avg, rtol=1e-12)
         assert rep.iterations_run == iterations_run
         assert [p.iteration for p in rep.trace] == trace_iterations
+
+
+class TestDivergenceGuard:
+    """A traced objective above _DIVERGENCE_FACTOR f(x0) raises. The unit
+    full-gradient step needs sigma_max(A R^-1)^2 < 2, which a sketch of
+    fewer than about 12d rows breaks: on this 8192 x 50 problem every
+    such pwgrad and ihs-fixed run, and ihs at 2d, grew f geometrically
+    with stop_reason "iterations" before the guard."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        a, b, _ = gen_synthetic(DatasetSpec(n=8192, d=50, target_kappa=1e4,
+                                            noise_std=1.0, seed=1))
+        return a, b, FeasibleSet.unconstrained(50)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("name,mult", [("pwgrad", 2), ("pwgrad", 4), ("pwgrad", 8),
+                                           ("ihs-fixed", 2), ("ihs-fixed", 4),
+                                           ("ihs-fixed", 8), ("ihs", 2)])
+    def test_small_sketch_raises(self, problem, name, mult, kind):
+        cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
+        with pytest.raises(DivergenceError, match=r"exceeds 10 times f\(x0\)"):
+            SOLVERS[name](*problem, cfg)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("mult", [4, 8])
+    def test_ihs_converges_at_4d_and_8d(self, problem, mult, kind):
+        # Measured peak: 1.19 f0 (gaussian, 4d), far below the guard.
+        cfg = SolverConfig(iterations=15, seed=3, sketch_kind=kind, sketch_size=mult * 50)
+        rep = ihs(*problem, cfg)
+        f = np.array([p.objective for p in rep.trace])
+        assert rep.stop_reason == "iterations"
+        assert f.max() <= 1.2 * f[0] and f[-1] <= 1e-2 * f[0]
+
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_sgd_started_at_the_optimum_stays_below(self, name):
+        # The hardest start for the guard: f0 = f*. Traced points rose at
+        # most 7 % above it at kappa 30 and 1e4, batch 1 and 8.
+        a, b, _ = gen_synthetic(DatasetSpec(n=8192, d=20, target_kappa=1e4,
+                                            noise_std=1.0, seed=1))
+        w = make_feasible_set(a, b, "l2", radius_scale=0.7)
+        x_star, f_star = ground_truth(a, b, w, seed=1)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=2000, seed=3, record_every=1,
+                                                  x0=x_star), f_star=f_star)
+        assert max(p.objective for p in rep.trace) <= 1.1 * rep.trace[0].objective
 
 
 class TestStopReason:
@@ -407,8 +454,7 @@ class TestSmoothnessConstants:
         rhs[::7] = 0.0  # 0 - 0 is +0 but -0 is -0: the sign must not matter
         resid = u @ y0 - rhs
         mean_grad = 2.0 * (u.T @ resid)
-        idx = np.random.default_rng(np.random.SeedSequence(
-            [seed, solvers_mod._STREAM_ESTIMATE, 1])).integers(0, 300, size=200)
+        idx = stream(seed, "estimate", 1).integers(0, 300, size=200)
         grads = 2.0 * 300 * u[idx] * resid[idx][:, None]
         expected = 2.0 * float(np.mean(np.sum((grads - mean_grad) ** 2, axis=1)))
         assert _sampled_gradient_variance(u, rhs, y0, seed, u.T @ rhs) == expected
