@@ -17,12 +17,13 @@ from .errors import DimensionMismatchError, SketchSizeError
 from .linalg import fwht_inplace, next_pow2, parallel, split
 
 __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply", "KINDS",
-           "subsample", "embedding_distortion", "default_sketch_size", "check_integer", "stream"]
+           "subsample", "embedding_distortion", "default_sketch_size", "check_integer", "seeds",
+           "stream"]
 
 KINDS = ("gaussian", "countsketch", "srht")
 
 # The tag of every seeded stream in the package, one per name; see
-# ``stream``. A sketch kind's stream is named after the kind. Changing a
+# ``seeds``. A sketch kind's stream is named after the kind. Changing a
 # tag changes every draw of its stream.
 _TAGS = {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
          "sample": 1002, "estimate": 1003, "oracle": 1004, "ihs": 1005, "data": 7001}
@@ -63,21 +64,25 @@ class SketchOperator:
 
 def check_integer(name: str, value, low: int) -> None:
     """Raise ValueError unless ``value`` is an integer (numpy's too) >= low:
-    a count, or a seed (see :func:`stream`)."""
+    a count, or a seed (see :func:`seeds`)."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
-def stream(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.Generator:
-    """The one rule for a seeded random stream: the generator of
+def seeds(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.SeedSequence:
+    """The one rule for a seeded random stream:
     SeedSequence([seed, _TAGS[name], *key], spawn_key=spawn_key), so
     streams of different names never share draws. Raises ValueError
     unless ``seed`` is an integer >= 0, before anything is drawn."""
     check_integer("seed", seed, 0)
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), _TAGS[name], *key], spawn_key=spawn_key))
+    return np.random.SeedSequence([int(seed), _TAGS[name], *key], spawn_key=spawn_key)
+
+
+def stream(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """The generator of ``seeds(seed, name, *key, spawn_key=spawn_key)``."""
+    return np.random.default_rng(seeds(seed, name, *key, spawn_key=spawn_key))
 
 
 def default_sketch_size(kind: str, d: int) -> int:

@@ -34,7 +34,7 @@ loops make few calls: 256 steps' rows are gathered by one take(), a
 gradient is two gemv calls, and hdpwacc's three vectors are rows of one
 array, so each update is one product with a coefficient vector.
 
-All solvers are deterministic given the config seed: ``sketches.stream``
+All solvers are deterministic given the config seed: ``sketches.seeds``
 derives independent streams for the sketch (whose SRHT stream also gives
 the Hadamard signs), each ``ihs`` iteration's sketch seed, the sampled
 batch indices, and the sampled gradient-variance estimate. The
@@ -61,7 +61,7 @@ from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidea
 # also wraps them under this module's names, so they stay importable here.
 from .linalg import parallel, qr_thin, tri_solve  # noqa: F401
 from .precond import build_preconditioner, sketched_r
-from .sketches import KINDS, apply, check_integer, default_sketch_size, stream  # noqa: F401
+from .sketches import KINDS, apply, check_integer, default_sketch_size, seeds, stream  # noqa: F401
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
@@ -83,11 +83,15 @@ _CENTRED_MAX_COND = 1e8
 _EPOCH_ITER_CAP = 10_000_000
 # Rows sampled for the gradient-variance estimate sigma^2.
 _VARIANCE_DRAWS = 200
-# A traced objective above this multiple of f(x0) raises DivergenceError.
-# Converging runs have peaked at 1.34 f(x0) (ihs with a 4d sketch) and SGD
-# traces at 1.09 f(x0); a unit step on a 2d-8d sketch passes 10 f(x0)
-# within 2-34 iterations and grows geometrically from there.
+# A traced objective above this multiple of the start's f_ref (see
+# _start) raises DivergenceError. The highest converging peaks measured
+# are 1.34 f_ref (ihs, srht, s = 4d, 2048 x 20, kappa 1e4, 40 iterations)
+# and, for SGD, 1.07 f_ref (hdpwbatch, batch 1, started at x*, 8192 x 20);
+# a unit step on a 2d-8d sketch passes 10 f_ref within 2-34 iterations
+# and grows geometrically from there.
 _DIVERGENCE_FACTOR = 10.0
+# Rounding level of an objective, relative to f(0) = ||b||^2: the floor of f_ref.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -101,7 +105,8 @@ class SolverConfig:
     blocked pass over the rows), D = D_W measured in y = R x, the
     coordinates of the prox (``feasible.diameter_param``), and, only when
     D is finite, a sampled gradient-variance estimate sigma^2 at x0.
-    hdpwacc always uses that sigma^2 and V_0 = f(x0). For the full-gradient
+    hdpwacc always uses that sigma^2 and V_0 = the start's objective
+    (f(x0), raised for an infeasible or exact x0). For the full-gradient
     solvers "auto" is step 1 on A^T (Ax - b), which is 1/2 in pwgrad's units.
 
     ``record_every`` spaces the trace points (default: every iteration
@@ -250,9 +255,14 @@ def _batches(u: np.ndarray, rhs: np.ndarray, seed: int,
 
 
 def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
-    """(A, b, x0, r0): the checked float64 problem, the start x0 (zero
-    unless ``cfg.x0`` is given) and its residual r0 = A x0 - b. At
-    x0 = 0, r0 is -b with no pass over A, and r0 @ r0 is f(x0)."""
+    """(A, b, x0, r0, f_ref): the checked float64 problem, the start x0
+    (zero unless ``cfg.x0`` is given), its residual r0 = A x0 - b and the
+    divergence guard's reference objective. At x0 = 0, r0 is -b with no
+    pass over A, and r0 @ r0 is f(x0).
+
+    f_ref is the largest of f(x0), f at x0's Euclidean projection onto W
+    (an infeasible x0 can sit below every feasible objective) and the
+    rounding level eps f(0) = eps ||b||^2 (an exact x0 has f(x0) = 0)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0] or b.size == 0:
@@ -267,11 +277,16 @@ def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
         raise ValueError("input data contains non-finite entries")
     d = a.shape[1]
     if cfg.x0 is None:
-        return a, b, np.zeros(d), -b
+        return a, b, np.zeros(d), -b, float(b @ b)
     x0 = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x0.shape != (d,):
         raise DimensionMismatchError(f"x0 has shape {x0.shape}, expected ({d},)")
-    return a, b, x0, a @ x0 - b
+    r0 = a @ x0 - b
+    f_ref = max(float(r0 @ r0), _EPS * float(b @ b))
+    p0 = project_euclidean(w, x0)
+    if p0 is not x0:
+        f_ref = max(f_ref, objective_value(a, b, p0))
+    return a, b, x0, r0, f_ref
 
 
 def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
@@ -358,13 +373,15 @@ def _stochastic_smoothness(consts: _Constants, n: int) -> float:
 
 class _YProblem(NamedTuple):
     """An SGD solver's problem min ||U y - rhs||^2 over y in R W, started at
-    y0 = R x0 with f0 = f(x0); ``r_factor`` is R (None for plain SGD)."""
+    y0 = R x0 with f0 = f(x0) and the guard's f_ref (see ``_start``);
+    ``r_factor`` is R (None for plain SGD)."""
 
     u: np.ndarray
     rhs: np.ndarray
     consts: _Constants
     y0: np.ndarray
     f0: float
+    f_ref: float
     project: Callable[[np.ndarray], np.ndarray]
     to_x: Callable[[np.ndarray], np.ndarray]
     r_factor: np.ndarray | None
@@ -420,14 +437,14 @@ class _Recorder:
     rule that fired as ``stop_reason``; ``report`` makes the exact
     objective of the returned iterate the last point. An objective,
     checked or traced, that is non-finite or above ``_DIVERGENCE_FACTOR``
-    times f0 = f(x0) raises DivergenceError.
+    times the start's f_ref (see ``_start``) raises DivergenceError.
     """
 
     def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
-                 dense: bool = False):
+                 f_ref: float, dense: bool = False):
         self.cfg = cfg
         self.f_star = f_star
-        self.f0 = f0
+        self.limit = _DIVERGENCE_FACTOR * f_ref
         # Full-gradient loops get each objective for free and trace every
         # iteration by default; SGD points cost O(d^2), ~512 are traced.
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
@@ -438,9 +455,10 @@ class _Recorder:
     def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
         if not np.isfinite(f):
             raise DivergenceError(f"objective is {f} at iteration {t}")
-        if f > _DIVERGENCE_FACTOR * self.f0:
+        if f > self.limit:
             raise DivergenceError(f"objective {f:.6e} exceeds {_DIVERGENCE_FACTOR:g} times "
-                                  f"f(x0) = {self.f0:.6e} at iteration {t}")
+                                  f"the start's objective {self.limit / _DIVERGENCE_FACTOR:.6e}"
+                                  f" at iteration {t}")
         return TracePoint(t, elapsed, f, relative_error(f, self.f_star))
 
     def _rule(self, point: TracePoint, f_prev: float | None) -> str | None:
@@ -488,7 +506,7 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     at ``iterations=0``, which reports x0 and runs no estimator), the
     y-problem, ``loop`` -> (recorder, iterations run, last x, reported x),
     and the exact objective of the reported x as the last trace point."""
-    a, b, x0, r0 = _start(a, b, w, cfg)
+    a, b, x0, r0, f_ref = _start(a, b, w, cfg)
     f0 = float(r0 @ r0)
     pre_seconds = 0.0
     if precondition:
@@ -497,7 +515,8 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
                                    resolve_sketch_size(cfg, *a.shape, False), cfg.seed)
         pre_seconds = time.perf_counter() - tic
     if cfg.iterations == 0:
-        return _Recorder(cfg, f_star, f0).report(solver, 0, x0, x0.copy(), pre_seconds, f0)
+        return _Recorder(cfg, f_star, f0, f_ref).report(solver, 0, x0, x0.copy(),
+                                                        pre_seconds, f0)
     if precondition:
         prox = RMetricProx(pre.r_factor, w)
         u, rhs, r_factor = pre.hda, pre.hdb, pre.r_factor
@@ -506,7 +525,7 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
         u, rhs, r_factor = a, b, None
         y0, project, to_x = x0, partial(project_euclidean, w), lambda y: y
     consts = _smoothness_bounds(u, r_factor)  # writes U over the rows of u
-    prob = _YProblem(u, rhs, consts, y0, f0, project, to_x, r_factor, u.T @ rhs)
+    prob = _YProblem(u, rhs, consts, y0, f0, f_ref, project, to_x, r_factor, u.T @ rhs)
     rec, ran, x, x_avg = loop(a, b, w, cfg, f_star, prob)
     return rec.report(solver, ran, x, x_avg, pre_seconds, objective_value(a, b, x_avg))
 
@@ -523,7 +542,7 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     y = prob.y0
     y_sum = np.zeros_like(y)
     objective = _trace_objective(a, b, prob)
-    rec = _Recorder(cfg, f_star, prob.f0)
+    rec = _Recorder(cfg, f_star, prob.f0, prob.f_ref)
     batches = _batches(prob.u, prob.rhs, cfg.seed, r)
     for t, (rows, rhs) in zip(range(1, cfg.iterations + 1), batches):
         # U_B^T resid as resid.dot(U_B): ndarray.dot runs the same BLAS
@@ -539,10 +558,11 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
 def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
              f_star: float | None, prob: _YProblem) -> tuple:
     """Loop of hdpwacc: the epochs of ``acc_epoch_schedule`` with
-    V_0 = f0 and the sampled sigma^2. It traces and reports y_hat. The
-    rows of z are (y, y_hat, g): y_tilde = [alpha, 1 - alpha] z[:2], and
-    the new y is P(c z), c the coefficients of (y + eta_t mu y_tilde -
-    eta_t scale g) / (1 + eta_t mu)."""
+    V_0 = f_ref (see ``_start``; f0 unless x0 is infeasible or exact) and
+    the sampled sigma^2. It traces and reports y_hat. The rows of z are
+    (y, y_hat, g): y_tilde = [alpha, 1 - alpha] z[:2], and the new y is
+    P(c z), c the coefficients of (y + eta_t mu y_tilde - eta_t scale g) /
+    (1 + eta_t mu)."""
     m, r = prob.u.shape[0], cfg.batch_size
     L, mu = prob.consts.L, prob.consts.mu
     sigma2_r = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
@@ -551,12 +571,12 @@ def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     scale = 2.0 * m / r
     batches = _batches(prob.u, prob.rhs, cfg.seed, r)
     objective = _trace_objective(a, b, prob)
-    rec = _Recorder(cfg, f_star, prob.f0)
+    rec = _Recorder(cfg, f_star, prob.f0, prob.f_ref)
     total = 0
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, prob.f0, s)
+        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, prob.f_ref, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         z[0] = z[1]
@@ -595,8 +615,9 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     problem, in y = R x coordinates.
 
     Epoch s runs N_s inner accelerated steps sized to halve the error
-    bound V_0 2^-s (V_0 = f(x0)), warm starting from the previous epoch's
-    output; the inner recursion averages with weights 2/(t+1).
+    bound V_0 2^-s (V_0 = the start's objective), warm starting from the
+    previous epoch's output; the inner recursion averages with weights
+    2/(t+1).
     ``iterations`` caps the total number of inner steps; a single epoch
     demanding more than ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError.
     """
@@ -611,14 +632,12 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     scaling by 2 is exact, and ihs-fixed at eta is pwgrad at eta / 2."""
     unit = 2.0 if solver == "pwgrad" else 1.0
     eta = 1.0 if cfg.step_size == "auto" else unit * float(cfg.step_size)
-    a, b, x, resid = _start(a, b, w, cfg)
+    a, b, x, resid, f_ref = _start(a, b, w, cfg)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
     def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> RMetricProx:
-        # IHS seeds sketch t with the first word of stream "ihs", key t.
-        seed = (stream(cfg.seed, "ihs", t).bit_generator.seed_seq.generate_state(1)[0]
-                if fresh_sketch else cfg.seed)
+        seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
         return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
@@ -627,7 +646,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     pre_seconds = time.perf_counter() - tic
 
     f = float(resid @ resid)
-    rec = _Recorder(cfg, f_star, f, dense=True)
+    rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     ran = 0
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch and t > 1:

@@ -138,7 +138,7 @@ def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
     y_sum = np.zeros_like(y)
     indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
     for t in range(1, cfg.iterations + 1):
         idx = next(indices)
         batch = prob.u.take(idx, axis=0)
@@ -163,12 +163,12 @@ def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
     scale = 2.0 * m / r
     indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
     total = 0
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f_ref, s)
         if n_s > solvers_mod._EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         z[0] = z[1]
@@ -204,12 +204,12 @@ def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
     scale = 2.0 * m / r
     indices = batch_index_stream(cfg.seed, m, r)
     objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0)
+    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
     total = 0
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f_ref, s)
         if n_s > solvers_mod._EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         y = y_hat.copy()

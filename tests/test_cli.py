@@ -135,7 +135,7 @@ class TestSolve:
         data = write_dataset(tmp_path, n=8192, d=50, kappa=1e4, seed=1)
         assert main(["solve", "--data", str(data), "--solver", "pwgrad",
                      "--sketch-size", "200", "--iters", "30", "--seed", "3"]) == 3
-        assert "exceeds 10 times f(x0)" in capsys.readouterr().err
+        assert "exceeds 10 times the start's objective" in capsys.readouterr().err
 
     def test_sgd_solver_runs(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=512, d=6)

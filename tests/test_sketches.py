@@ -24,6 +24,7 @@ from sketchreg.sketches import (
     embedding_distortion,
     hadamard_operator,
     make_sketch,
+    seeds,
     stream,
 )
 from helpers import dense_sketch, force_workers
@@ -99,13 +100,22 @@ class TestStreams:
             got = stream(np.uint32(5), name, 2, spawn_key=(3,))
             assert got.integers(0, 2**62, size=4).tolist() == \
                 expected.integers(0, 2**62, size=4).tolist()
+            words = np.random.SeedSequence([5, tag, 2], spawn_key=(3,)).generate_state(2)
+            np.testing.assert_array_equal(
+                seeds(5, name, 2, spawn_key=(3,)).generate_state(2), words)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None])
+    def test_rule_rejects_a_bad_seed(self, seed):
+        for rule in (seeds, stream):
+            with pytest.raises(ValueError, match="seed must be"):
+                rule(seed, "data")
 
     def test_only_the_rule_builds_a_stream(self):
         package = Path(sketches_mod.__file__).parent
         tree = ast.parse((package / "sketches.py").read_text())
-        rule = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "stream")
-        inside = range(rule.lineno, rule.end_lineno + 1)
+        inside = {lineno for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in ("seeds", "stream")
+                  for lineno in range(node.lineno, node.end_lineno + 1)}
         found = []
         for path in sorted(package.glob("*.py")):
             for lineno, line in enumerate(path.read_text().splitlines(), start=1):

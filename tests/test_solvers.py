@@ -9,7 +9,7 @@ import sketchreg.solvers as solvers_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.errors import (DegenerateOptimumError, DimensionMismatchError,
                               DivergenceError, EpochBudgetError, SketchSizeError)
-from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx
+from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx, project_euclidean
 from sketchreg.linalg import tri_solve
 from sketchreg.precond import build_preconditioner
 from sketchreg.sketches import stream
@@ -218,7 +218,8 @@ class TestAllSolvers:
 
 
 class TestDivergenceGuard:
-    """A traced objective above _DIVERGENCE_FACTOR f(x0) raises. The unit
+    """A traced objective above _DIVERGENCE_FACTOR times the start's
+    objective f_ref raises; f_ref is f(x0) for a feasible, inexact x0. The unit
     full-gradient step needs sigma_max(A R^-1)^2 < 2, which a sketch of
     fewer than about 12d rows breaks: on this 8192 x 50 problem every
     such pwgrad and ihs-fixed run, and ihs at 2d, grew f geometrically
@@ -236,7 +237,7 @@ class TestDivergenceGuard:
                                            ("ihs-fixed", 8), ("ihs", 2)])
     def test_small_sketch_raises(self, problem, name, mult, kind):
         cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
-        with pytest.raises(DivergenceError, match=r"exceeds 10 times f\(x0\)"):
+        with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
             SOLVERS[name](*problem, cfg)
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
@@ -260,6 +261,51 @@ class TestDivergenceGuard:
         rep = SOLVERS[name](a, b, w, SolverConfig(iterations=2000, seed=3, record_every=1,
                                                   x0=x_star), f_star=f_star)
         assert max(p.objective for p in rep.trace) <= 1.1 * rep.trace[0].objective
+
+    @pytest.mark.parametrize("constraint", ["l1", "l2"])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_infeasible_warm_start_converges(self, name, constraint):
+        # x0 = x_ls lies outside the ball and below every feasible
+        # objective: at low noise f rises thousands of times over f(x0)
+        # on the way to f*, so the guard measures from f at x0's projection.
+        a, b, _ = gen_synthetic(DatasetSpec(n=2048, d=10, target_kappa=1e4,
+                                            noise_std=0.01, seed=1))
+        w = make_feasible_set(a, b, constraint, radius_scale=0.7)
+        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+        _, f_star = ground_truth(a, b, w, seed=1)
+        full = name in ("pwgrad", "ihs", "ihs-fixed")
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=40 if full else 2000, seed=3,
+                                                  x0=x_ls), f_star=f_star)
+        f = [p.objective for p in rep.trace]
+        assert max(f) > 10 * objective_value(a, b, x_ls)
+        f_projected = objective_value(a, b, project_euclidean(w, x_ls))
+        if full:
+            assert rep.final_relative_error < 1e-6
+        else:
+            assert f[-1] < 0.1 * f_projected
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_exact_start_on_noiseless_data(self, name):
+        # f(x0) = 0 exactly, so the guard's floor eps ||b||^2 keeps
+        # rounding-level objectives (below 1e-25 ||b||^2 here) from raising;
+        # hdpwacc's schedule starts from that floor instead of dividing by 0.
+        a, b, x_planted = gen_synthetic(DatasetSpec(n=2048, d=10, target_kappa=1e6,
+                                                    noise_std=0.0, seed=1))
+        assert objective_value(a, b, x_planted) == 0.0
+        w = FeasibleSet.unconstrained(10)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=200, seed=3, record_every=1,
+                                                  x0=x_planted))
+        assert max(p.objective for p in rep.trace) <= 1e-20 * float(b @ b)
+
+    def test_divergence_from_a_warm_start_raises(self):
+        # A feasible warm start keeps f_ref = f(x0): the 4d pwgrad run that
+        # diverges from zero also raises when started at x*.
+        a, b, _ = gen_synthetic(DatasetSpec(n=8192, d=50, target_kappa=1e4,
+                                            noise_std=1.0, seed=1))
+        x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+        w = FeasibleSet.unconstrained(50)
+        with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
+            pw_gradient(a, b, w, SolverConfig(iterations=40, seed=3, sketch_size=200, x0=x_ls))
 
 
 class TestStopReason:
