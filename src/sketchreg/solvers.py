@@ -105,8 +105,8 @@ class SolverConfig:
     blocked pass over the rows), D = D_W measured in y = R x, the
     coordinates of the prox (``feasible.diameter_param``), and, only when
     D is finite, a sampled gradient-variance estimate sigma^2 at x0.
-    hdpwacc always uses that sigma^2 and V_0 = the start's objective
-    (f(x0), raised for an infeasible or exact x0). For the full-gradient
+    hdpwacc always uses that sigma^2 and V_0 = f(x0), floored at
+    eps ||b||^2. For the full-gradient
     solvers "auto" is step 1 on A^T (Ax - b), which is 1/2 in pwgrad's units.
 
     ``record_every`` spaces the trace points (default: every iteration
@@ -558,14 +558,15 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
 def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
              f_star: float | None, prob: _YProblem) -> tuple:
     """Loop of hdpwacc: the epochs of ``acc_epoch_schedule`` with
-    V_0 = f_ref (see ``_start``; f0 unless x0 is infeasible or exact) and
-    the sampled sigma^2. It traces and reports y_hat. The rows of z are
+    V_0 = f0, at least eps ||b||^2 (an exact x0 has f0 = 0), and the
+    sampled sigma^2. It traces and reports y_hat. The rows of z are
     (y, y_hat, g): y_tilde = [alpha, 1 - alpha] z[:2], and the new y is
     P(c z), c the coefficients of (y + eta_t mu y_tilde - eta_t scale g) /
     (1 + eta_t mu)."""
     m, r = prob.u.shape[0], cfg.batch_size
     L, mu = prob.consts.L, prob.consts.mu
     sigma2_r = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
+    v0 = max(prob.f0, _EPS * float(b @ b))
     z = np.tile(prob.y0, (3, 1))  # y_hat = y0; y and g are set before they are read
     y_pair = z[:2]
     scale = 2.0 * m / r
@@ -576,7 +577,7 @@ def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, prob.f_ref, s)
+        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, v0, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         z[0] = z[1]
@@ -615,9 +616,9 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     problem, in y = R x coordinates.
 
     Epoch s runs N_s inner accelerated steps sized to halve the error
-    bound V_0 2^-s (V_0 = the start's objective), warm starting from the
-    previous epoch's output; the inner recursion averages with weights
-    2/(t+1).
+    bound V_0 2^-s (V_0 = f(x0), at least eps ||b||^2), warm starting
+    from the previous epoch's output; the inner recursion averages with
+    weights 2/(t+1).
     ``iterations`` caps the total number of inner steps; a single epoch
     demanding more than ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError.
     """

@@ -168,7 +168,7 @@ def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f_ref, s)
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
         if n_s > solvers_mod._EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         z[0] = z[1]
@@ -209,7 +209,7 @@ def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
     for s in range(1, cfg.epochs + 1):
         if total >= cfg.iterations or rec.stop_reason != "iterations":
             break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f_ref, s)
+        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
         if n_s > solvers_mod._EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
         y = y_hat.copy()
