@@ -118,13 +118,11 @@ def ground_truth(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
         x_star = solve_unconstrained_qr(a, b)
         return x_star, objective_value(a, b, x_star)
     d = a.shape[1]
-    base = SolverConfig(iterations=500, step_size=0.5, seed=seed,
-                        record_every=1, objective_tol=1e-13)
+    # pwgrad's auto step, the one rule the solvers use.
+    base = SolverConfig(iterations=500, seed=seed, record_every=1, objective_tol=1e-13)
     first = pw_gradient(a, b, w, base)
     x0_alt = project_euclidean(w, stream(seed, "oracle").standard_normal(d))
-    second = pw_gradient(a, b, w, SolverConfig(
-        iterations=500, step_size=0.5, seed=seed + 1, record_every=1,
-        objective_tol=1e-13, x0=x0_alt))
+    second = pw_gradient(a, b, w, replace(base, seed=seed + 1, x0=x0_alt))
     f1 = first.final_objective
     f2 = second.final_objective
     if abs(f1 - f2) > 1e-10 * max(f1, f2, 1e-30):

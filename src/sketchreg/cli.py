@@ -233,9 +233,11 @@ def cmd_bench(args) -> int:
         runs = [rep for _, rep in result.runs[name]]
         med = result.median_final_error(name)
         best = result.best(name).final_relative_error
-        iters = [bench.iterations_to_target(rep, target) for rep in runs]
-        reached = sorted(i for i in iters if i is not None)
-        med_iters = reached[len(reached) // 2] if len(reached) > len(iters) // 2 else None
+        # Every seed is ranked, a miss (None) as never; a median that is a
+        # miss prints as --.
+        iters = sorted((bench.iterations_to_target(rep, target) for rep in runs),
+                       key=lambda i: np.inf if i is None else i)
+        med_iters = iters[len(iters) // 2]
         crossings[name] = med_iters
         print(f"{name:>16} {med:>15.6e} {best:>14.6e} "
               f"{str(med_iters if med_iters is not None else '--'):>18}")

@@ -21,7 +21,10 @@ which transforms A and b once and samples an SRHT's rows from that
 same H D A.
 
 The three SGD solvers share one pipeline, ``_sgd_solve``, and differ only
-in their loops. They step in y = R x coordinates over U = HDA R^-1 (U = A,
+in their loops. The pipeline builds the y-problem with V_0, the recorder,
+the trace objective and the batch stream once; the loops keep only their
+step rule and update, and hdpwacc reads its epochs from ``_epochs``.
+They step in y = R x coordinates over U = HDA R^-1 (U = A,
 R = I for plain SGD), i.e. SGD on min ||U y - HDb||^2 over R W: a step
 costs O(batch * d) with no triangular solve on R^d, and on a ball only a
 step that leaves W pays for the R-metric projection. One blocked pass,
@@ -255,10 +258,10 @@ def _batches(u: np.ndarray, rhs: np.ndarray, seed: int,
 
 
 def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
-    """(A, b, x0, r0, f_ref): the checked float64 problem, the start x0
-    (zero unless ``cfg.x0`` is given), its residual r0 = A x0 - b and the
-    divergence guard's reference objective. At x0 = 0, r0 is -b with no
-    pass over A, and r0 @ r0 is f(x0).
+    """(A, b, x0, r0, f0, f_ref): the checked float64 problem, the start x0
+    (zero unless ``cfg.x0`` is given), its residual r0 = A x0 - b, its
+    objective f0 = f(x0) and the divergence guard's reference objective.
+    At x0 = 0, r0 is -b with no pass over A, and f0 is ||b||^2.
 
     f_ref is the largest of f(x0), f at x0's Euclidean projection onto W
     (an infeasible x0 can sit below every feasible objective) and the
@@ -277,16 +280,18 @@ def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
         raise ValueError("input data contains non-finite entries")
     d = a.shape[1]
     if cfg.x0 is None:
-        return a, b, np.zeros(d), -b, float(b @ b)
+        f0 = float(b @ b)
+        return a, b, np.zeros(d), -b, f0, f0
     x0 = np.asarray(cfg.x0, dtype=np.float64).copy()
     if x0.shape != (d,):
         raise DimensionMismatchError(f"x0 has shape {x0.shape}, expected ({d},)")
     r0 = a @ x0 - b
-    f_ref = max(float(r0 @ r0), _EPS * float(b @ b))
+    f0 = float(r0 @ r0)
+    f_ref = max(f0, _EPS * float(b @ b))
     p0 = project_euclidean(w, x0)
     if p0 is not x0:
         f_ref = max(f_ref, objective_value(a, b, p0))
-    return a, b, x0, r0, f_ref
+    return a, b, x0, r0, f0, f_ref
 
 
 def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
@@ -373,15 +378,14 @@ def _stochastic_smoothness(consts: _Constants, n: int) -> float:
 
 class _YProblem(NamedTuple):
     """An SGD solver's problem min ||U y - rhs||^2 over y in R W, started at
-    y0 = R x0 with f0 = f(x0) and the guard's f_ref (see ``_start``);
-    ``r_factor`` is R (None for plain SGD)."""
+    y0 = R x0 with V_0 = f(x0), at least eps ||b||^2 (an exact x0 has
+    f(x0) = 0); ``r_factor`` is R (None for plain SGD)."""
 
     u: np.ndarray
     rhs: np.ndarray
     consts: _Constants
     y0: np.ndarray
-    f0: float
-    f_ref: float
+    v0: float
     project: Callable[[np.ndarray], np.ndarray]
     to_x: Callable[[np.ndarray], np.ndarray]
     r_factor: np.ndarray | None
@@ -504,10 +508,11 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     """The pipeline of the three SGD solvers, which differ only in ``loop``:
     preconditioning (skipped for plain SGD; a bad sketch size raises even
     at ``iterations=0``, which reports x0 and runs no estimator), the
-    y-problem, ``loop`` -> (recorder, iterations run, last x, reported x),
-    and the exact objective of the reported x as the last trace point."""
-    a, b, x0, r0, f_ref = _start(a, b, w, cfg)
-    f0 = float(r0 @ r0)
+    y-problem, then the recorder, trace objective and batch stream that
+    ``loop`` steps with. ``loop`` -> (iterations run, last y, reported y);
+    the ys map back to x, and the exact objective of the reported x is
+    the last trace point."""
+    a, b, x0, _, f0, f_ref = _start(a, b, w, cfg)
     pre_seconds = 0.0
     if precondition:
         tic = time.perf_counter()
@@ -525,25 +530,27 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
         u, rhs, r_factor = a, b, None
         y0, project, to_x = x0, partial(project_euclidean, w), lambda y: y
     consts = _smoothness_bounds(u, r_factor)  # writes U over the rows of u
-    prob = _YProblem(u, rhs, consts, y0, f0, f_ref, project, to_x, r_factor, u.T @ rhs)
-    rec, ran, x, x_avg = loop(a, b, w, cfg, f_star, prob)
-    return rec.report(solver, ran, x, x_avg, pre_seconds, objective_value(a, b, x_avg))
+    prob = _YProblem(u, rhs, consts, y0, max(f0, _EPS * float(b @ b)), project, to_x,
+                     r_factor, u.T @ rhs)
+    objective = _trace_objective(a, b, prob)
+    # The clock starts here: the loop's estimates count, the trace set-up not.
+    rec = _Recorder(cfg, f_star, f0, f_ref)
+    ran, y, y_out = loop(w, cfg, prob, rec, objective,
+                         _batches(u, rhs, cfg.seed, cfg.batch_size))
+    x_out = to_x(y_out)
+    return rec.report(solver, ran, to_x(y), x_out, pre_seconds, objective_value(a, b, x_out))
 
 
-def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
-               f_star: float | None, prob: _YProblem) -> tuple:
+def _batch_sgd(w: FeasibleSet, cfg: SolverConfig, prob: _YProblem, rec: _Recorder,
+               objective: Callable[[np.ndarray], float], batches: Iterator) -> tuple:
     """Loop of hdpwbatch and sgd: T updates
     y <- P(y - eta * scale * U_B^T (U_B y - rhs_B)) on i.i.d. uniform
     batches B of ``batch_size`` rows (the scaled batch gradient is
     unbiased). The trace follows, and it reports, the averaged iterate."""
-    m, r = prob.u.shape[0], cfg.batch_size
     # One float: eta * scale * g evaluates eta * scale first anyway.
-    step = _sgd_eta(cfg, w, prob) * (2.0 * m / r)
+    step = _sgd_eta(cfg, w, prob) * (2.0 * prob.u.shape[0] / cfg.batch_size)
     y = prob.y0
     y_sum = np.zeros_like(y)
-    objective = _trace_objective(a, b, prob)
-    rec = _Recorder(cfg, f_star, prob.f0, prob.f_ref)
-    batches = _batches(prob.u, prob.rhs, cfg.seed, r)
     for t, (rows, rhs) in zip(range(1, cfg.iterations + 1), batches):
         # U_B^T resid as resid.dot(U_B): ndarray.dot runs the same BLAS
         # gemv as @, with less dispatch and no transposed view.
@@ -552,34 +559,34 @@ def _batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
         if rec.due(t) and rec.stop(t, objective(y_sum / t)):
             break
     # _sgd_solve runs at least one iteration, so t is the last one run.
-    return rec, t, prob.to_x(y), prob.to_x(y_sum / t)
+    return t, y, y_sum / t
 
 
-def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
-             f_star: float | None, prob: _YProblem) -> tuple:
-    """Loop of hdpwacc: the epochs of ``acc_epoch_schedule`` with
-    V_0 = f0, at least eps ||b||^2 (an exact x0 has f0 = 0), and the
-    sampled sigma^2. It traces and reports y_hat. The rows of z are
-    (y, y_hat, g): y_tilde = [alpha, 1 - alpha] z[:2], and the new y is
-    P(c z), c the coefficients of (y + eta_t mu y_tilde - eta_t scale g) /
-    (1 + eta_t mu)."""
-    m, r = prob.u.shape[0], cfg.batch_size
-    L, mu = prob.consts.L, prob.consts.mu
-    sigma2_r = _sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
-    v0 = max(prob.f0, _EPS * float(b @ b))
-    z = np.tile(prob.y0, (3, 1))  # y_hat = y0; y and g are set before they are read
-    y_pair = z[:2]
-    scale = 2.0 * m / r
-    batches = _batches(prob.u, prob.rhs, cfg.seed, r)
-    objective = _trace_objective(a, b, prob)
-    rec = _Recorder(cfg, f_star, prob.f0, prob.f_ref)
-    total = 0
+def _epochs(cfg: SolverConfig, prob: _YProblem) -> Iterator[tuple[int, float]]:
+    """(N_s, eta_s) of hdpwacc's epochs s = 1, ..., ``epochs``: the
+    ``acc_epoch_schedule`` of V_0 = ``prob.v0`` and the sampled sigma^2 of
+    a batch. An epoch that wants more than ``_EPOCH_ITER_CAP`` steps raises
+    EpochBudgetError when it is reached, not before."""
+    sigma2_r = (_sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs)
+                / cfg.batch_size)
     for s in range(1, cfg.epochs + 1):
-        if total >= cfg.iterations or rec.stop_reason != "iterations":
-            break
-        n_s, eta_s = acc_epoch_schedule(L, mu, sigma2_r, v0, s)
+        n_s, eta_s = acc_epoch_schedule(prob.consts.L, prob.consts.mu, sigma2_r, prob.v0, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
+        yield n_s, eta_s
+
+
+def _acc_sgd(w: FeasibleSet, cfg: SolverConfig, prob: _YProblem, rec: _Recorder,
+             objective: Callable[[np.ndarray], float], batches: Iterator) -> tuple:
+    """Loop of hdpwacc over the ``_epochs`` schedule. It traces and reports
+    y_hat. The rows of z are (y, y_hat, g): y_tilde = [alpha, 1 - alpha]
+    z[:2], and the new y is P(c z), c the coefficients of
+    (y + eta_t mu y_tilde - eta_t scale g) / (1 + eta_t mu)."""
+    mu, scale = prob.consts.mu, 2.0 * prob.u.shape[0] / cfg.batch_size
+    z = np.tile(prob.y0, (3, 1))  # y_hat = y0; y and g are set before they are read
+    y_pair = z[:2]
+    total = 0
+    for n_s, eta_s in _epochs(cfg, prob):
         z[0] = z[1]
         for t, (rows, rhs) in zip(range(1, min(n_s, cfg.iterations - total) + 1), batches):
             alpha = 2.0 / (t + 1.0)
@@ -593,8 +600,11 @@ def _acc_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
             total += 1
             if rec.due(total) and rec.stop(total, objective(z[1])):
                 break
-    x_hat = prob.to_x(z[1])
-    return rec, total, x_hat, x_hat
+        # Checked after the epoch, so the next epoch's length is only
+        # asked for when that epoch runs.
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
+            break
+    return total, z[1], z[1]
 
 
 def hd_pw_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -633,7 +643,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     scaling by 2 is exact, and ihs-fixed at eta is pwgrad at eta / 2."""
     unit = 2.0 if solver == "pwgrad" else 1.0
     eta = 1.0 if cfg.step_size == "auto" else unit * float(cfg.step_size)
-    a, b, x, resid, f_ref = _start(a, b, w, cfg)
+    a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
@@ -646,7 +656,6 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     prox = sketched_prox(1)
     pre_seconds = time.perf_counter() - tic
 
-    f = float(resid @ resid)
     rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     ran = 0
     for t in range(1, cfg.iterations + 1):

@@ -4,7 +4,6 @@ import numpy as np
 
 import sketchreg.linalg as linalg_mod
 import sketchreg.solvers as solvers_mod
-from sketchreg.errors import EpochBudgetError
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
 from sketchreg.sketches import SketchOperator, apply
@@ -127,18 +126,17 @@ def batch_index_stream(seed: int, n: int, batch: int):
         yield from block
 
 
-def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
+def batch_sgd_per_step(w, cfg, prob, rec, objective, batches):
     """Reference for ``solvers._batch_sgd``: the same update, with one
-    ``next`` on ``batch_index_stream``, two take() gathers and two @
-    products per step. Run it through ``solvers._sgd_solve``."""
+    ``next`` on ``batch_index_stream`` in place of ``batches``, two take()
+    gathers and two @ products per step. Run it through
+    ``solvers._sgd_solve``."""
     m, r = prob.u.shape[0], cfg.batch_size
     eta = solvers_mod._sgd_eta(cfg, w, prob)
     scale = 2.0 * m / r
     y = prob.y0
     y_sum = np.zeros_like(y)
     indices = batch_index_stream(cfg.seed, m, r)
-    objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
     for t in range(1, cfg.iterations + 1):
         idx = next(indices)
         batch = prob.u.take(idx, axis=0)
@@ -147,30 +145,19 @@ def batch_sgd_per_step(a, b, w, cfg, f_star, prob):
         y_sum += y
         if rec.due(t) and rec.stop(t, objective(y_sum / t)):
             break
-    return rec, t, prob.to_x(y), prob.to_x(y_sum / t)
+    return t, y, y_sum / t
 
 
-def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
+def acc_sgd_per_step(w, cfg, prob, rec, objective, batches):
     """Reference for ``solvers._acc_sgd``: the same stacked recursion on
-    z = (y, y_hat, g), gathering each step's batch as
-    ``batch_sgd_per_step`` does and multiplying with @."""
-    m, r = prob.u.shape[0], cfg.batch_size
-    L, mu = prob.consts.L, prob.consts.mu
-    sigma2_batch = solvers_mod._sampled_gradient_variance(
-        prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
+    z = (y, y_hat, g) over ``solvers._epochs``, gathering each step's
+    batch as ``batch_sgd_per_step`` does and multiplying with @."""
+    mu, scale = prob.consts.mu, 2.0 * prob.u.shape[0] / cfg.batch_size
     z = np.zeros((3, prob.y0.shape[0]))
     z[1] = prob.y0
-    scale = 2.0 * m / r
-    indices = batch_index_stream(cfg.seed, m, r)
-    objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
+    indices = batch_index_stream(cfg.seed, prob.u.shape[0], cfg.batch_size)
     total = 0
-    for s in range(1, cfg.epochs + 1):
-        if total >= cfg.iterations or rec.stop_reason != "iterations":
-            break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
-        if n_s > solvers_mod._EPOCH_ITER_CAP:
-            raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
+    for n_s, eta_s in solvers_mod._epochs(cfg, prob):
         z[0] = z[1]
         for t in range(1, min(n_s, cfg.iterations - total) + 1):
             alpha = 2.0 / (t + 1.0)
@@ -186,32 +173,22 @@ def acc_sgd_per_step(a, b, w, cfg, f_star, prob):
             total += 1
             if rec.due(total) and rec.stop(total, objective(z[1])):
                 break
-    x_hat = prob.to_x(z[1])
-    return rec, total, x_hat, x_hat
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
+            break
+    return total, z[1], z[1]
 
 
-def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
+def acc_sgd_unstacked_per_step(w, cfg, prob, rec, objective, batches):
     """The accelerated recursion as written before its vectors were
     stacked: y_tilde = y_hat + alpha (y - y_hat), y_next = P((y + eta_t mu
     y_tilde - eta_t scale g) / (1 + eta_t mu)), y_hat = y_tilde +
     alpha (y_next - y). The same arithmetic in another order, so it holds
     ``solvers._acc_sgd`` to a tolerance, not bit for bit."""
-    m, r = prob.u.shape[0], cfg.batch_size
-    L, mu = prob.consts.L, prob.consts.mu
-    sigma2_batch = solvers_mod._sampled_gradient_variance(
-        prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs) / r
+    mu, scale = prob.consts.mu, 2.0 * prob.u.shape[0] / cfg.batch_size
     y_hat = prob.y0.copy()
-    scale = 2.0 * m / r
-    indices = batch_index_stream(cfg.seed, m, r)
-    objective = solvers_mod._trace_objective(a, b, prob)
-    rec = solvers_mod._Recorder(cfg, f_star, prob.f0, prob.f_ref)
+    indices = batch_index_stream(cfg.seed, prob.u.shape[0], cfg.batch_size)
     total = 0
-    for s in range(1, cfg.epochs + 1):
-        if total >= cfg.iterations or rec.stop_reason != "iterations":
-            break
-        n_s, eta_s = solvers_mod.acc_epoch_schedule(L, mu, sigma2_batch, prob.f0, s)
-        if n_s > solvers_mod._EPOCH_ITER_CAP:
-            raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
+    for n_s, eta_s in solvers_mod._epochs(cfg, prob):
         y = y_hat.copy()
         for t in range(1, min(n_s, cfg.iterations - total) + 1):
             alpha = 2.0 / (t + 1.0)
@@ -227,5 +204,6 @@ def acc_sgd_unstacked_per_step(a, b, w, cfg, f_star, prob):
             total += 1
             if rec.due(total) and rec.stop(total, objective(y_hat)):
                 break
-    x_hat = prob.to_x(y_hat)
-    return rec, total, x_hat, x_hat
+        if total >= cfg.iterations or rec.stop_reason != "iterations":
+            break
+    return total, y_hat, y_hat

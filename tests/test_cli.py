@@ -176,6 +176,22 @@ class TestBench:
         assert (out_dir / "hdpwbatch_r2.csv").exists()
         assert "speedup" in printed
 
+    @pytest.mark.parametrize("crossings,printed", [
+        ([10, 20, 30, 40, 50, 60] + [None] * 4, "60"),
+        ([10, 20, 30, 40, 50] + [None] * 5, "--"),
+    ])
+    def test_median_iterations_count_every_seed(self, tmp_path, capsys, monkeypatch,
+                                                crossings, printed):
+        # Ten seeds ranked with a miss as never: the entry at index 10 // 2,
+        # the one the all-reached case takes.
+        calls = iter(crossings)
+        monkeypatch.setattr(cli_mod.bench, "iterations_to_target", lambda rep, t: next(calls))
+        assert main(["bench", "--n", "128", "--d", "4", "--solvers", "pwgrad",
+                     "--iters", "5", "--seeds", "10", "--out-dir", str(tmp_path / "res")]) == 0
+        (row,) = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                  if ln.split()[:1] == ["pwgrad"]]
+        assert row[-1] == printed
+
     def test_empty_solver_list_is_usage_error(self, tmp_path):
         assert main(["bench", "--solvers", "", "--out-dir",
                      str(tmp_path / "o")]) == 2

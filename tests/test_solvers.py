@@ -1,6 +1,8 @@
+import ast
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -670,6 +672,29 @@ class TestAccelerated:
             hd_pw_acc_batch_sgd(a, b, w, SolverConfig(iterations=400, batch_size=4, seed=5),
                                 f_star=f_star)
 
+    def test_epoch_over_cap_raises_only_when_reached(self, monkeypatch):
+        # Noisy data from zero: epoch 2 wants about twice epoch 1's steps.
+        # With the cap between the two, a run that ends in epoch 1 never
+        # asks for epoch 2's length.
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=12)
+        lengths = []
+
+        def schedule(*args):
+            n_s, eta_s = acc_epoch_schedule(*args)
+            lengths.append(n_s)
+            return n_s, eta_s
+
+        monkeypatch.setattr(solvers_mod, "acc_epoch_schedule", schedule)
+        cfg = SolverConfig(iterations=400, batch_size=16, seed=5)
+        hd_pw_acc_batch_sgd(a, b, w, cfg, f_star=f_star)
+        n_1, n_2 = lengths[:2]
+        assert n_1 < n_2
+        monkeypatch.setattr(solvers_mod, "_EPOCH_ITER_CAP", n_1)
+        rep = hd_pw_acc_batch_sgd(a, b, w, replace(cfg, iterations=n_1), f_star=f_star)
+        assert (rep.iterations_run, rep.stop_reason) == (n_1, "iterations")
+        with pytest.raises(EpochBudgetError, match="epoch 2 wants"):
+            hd_pw_acc_batch_sgd(a, b, w, replace(cfg, iterations=n_1 + 1), f_star=f_star)
+
 
 class TestPwGradient:
     def test_fixed_point_at_optimum(self):
@@ -824,6 +849,10 @@ class TestGatheredBatches:
     # Past the first 8192-step index block, across many gather chunks.
     STEPS = 8500
 
+    # "exact" starts at the planted x of noiseless data, f(x0) = 0: hdpwacc's
+    # epochs then start from the floored V_0 and are short at first, so
+    # the run crosses dozens of them.
+    @pytest.mark.parametrize("start", ["zero", "exact"])
     @pytest.mark.parametrize("batch", [1, 16])
     @pytest.mark.parametrize("constraint", ["none", "l2", "l1"])
     @pytest.mark.parametrize("name,loop,reference,precondition", [
@@ -832,13 +861,14 @@ class TestGatheredBatches:
         ("sgd", solvers_mod._batch_sgd, batch_sgd_per_step, False),
     ])
     def test_bitwise_equal_to_per_step_loop(self, name, loop, reference, precondition,
-                                            constraint, batch):
-        a, b, _ = gen_synthetic(DatasetSpec(n=64, d=3, target_kappa=10.0,
-                                            noise_std=1.0, seed=31))
+                                            constraint, batch, start):
+        a, b, x_planted = gen_synthetic(DatasetSpec(n=64, d=3, target_kappa=10.0,
+                                                    noise_std=float(start == "zero"), seed=31))
         # At radius_scale 1 a few hundred steps leave the ball, enough to
         # exercise the prox without its cost dominating the test.
         w = make_feasible_set(a, b, constraint)
-        cfg = SolverConfig(iterations=self.STEPS, batch_size=batch, epochs=40, seed=3)
+        cfg = SolverConfig(iterations=self.STEPS, batch_size=batch, epochs=200, seed=3,
+                           x0=x_planted if start == "exact" else None)
         got, want = (solvers_mod._sgd_solve(a, b, w, cfg, None, name, fn, precondition)
                      for fn in (loop, reference))
         assert got.iterations_run == want.iterations_run == self.STEPS
@@ -876,6 +906,27 @@ class TestGatheredBatches:
         idx = np.array([next(stream) for _ in range(self.STEPS)])
         np.testing.assert_array_equal(np.array(rows), u[idx])
         np.testing.assert_array_equal(np.array(rhs_b), rhs[idx])
+
+
+class TestOneRunSetUp:
+    def test_only_the_pipelines_build_what_the_loops_share(self):
+        # The SGD loops and the replays in helpers get the recorder, trace
+        # objective and batch stream from the pipeline, and hdpwacc's
+        # schedule only through _epochs.
+        pipelines = {"_sgd_solve", "_full_gradient_descent"}
+        allowed = {"_Recorder": pipelines, "_trace_objective": pipelines,
+                   "_batches": pipelines, "acc_epoch_schedule": {"_epochs"}}
+        found = []
+        for path in (Path(solvers_mod.__file__), Path(__file__).parent / "helpers.py"):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if name in allowed:
+                            found.append((path.name, name, getattr(top, "name", None)))
+        assert {name for _, name, _ in found} == set(allowed)
+        assert all(file == "solvers.py" and where in allowed[name]
+                   for file, name, where in found), found
 
 
 class TestReportShape:
