@@ -20,10 +20,12 @@ retry policy. The SGD solvers get it from ``build_preconditioner``,
 which transforms A and b once and samples an SRHT's rows from that
 same H D A.
 
-The three SGD solvers share one pipeline, ``_sgd_solve``, and differ only
-in their loops. The pipeline builds the y-problem with V_0, the recorder,
-the trace objective and the batch stream once; the loops keep only their
-step rule and update, and hdpwacc reads its epochs from ``_epochs``.
+Each pipeline builds one ``_Recorder`` per run before any sketch; it
+keeps the trace, the stop rules and both clocks. The three SGD solvers
+share one pipeline, ``_sgd_solve``, and differ only in their loops. The
+pipeline builds the y-problem with V_0, the trace objective and the
+batch stream once; the loops keep only their step rule and update, and
+hdpwacc reads its epochs from ``_epochs``.
 They step in y = R x coordinates over U = HDA R^-1 (U = A,
 R = I for plain SGD), i.e. SGD on min ||U y - HDb||^2 over R W: a step
 costs O(batch * d) with no triangular solve on R^d, and on a ball only a
@@ -115,9 +117,11 @@ class SolverConfig:
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
     whose points cost O(d^2) each). ``max_seconds``, ``objective_tol``
-    (full-gradient solvers) and ``stop_below_rel`` (needs ``f_star``)
+    and ``stop_below_rel`` (which raises ValueError without ``f_star``)
     end a run early; ``SolveReport.stop_reason`` says which rule did.
-    The SGD solvers' stop rules read the trace value, and the last trace
+    ``objective_tol`` fires when |f - f_last| <= tol max(f, 1), f_last the
+    last traced objective, so it tells a stall from a rise. The SGD
+    solvers apply the rules at their traced points, and the last trace
     point is always the exact objective of the returned iterate.
     """
 
@@ -170,9 +174,16 @@ class TracePoint(NamedTuple):
 class SolveReport:
     """Per-run record: trace of (iteration, wall time, objective,
     relative error), the last iterate, the averaged iterate, how long
-    preconditioning took, and why the run stopped: "iterations" (ran
-    its iteration budget or epoch schedule), "target"
-    (``stop_below_rel``), "time" (``max_seconds``) or "objective_tol"."""
+    the set-up took, and why the run stopped: "iterations" (ran its
+    iteration budget or epoch schedule), "target" (``stop_below_rel``),
+    "time" (``max_seconds``) or "objective_tol".
+
+    ``preconditioning_seconds`` is the whole set-up lap, from the checked
+    start to the first step: the first sketch and its R, and for the SGD
+    solvers also the pass that writes U, the eigendecomposition of its
+    Gram matrix, U^T rhs and the trace set-up (for plain ``sgd``, just
+    that Gram pass). A trace point's ``elapsed_seconds`` counts from the
+    end of that lap."""
 
     solver: str
     trace: list[TracePoint]
@@ -433,19 +444,24 @@ def _trace_objective(a: np.ndarray, b: np.ndarray,
 
 
 class _Recorder:
-    """Trace, stop rules and time budget shared by every solver loop.
+    """Trace, stop rules and clocks of one solve, shared by every solver loop.
 
-    The clock starts at construction; ``stop`` traces a point when its
-    iteration is due and applies ``stop_below_rel``, ``objective_tol``
-    (given the previous objective) and ``max_seconds``, keeping the
-    rule that fired as ``stop_reason``; ``report`` makes the exact
-    objective of the returned iterate the last point. An objective,
-    checked or traced, that is non-finite or above ``_DIVERGENCE_FACTOR``
-    times the start's f_ref (see ``_start``) raises DivergenceError.
+    A pipeline builds it right after ``_start``, so a bad stop rule
+    raises before any work, and calls ``begin`` once its set-up is done:
+    the set-up lap becomes ``preconditioning_seconds`` and the trace clock
+    starts. ``stop`` traces a point when its iteration is due and applies
+    ``stop_below_rel``, ``objective_tol`` (against the last traced
+    objective) and ``max_seconds``, keeping the rule that fired as
+    ``stop_reason``; ``report`` makes the exact objective of the returned
+    iterate the last point. An objective, checked or traced, that is
+    non-finite or above ``_DIVERGENCE_FACTOR`` times the start's f_ref
+    (see ``_start``) raises DivergenceError.
     """
 
     def __init__(self, cfg: SolverConfig, f_star: float | None, f0: float,
                  f_ref: float, dense: bool = False):
+        if cfg.stop_below_rel is not None and f_star is None:
+            raise ValueError("stop_below_rel needs f_star")
         self.cfg = cfg
         self.f_star = f_star
         self.limit = _DIVERGENCE_FACTOR * f_ref
@@ -456,6 +472,11 @@ class _Recorder:
         self.stop_reason = "iterations"
         self.start = time.perf_counter()
 
+    def begin(self) -> None:
+        """End the set-up lap and start the trace clock."""
+        now = time.perf_counter()
+        self.pre_seconds, self.start = now - self.start, now
+
     def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
         if not np.isfinite(f):
             raise DivergenceError(f"objective is {f} at iteration {t}")
@@ -465,12 +486,13 @@ class _Recorder:
                                   f" at iteration {t}")
         return TracePoint(t, elapsed, f, relative_error(f, self.f_star))
 
-    def _rule(self, point: TracePoint, f_prev: float | None) -> str | None:
-        cfg = self.cfg
+    def _rule(self, point: TracePoint) -> str | None:
+        cfg, f = self.cfg, point.objective
         if cfg.stop_below_rel is not None and point.relative_error <= cfg.stop_below_rel:
             return "target"
-        if (f_prev is not None and cfg.objective_tol is not None
-                and f_prev - point.objective <= cfg.objective_tol * max(point.objective, 1.0)):
+        # A stall, not a rise: |f - f_last| is small either way round.
+        if (cfg.objective_tol is not None
+                and abs(f - self.trace[-1].objective) <= cfg.objective_tol * max(f, 1.0)):
             return "objective_tol"
         if cfg.max_seconds is not None and point.elapsed_seconds > cfg.max_seconds:
             return "time"
@@ -479,10 +501,10 @@ class _Recorder:
     def due(self, t: int) -> bool:
         return t % self.every == 0 or t == self.cfg.iterations
 
-    def stop(self, t: int, f: float, f_prev: float | None = None) -> bool:
+    def stop(self, t: int, f: float) -> bool:
         """Whether a stop rule fires at iteration t; traces t when due."""
         point = self._point(t, time.perf_counter() - self.start, f)
-        rule = self._rule(point, f_prev)
+        rule = self._rule(point)
         if self.due(t):
             self.trace.append(point)
         if rule is not None:
@@ -490,7 +512,7 @@ class _Recorder:
         return rule is not None
 
     def report(self, solver: str, ran: int, x: np.ndarray, x_avg: np.ndarray,
-               pre_seconds: float, final_objective: float) -> SolveReport:
+               final_objective: float) -> SolveReport:
         """The run's report, whose point at iteration ``ran`` carries
         ``final_objective``, the exact objective of the returned iterate."""
         elapsed = time.perf_counter() - self.start
@@ -498,7 +520,7 @@ class _Recorder:
             elapsed = self.trace.pop().elapsed_seconds
         self.trace.append(self._point(ran, elapsed, final_objective))
         return SolveReport(solver=solver, trace=self.trace, final_x=x, final_x_avg=x_avg,
-                           iterations_run=ran, preconditioning_seconds=pre_seconds,
+                           iterations_run=ran, preconditioning_seconds=self.pre_seconds,
                            stop_reason=self.stop_reason)
 
 
@@ -506,22 +528,21 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
                f_star: float | None, solver: str,
                loop: Callable[..., tuple], precondition: bool) -> SolveReport:
     """The pipeline of the three SGD solvers, which differ only in ``loop``:
-    preconditioning (skipped for plain SGD; a bad sketch size raises even
-    at ``iterations=0``, which reports x0 and runs no estimator), the
-    y-problem, then the recorder, trace objective and batch stream that
-    ``loop`` steps with. ``loop`` -> (iterations run, last y, reported y);
+    the recorder, preconditioning (skipped for plain SGD; a bad sketch
+    size raises even at ``iterations=0``, which reports x0 and runs no
+    estimator), the y-problem, then the trace objective and batch stream
+    that ``loop`` steps with, after which the recorder's trace clock
+    starts. ``loop`` -> (iterations run, last y, reported y);
     the ys map back to x, and the exact objective of the reported x is
     the last trace point."""
     a, b, x0, _, f0, f_ref = _start(a, b, w, cfg)
-    pre_seconds = 0.0
+    rec = _Recorder(cfg, f_star, f0, f_ref)
     if precondition:
-        tic = time.perf_counter()
         pre = build_preconditioner(a, b, cfg.sketch_kind,
                                    resolve_sketch_size(cfg, *a.shape, False), cfg.seed)
-        pre_seconds = time.perf_counter() - tic
     if cfg.iterations == 0:
-        return _Recorder(cfg, f_star, f0, f_ref).report(solver, 0, x0, x0.copy(),
-                                                        pre_seconds, f0)
+        rec.begin()
+        return rec.report(solver, 0, x0, x0.copy(), f0)
     if precondition:
         prox = RMetricProx(pre.r_factor, w)
         u, rhs, r_factor = pre.hda, pre.hdb, pre.r_factor
@@ -533,12 +554,12 @@ def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
     prob = _YProblem(u, rhs, consts, y0, max(f0, _EPS * float(b @ b)), project, to_x,
                      r_factor, u.T @ rhs)
     objective = _trace_objective(a, b, prob)
-    # The clock starts here: the loop's estimates count, the trace set-up not.
-    rec = _Recorder(cfg, f_star, f0, f_ref)
+    # The trace clock starts here: the loop's estimates count, the set-up not.
+    rec.begin()
     ran, y, y_out = loop(w, cfg, prob, rec, objective,
                          _batches(u, rhs, cfg.seed, cfg.batch_size))
     x_out = to_x(y_out)
-    return rec.report(solver, ran, to_x(y), x_out, pre_seconds, objective_value(a, b, x_out))
+    return rec.report(solver, ran, to_x(y), x_out, objective_value(a, b, x_out))
 
 
 def _batch_sgd(w: FeasibleSet, cfg: SolverConfig, prob: _YProblem, rec: _Recorder,
@@ -644,6 +665,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     unit = 2.0 if solver == "pwgrad" else 1.0
     eta = 1.0 if cfg.step_size == "auto" else unit * float(cfg.step_size)
     a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
+    rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
@@ -652,11 +674,8 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
         return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
-    tic = time.perf_counter()
     prox = sketched_prox(1)
-    pre_seconds = time.perf_counter() - tic
-
-    rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
+    rec.begin()
     ran = 0
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch and t > 1:
@@ -665,11 +684,11 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
             prox = sketched_prox(t, prox)
         x = prox.solve(x, a.T @ resid, eta)
         resid = a @ x - b
-        f_prev, f = f, float(resid @ resid)
+        f = float(resid @ resid)
         ran = t
-        if rec.stop(t, f, f_prev):
+        if rec.stop(t, f):
             break
-    return rec.report(solver, ran, x, x.copy(), pre_seconds, f)
+    return rec.report(solver, ran, x, x.copy(), f)
 
 
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,

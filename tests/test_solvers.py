@@ -1,6 +1,7 @@
 import ast
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,6 +163,33 @@ class TestAllSolvers:
             SOLVERS[name](np.zeros((0, 3)), np.zeros(0), w, SolverConfig(iterations=5))
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_stop_below_rel_needs_f_star(self, name, monkeypatch):
+        # A NaN relative error never meets the target, so the rule is
+        # refused when the recorder is built, before any sketch or pass.
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        for attr in ("build_preconditioner", "sketched_r", "_smoothness_bounds"):
+            monkeypatch.setattr(solvers_mod, attr, lambda *args, _n=attr: pytest.fail(_n))
+        with pytest.raises(ValueError, match="stop_below_rel needs f_star"):
+            SOLVERS[name](a, b, w, SolverConfig(iterations=5, seed=0, stop_below_rel=1e-3))
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_deterministic_given_seed(self, name):
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
+        cfg = SolverConfig(iterations=300, batch_size=2, epochs=6, seed=3)
+        rep1, rep2 = (SOLVERS[name](a, b, w, cfg, f_star=f_star) for _ in range(2))
+        np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
+        np.testing.assert_array_equal(rep1.final_x_avg, rep2.final_x_avg)
+        assert [p.objective for p in rep1.trace] == [p.objective for p in rep2.trace]
+
+    @pytest.mark.parametrize("name", ["pwgrad", "ihs", "ihs-fixed"])
+    def test_fixed_point_at_optimum(self, name):
+        a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=13)
+        x_star, _ = ground_truth(a, b, w)
+        cfg = SolverConfig(iterations=5, seed=2, record_every=1, x0=x_star)
+        rep = SOLVERS[name](a, b, w, cfg)
+        assert np.max(np.abs(rep.final_x - x_star)) <= 1e-12 * max(np.max(np.abs(x_star)), 1.0)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_zero_optimum_raises(self, name):
         a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
         with pytest.raises(DegenerateOptimumError):
@@ -241,6 +269,21 @@ class TestDivergenceGuard:
         cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
         with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
             SOLVERS[name](*problem, cfg)
+
+    @pytest.mark.parametrize("constraint", ["none", "l2"])
+    def test_a_rise_is_not_objective_tol(self, problem, constraint):
+        # A 2d sketch's unit step makes f rise from iteration 1 on. Only a
+        # change |f - f_last| <= tol max(f, 1) is convergence, not a rise.
+        a, b, _ = problem
+        w = make_feasible_set(a, b, constraint, radius_scale=0.7)
+        cfg = SolverConfig(iterations=40, seed=3, sketch_size=100, objective_tol=1e-8)
+        if constraint == "none":
+            with pytest.raises(DivergenceError, match="exceeds 10 times"):
+                pw_gradient(a, b, w, cfg)
+        else:
+            # f stays bounded on the ball, so the guard does not fire.
+            rep = pw_gradient(a, b, w, cfg)
+            assert (rep.stop_reason, rep.iterations_run) == ("iterations", 40)
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     @pytest.mark.parametrize("mult", [4, 8])
@@ -345,6 +388,19 @@ class TestStopReason:
         rep = pw_gradient(a, b, w, cfg, f_star=f_star)
         assert rep.stop_reason == "objective_tol"
         assert rep.iterations_run < 500
+
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_objective_tol_at_traced_points(self, name):
+        # The SGD solvers compare each traced objective with the last one
+        # (measured: 250, 250 and 300 steps of 5000).
+        a, b, w, f_star = make_problem(n=1024, d=6, kappa=10.0, seed=27)
+        cfg = SolverConfig(iterations=5000, batch_size=8, seed=2, record_every=50,
+                           objective_tol=1e-3)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        assert rep.stop_reason == "objective_tol"
+        assert rep.iterations_run < 5000 and rep.iterations_run % 50 == 0
+        f = [p.objective for p in rep.trace]
+        assert abs(f[-1] - f[-2]) <= 1e-3 * max(f[-1], 1.0)
 
 
 # Plain sgd at kappa(A) >= 1e10 has kappa(G) = kappa(A)^2 far above
@@ -614,14 +670,6 @@ class TestHdPwBatchSgd:
         rep_c = hd_pw_batch_sgd(c * a, b, w_c, cfg)
         np.testing.assert_allclose(c * rep_c.final_x_avg, rep.final_x_avg, rtol=1e-8)
 
-    def test_deterministic_given_seed(self):
-        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
-        cfg = SolverConfig(iterations=300, batch_size=2, seed=3)
-        rep1 = hd_pw_batch_sgd(a, b, w, cfg, f_star=f_star)
-        rep2 = hd_pw_batch_sgd(a, b, w, cfg, f_star=f_star)
-        np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
-        assert [p.objective for p in rep1.trace] == [p.objective for p in rep2.trace]
-
     def test_variance_pass_only_with_a_diameter(self, monkeypatch):
         # Without D_W the auto step is the stability cap, which has no use
         # for sigma^2; on a ball the step needs it.
@@ -658,13 +706,6 @@ class TestAccelerated:
         assert rep.iterations_run <= 200
         assert rep.final_objective <= 1e-6 * f0
 
-    def test_deterministic_given_seed(self):
-        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=12)
-        cfg = SolverConfig(iterations=400, batch_size=4, epochs=6, seed=5)
-        rep1 = hd_pw_acc_batch_sgd(a, b, w, cfg, f_star=f_star)
-        rep2 = hd_pw_acc_batch_sgd(a, b, w, cfg, f_star=f_star)
-        np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
-
     def test_epoch_over_cap_raises(self, monkeypatch):
         a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=12)
         monkeypatch.setattr(solvers_mod, "_EPOCH_ITER_CAP", 5)
@@ -697,13 +738,6 @@ class TestAccelerated:
 
 
 class TestPwGradient:
-    def test_fixed_point_at_optimum(self):
-        a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=13)
-        x_star, _ = ground_truth(a, b, w)
-        cfg = SolverConfig(iterations=5, seed=2, record_every=1, x0=x_star)
-        rep = pw_gradient(a, b, w, cfg)
-        assert np.max(np.abs(rep.final_x - x_star)) <= 1e-12 * max(np.max(np.abs(x_star)), 1.0)
-
     def test_monotone_decrease_unconstrained(self):
         a, b, w, f_star = make_problem(n=1024, d=8, kappa=1e4, seed=14)
         rep = pw_gradient(a, b, w, SolverConfig(iterations=40, seed=3, record_every=1),
@@ -732,26 +766,19 @@ class TestPwGradient:
 
 
 class TestIhs:
-    def test_fixed_sketch_equals_pw_gradient(self):
-        a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=16)
-        cfg = SolverConfig(iterations=5, seed=7)
-        pw = pw_gradient(a, b, w, cfg, f_star=f_star)
-        fixed = ihs_fixed(a, b, w, cfg, f_star=f_star)
-        np.testing.assert_array_equal(fixed.final_x, pw.final_x)
-        assert [p.objective for p in fixed.trace] == [p.objective for p in pw.trace]
-
-    @pytest.mark.parametrize("eta", [0.6, 0.37])
+    @pytest.mark.parametrize("eta", ["auto", 0.6, 0.37])
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     @pytest.mark.parametrize("constraint", ["none", "l1", "l2"])
     @pytest.mark.parametrize("x0", [None, "given"])
     def test_fixed_sketch_is_pw_gradient_at_half_the_step(self, eta, kind, constraint, x0):
-        # Both step on A^T (Ax - b); pwgrad's explicit step doubles, exactly.
+        # Both step on A^T (Ax - b); pwgrad's explicit step doubles, exactly,
+        # and both auto steps are the unit step on it.
         a, b, w, _ = make_problem(n=512, d=6, kappa=100.0, seed=21, constraint=constraint,
                                   radius_scale=0.7)
         start = None if x0 is None else np.linspace(-0.1, 0.1, 6)
         cfg = SolverConfig(iterations=8, seed=3, sketch_kind=kind, x0=start)
         fixed = ihs_fixed(a, b, w, replace(cfg, step_size=eta))
-        pw = pw_gradient(a, b, w, replace(cfg, step_size=eta / 2))
+        pw = pw_gradient(a, b, w, replace(cfg, step_size=eta if eta == "auto" else eta / 2))
         np.testing.assert_array_equal(fixed.final_x, pw.final_x)
         assert [p.objective for p in fixed.trace] == [p.objective for p in pw.trace]
 
@@ -770,12 +797,6 @@ class TestIhs:
         assert not np.allclose(auto.final_x, small.final_x)
         # A hundredth of the unit step barely leaves x0 = 0 in five steps.
         assert small.final_relative_error > auto.final_relative_error
-
-    def test_fixed_point_at_optimum(self):
-        a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=18)
-        x_star, _ = ground_truth(a, b, w)
-        rep = ihs(a, b, w, SolverConfig(iterations=4, seed=9, x0=x_star))
-        assert np.max(np.abs(rep.final_x - x_star)) <= 1e-12 * max(np.max(np.abs(x_star)), 1.0)
 
     def test_one_sketch_per_iteration_the_first_at_set_up(self, monkeypatch):
         a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=18)
@@ -833,13 +854,6 @@ class TestPlainSgd:
         rel_plain = (objective_value(a, b, plain.final_x) - f_star) / f_star
         rel_pre = (objective_value(a, b, pre.final_x) - f_star) / f_star
         assert rel_plain >= 10.0 * rel_pre
-
-    def test_deterministic_given_seed(self):
-        a, b, w, f_star = make_problem(n=512, d=6, kappa=10.0, seed=22)
-        cfg = SolverConfig(iterations=200, batch_size=2, seed=11)
-        rep1 = plain_sgd_baseline(a, b, w, cfg, f_star=f_star)
-        rep2 = plain_sgd_baseline(a, b, w, cfg, f_star=f_star)
-        np.testing.assert_array_equal(rep1.final_x, rep2.final_x)
 
 
 class TestGatheredBatches:
@@ -909,6 +923,37 @@ class TestGatheredBatches:
 
 
 class TestOneRunSetUp:
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_set_up_is_timed_as_preconditioning(self, name, monkeypatch):
+        # The U pass and Gram eigendecomposition belong to the set-up lap,
+        # not to the trace clock, for plain sgd too.
+        smoothness_bounds = solvers_mod._smoothness_bounds
+
+        def slow(*args):
+            time.sleep(0.05)
+            return smoothness_bounds(*args)
+
+        monkeypatch.setattr(solvers_mod, "_smoothness_bounds", slow)
+        a, b, w, f_star = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=10, seed=0), f_star=f_star)
+        assert rep.preconditioning_seconds >= 0.05
+        assert rep.trace[-1].elapsed_seconds < 0.05
+
+    def test_one_recorder_per_pipeline_built_before_any_sketch(self):
+        # The recorder keeps both clocks: no pipeline reads the time itself.
+        tree = ast.parse(Path(solvers_mod.__file__).read_text())
+        for fn in tree.body:
+            if getattr(fn, "name", None) not in ("_sgd_solve", "_full_gradient_descent"):
+                continue
+            calls = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            recorders = [line for line, name in calls if name == "_Recorder"]
+            assert len(recorders) == 1, fn.name
+            assert all(name != "perf_counter" for _, name in calls), fn.name
+            work = [line for line, name in calls
+                    if name in ("build_preconditioner", "sketched_r", "_smoothness_bounds")]
+            assert work and recorders[0] < min(work), fn.name
+
     def test_only_the_pipelines_build_what_the_loops_share(self):
         # The SGD loops and the replays in helpers get the recorder, trace
         # objective and batch stream from the pipeline, and hdpwacc's
