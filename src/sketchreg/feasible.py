@@ -8,8 +8,8 @@ the origin, so 0 is always feasible). The prox solves both balls
 exactly, at a cost that does not grow with kappa(R): a Newton solve of
 the l2 secular equation and a Lasso-path homotopy for the l1 ball. The
 l1 solve first tries the signed support of its previous answer, which
-costs one piece of the path; that answer agrees with the full path to
-rounding and passes the same KKT test.
+costs one piece of the path; that answer is kept only where the path
+would stop on that face too, and it passes the same KKT test.
 """
 
 import math
@@ -32,6 +32,10 @@ L2_BALL = "l2_ball"
 L1_BALL = "l1_ball"
 
 _KKT_TOL = 1e-10
+# A warm l1 face is kept only if its other correlations lie inside
+# [-lam, lam] by this many rounding units of ||R^T R z||_inf; their
+# rounding measured up to 2 units.
+_WARM_MARGIN = 8.0 * float(np.finfo(np.float64).eps)
 # Newton steps of the l2 secular equation; a handful is typical.
 _NEWTON_CAP = 50
 _NEWTON_RTOL = 4.0 * float(np.finfo(np.float64).eps)
@@ -153,11 +157,11 @@ class RMetricProx:
     Presnell and Turlach 2000). Successive solver steps give nearby z, so
     the instance keeps the signed support of its last l1 answer and first
     solves that single piece of the path; the path from lam_max runs only
-    when that piece fails the KKT test. Either way the l1 answer is
-    returned only after its KKT conditions are checked, so a warm answer
-    agrees with the path's to rounding; InnerSolverStallError reports a
-    failed check of the path, a non-finite input or an exhausted step
-    budget.
+    when the path would not stop on that piece (see
+    ``_l1_ball_homotopy``) or it fails the KKT test. Either way the l1
+    answer is returned only after its KKT conditions are checked;
+    InnerSolverStallError reports a failed check of the path, a
+    non-finite input or an exhausted step budget.
     """
 
     def __init__(self, r_factor: np.ndarray, w: FeasibleSet,
@@ -279,22 +283,35 @@ class RMetricProx:
         and re-add it at the same lam until the budget runs out.
 
         The path starts from lam_max only when the last answer's signed
-        support (``_l1_face``), solved as a final piece, fails the KKT
-        test; a hit costs that one piece.
+        support (``_l1_face``), solved as a final piece, is not where the
+        path would stop, or fails the KKT test; a hit costs that one
+        piece. The path stops on a piece when no coordinate crosses zero
+        and no other correlation passes lam, which the warm piece checks
+        on its own correlations base + lam drift, with a margin of
+        ``_WARM_MARGIN`` ||R^T R z||_inf. At high kappa(R) the rounding
+        of R^T R (z - x) is a sizeable part of lam (5 % at kappa 1e7), so
+        a test on that gradient cannot tell a wrong face from rounding;
+        these correlations are the numbers the path itself decides by.
         """
         rho = self.w.radius
         d = z.shape[0]
         rz = self.r @ z
+        corr = self.r.T @ rz
         idx, signs = self._l1_face
         if idx.size:
-            x_ls, slope, _, _ = self._segment(rz, idx, signs)
+            x_ls, slope, base, drift = self._segment(rz, idx, signs)
             norm_slope = float(signs @ slope)
             if norm_slope > 0.0:
                 lam = (float(signs @ x_ls) - rho) / norm_slope
-                x = self._on_face(d, idx, signs, x_ls - lam * slope)
-                if self._l1_kkt_failure(z, x, lam) is None:
-                    return x
-        corr = self.r.T @ rz
+                x_e = x_ls - lam * slope
+                off = np.ones(d, dtype=bool)
+                off[idx] = False
+                margin = _WARM_MARGIN * float(np.max(np.abs(corr)))
+                if (np.all(signs * x_e >= 0.0)
+                        and np.all(np.abs(base[off] + lam * drift[off]) <= lam - margin)):
+                    x = self._on_face(d, idx, signs, x_e)
+                    if self._l1_kkt_failure(z, x, lam) is None:
+                        return x
         lam = float(np.max(np.abs(corr)))
         support = np.empty(0, dtype=np.intp)
         sup_signs = np.empty(0)

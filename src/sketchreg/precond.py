@@ -11,7 +11,8 @@ no second pass over A (Avron, Maymounkov and Toledo, "Blendenpik",
 2010). Gaussian and CountSketch sketches apply S to A itself.
 
 ``sketched_r`` is the one rank-loss policy for every solver's R: a
-sketch that loses rank is redrawn once at twice the size.
+sketch that loses rank is redrawn once at twice the size, and the size
+that made R is returned with it (the full-gradient step reads it).
 """
 
 from dataclasses import dataclass, field
@@ -72,20 +73,21 @@ def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
 
 
 def sketched_r(a: np.ndarray, sketch_kind: str, sketch_size: int, seed: int,
-               hda: np.ndarray | None = None) -> np.ndarray:
-    """R of the seeded sketch S A with the automatic retry policy: on
+               hda: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """(R, s): R of the seeded sketch S A and the row count s of the
+    sketch that made it, under the automatic retry policy: on
     RankDeficientError the sketch is redrawn once with doubled s (capped
     below n); a second failure propagates. An SRHT given ``hda`` (see
     :func:`build_r`) samples it on both tries and transforms nothing.
     """
     n = a.shape[0]
     try:
-        return build_r(a, make_sketch(sketch_kind, sketch_size, n, seed), hda)
+        return build_r(a, make_sketch(sketch_kind, sketch_size, n, seed), hda), sketch_size
     except RankDeficientError:
         retry_s = min(2 * sketch_size, n - 1)
         if retry_s <= sketch_size:
             raise
-        return build_r(a, make_sketch(sketch_kind, retry_s, n, seed), hda)
+        return build_r(a, make_sketch(sketch_kind, retry_s, n, seed), hda), retry_s
 
 
 def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
@@ -93,8 +95,8 @@ def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,
     """One Hadamard pass over A and b, and the R of ``sketched_r``,
     which an SRHT samples from that pass."""
     hda, hdb = build_hd(a, b, seed)
-    return Preconditioner(r_factor=sketched_r(a, sketch_kind, sketch_size, seed, hda),
-                          hda=hda, hdb=hdb)
+    r_factor, _ = sketched_r(a, sketch_kind, sketch_size, seed, hda)
+    return Preconditioner(r_factor=r_factor, hda=hda, hdb=hdb)
 
 
 def row_norm_spread(row_norms: np.ndarray) -> tuple[float, float]:

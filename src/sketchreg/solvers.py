@@ -11,9 +11,14 @@ Four preconditioned methods plus one baseline:
   linearly convergent for the high precision regime.
 * ``ihs``               -- the iterative-Hessian-sketch baseline, a fresh
   sketch per iteration; ``ihs_fixed`` keeps one sketch and is bit for
-  bit pw_gradient at half its step.
+  bit pw_gradient at half its explicit step, and at the auto step.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
+
+The full-gradient solvers' auto step comes from the sketch ratio
+rho = d/s (see ``_ratio_step``), which keeps it inside the sketch's
+expected spectrum at every sketch size; the default sizes (see
+``resolve_sketch_size``) leave room for a drawn spectrum's spread.
 
 Every solver takes R from ``precond.sketched_r``, under one rank-loss
 retry policy. The SGD solvers get it from ``build_preconditioner``,
@@ -59,6 +64,7 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     EpochBudgetError,
+    SketchSizeError,
     UnboundedSetError,
 )
 from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidean
@@ -90,13 +96,19 @@ _EPOCH_ITER_CAP = 10_000_000
 _VARIANCE_DRAWS = 200
 # A traced objective above this multiple of the start's f_ref (see
 # _start) raises DivergenceError. The highest converging peaks measured
-# are 1.34 f_ref (ihs, srht, s = 4d, 2048 x 20, kappa 1e4, 40 iterations)
-# and, for SGD, 1.07 f_ref (hdpwbatch, batch 1, started at x*, 8192 x 20);
-# a unit step on a 2d-8d sketch passes 10 f_ref within 2-34 iterations
-# and grows geometrically from there.
+# are 1.34 f_ref (ihs, srht, s = 4d, 2048 x 20, kappa 1e4, 40 iterations,
+# unit step) and, for SGD, 1.07 f_ref (hdpwbatch, batch 1, started at x*,
+# 8192 x 20); an explicit unit step on a 2d-8d sketch passes 10 f_ref
+# within 2-34 iterations and grows geometrically from there.
 _DIVERGENCE_FACTOR = 10.0
 # Rounding level of an objective, relative to f(0) = ||b||^2: the floor of f_ref.
 _EPS = float(np.finfo(np.float64).eps)
+# Fewest rows of a high-precision Gaussian sketch. The edge of a small
+# sketch's spectrum strays far past the ratio step's interval: at 12d
+# rows the step diverged on 3.2 % of sampled sketches at d = 1, 0.5 % at
+# d = 5 and 0.05 % at d = 10. At 400 rows none of 2e6 (d = 1) to 4e4
+# (d = 20) samples diverged or contracted slower than 0.85 a step.
+_GAUSSIAN_MIN_ROWS = 400
 
 
 @dataclass
@@ -112,7 +124,10 @@ class SolverConfig:
     D is finite, a sampled gradient-variance estimate sigma^2 at x0.
     hdpwacc always uses that sigma^2 and V_0 = f(x0), floored at
     eps ||b||^2. For the full-gradient
-    solvers "auto" is step 1 on A^T (Ax - b), which is 1/2 in pwgrad's units.
+    solvers "auto" is the step (1 - rho)^2 / (1 + rho) on A^T (Ax - b),
+    rho = d/s for the s rows of the sketch that made R (``_ratio_step``);
+    an explicit ``step_size`` is in units of A^T (Ax - b) for ihs and
+    ihs-fixed and of the full gradient 2 A^T (Ax - b) for pwgrad.
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -308,17 +323,46 @@ def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
 def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
                         high_precision: bool) -> int:
     """Sketch rows a solver uses on an n x d problem: ``cfg.sketch_size``
-    if set, else the default for its kind (larger for the full-gradient
-    high-precision methods), kept between d + 1 and n - 1."""
+    if set, else the default for its kind, kept between d + 1 and n - 1.
+
+    The full-gradient high-precision methods take 50d rows of an SRHT or
+    a CountSketch: those pay their pass over A whatever s is, so more
+    rows cost only the s x d QR and buy a smaller rho = d/s, a faster
+    contraction. A Gaussian sketch costs s n draws, so it takes 12d, but
+    never fewer than ``_GAUSSIAN_MIN_ROWS``: the edge of its spectrum
+    strays past the ratio step's interval, by more the fewer rows it
+    has. At 8d one 400 x 50 draw in 2500 slowed that step's contraction
+    past 0.85, and at 12d none of 40000 passed 0.76; at small d, 12d
+    rows are too few (see ``_GAUSSIAN_MIN_ROWS``)."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
     if high_precision:
-        # Full-gradient methods need sigma_max(A R^-1)^2 < 2 for the unit
-        # step on the half gradient, hence a distinctly larger sketch than SGD.
-        s = 50 * d
+        s = max(12 * d, _GAUSSIAN_MIN_ROWS) if cfg.sketch_kind == "gaussian" else 50 * d
     else:
         s = default_sketch_size(cfg.sketch_kind, d)
     return max(min(s, n - 1), min(d + 1, n - 1))
+
+
+def _ratio_step(d: int, s: int) -> float:
+    """The auto full-gradient step (1 - rho)^2 / (1 + rho), rho = d/s, on
+    A^T (Ax - b) in the metric of a sketch's R.
+
+    For a Gaussian sketch of s rows the eigenvalues of the preconditioned
+    Hessian (A R^-1)^T (A R^-1) lie, with high probability, near the
+    Marchenko-Pastur interval [(1 + sqrt(rho))^-2, (1 - sqrt(rho))^-2],
+    and this is the step 2 / (lo + hi) that contracts that interval best
+    (Lacotte, Liu, Dobriban and Pilanci, NeurIPS 2020). Its product with
+    the top of the interval, (1 + sqrt(rho))^2 / (1 + rho), stays below 2
+    for every rho < 1; at 50d the step is 0.94. The interval is a
+    large-d limit, though: a drawn sketch's top eigenvalue can pass
+    2 / eta, and then the step diverges. That is rare at the default
+    sizes and common at few rows or small d (at d = 1 and s = 12, 3 % of
+    Gaussian draws). Raises SketchSizeError for s <= d, where no interval
+    exists."""
+    if s <= d:
+        raise SketchSizeError(f"the auto step needs more sketch rows than d = {d}, got s={s}")
+    rho = d / s
+    return (1.0 - rho) ** 2 / (1.0 + rho)
 
 
 class _Constants(NamedTuple):
@@ -659,29 +703,32 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
                            fresh_sketch: bool) -> SolveReport:
     """Shared loop of pw_gradient and IHS: R-metric prox steps on the half
-    gradient A^T (Ax - b), step 1 unless ``step_size`` is given. pwgrad's
-    step is in units of the full gradient, so its explicit step doubles:
-    scaling by 2 is exact, and ihs-fixed at eta is pwgrad at eta / 2."""
+    gradient A^T (Ax - b). The auto step is ``_ratio_step`` of the rows of
+    the sketch that made R, after any retry, so each IHS sketch sets its
+    own. pwgrad's explicit step is in units of the full gradient, so it
+    doubles: scaling by 2 is exact, and ihs-fixed at eta is pwgrad at
+    eta / 2."""
     unit = 2.0 if solver == "pwgrad" else 1.0
-    eta = 1.0 if cfg.step_size == "auto" else unit * float(cfg.step_size)
     a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
     rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
-    def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> RMetricProx:
+    def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> tuple[RMetricProx, float]:
         seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
-        return RMetricProx(sketched_r(a, cfg.sketch_kind, s, seed), w, warm_from)
+        r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
+        eta = _ratio_step(d, rows) if cfg.step_size == "auto" else unit * float(cfg.step_size)
+        return RMetricProx(r_factor, w, warm_from), eta
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
-    prox = sketched_prox(1)
+    prox, eta = sketched_prox(1)
     rec.begin()
     ran = 0
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch and t > 1:
             # The new R's l1 solve starts from the last step's face; its
             # KKT test still decides.
-            prox = sketched_prox(t, prox)
+            prox, eta = sketched_prox(t, prox)
         x = prox.solve(x, a.T @ resid, eta)
         resid = a @ x - b
         f = float(resid @ resid)
@@ -694,15 +741,16 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                 cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Preconditioned projected gradient descent: one sketch, one R,
-    full gradient 2 A^T (Ax - b) each iteration, the unit of
-    ``step_size``; default step 1/2."""
+    full gradient 2 A^T (Ax - b) each iteration, the unit of an explicit
+    ``step_size``; the auto step is ``_ratio_step`` / 2 in that unit."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad", fresh_sketch=False)
 
 
 def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
         cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Iterative Hessian sketch: a new seeded sketch every iteration.
-    ``step_size`` is in units of A^T (Ax - b); default step 1."""
+    ``step_size`` is in units of A^T (Ax - b); the auto step is each
+    sketch's ``_ratio_step``."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs", fresh_sketch=True)
 
 
@@ -710,8 +758,9 @@ def ihs_fixed(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
               cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Iterative Hessian sketch with one sketch for all iterations: the
     inner argmin depends on M = SA only through R^T R. ``step_size`` is
-    in units of A^T (Ax - b); default step 1. Its iterates are bit for
-    bit pw_gradient's at half the step."""
+    in units of A^T (Ax - b); the auto step is ``_ratio_step``. Its
+    iterates are bit for bit pw_gradient's at half the explicit step, and
+    at the auto step."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed", fresh_sketch=False)
 
 

@@ -112,7 +112,7 @@ def test_criterion_02_pw_gradient_ihs_equivalence():
 
 
 def test_criterion_03_pw_gradient_linear_convergence():
-    # kappa(A)=1e8, eta=1/2: rel-err <= 1e-10 within 60 iterations in
+    # kappa(A)=1e8, the auto step: rel-err <= 1e-10 within 60 iterations in
     # >= 9/10 seeds, with median per-iteration contraction <= 0.5.
     hit = 0
     contractions = []

@@ -70,14 +70,16 @@ class TestSolve:
         assert trace.exists()
         assert "solver=pwgrad iterations=60 stop=iterations" in printed.splitlines()
 
-    def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path):
+    @pytest.mark.parametrize("ihs_eta,pw_eta", [("1", "0.5"), ("auto", "auto")])
+    def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path, ihs_eta, pw_eta):
+        # pwgrad's --eta is in units of the full gradient, twice ihs-fixed's.
         data = write_dataset(tmp_path)
         t1, t2 = tmp_path / "ihs.csv", tmp_path / "pw.csv"
         assert main(["solve", "--data", str(data), "--solver", "ihs-fixed",
-                     "--iters", "10", "--seed", "1",
+                     "--eta", ihs_eta, "--iters", "10", "--seed", "1",
                      "--trace-out", str(t1)]) == 0
         assert main(["solve", "--data", str(data), "--solver", "pwgrad",
-                     "--eta", "0.5", "--iters", "10", "--seed", "1",
+                     "--eta", pw_eta, "--iters", "10", "--seed", "1",
                      "--trace-out", str(t2)]) == 0
         obj1, obj2 = read_trace(t1)[:, 1], read_trace(t2)[:, 1]
         np.testing.assert_array_equal(obj1, obj2)
@@ -130,10 +132,11 @@ class TestSolve:
         assert "iteration" in capsys.readouterr().err
 
     def test_small_sketch_divergence_exits_3(self, tmp_path, capsys):
-        # pwgrad's unit step needs a sketch of about 12d rows; at 4d f grows
-        # past 10 f(x0) and the solve stops with DivergenceError.
+        # The unit step (--eta 0.5 for pwgrad) needs a sketch of about 12d
+        # rows; at 4d f grows past 10 f(x0) and the solve stops with
+        # DivergenceError. The auto step converges at that size.
         data = write_dataset(tmp_path, n=8192, d=50, kappa=1e4, seed=1)
-        assert main(["solve", "--data", str(data), "--solver", "pwgrad",
+        assert main(["solve", "--data", str(data), "--solver", "pwgrad", "--eta", "0.5",
                      "--sketch-size", "200", "--iters", "30", "--seed", "3"]) == 3
         assert "exceeds 10 times the start's objective" in capsys.readouterr().err
 

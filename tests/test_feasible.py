@@ -431,8 +431,15 @@ class TestWarmL1Prox:
     """An instance starts each l1 solve from the signed support of its
     last answer; the result must be the path's."""
 
+    # Warm faces that looser warm tests kept, 5e-3, 7e-4 and 8e-5 off the
+    # path's answer: near kappa 1e7 the rounding of R^T R (z - x) is about
+    # 5 % of lam. Random kappa stops at 1e6: from 1e7 on the path itself
+    # fails now and then (see CHANGES.md).
+    @example(d=38, log_kappa=7.0, seed=0, excess=1.03125, log_move=-1.0)
+    @example(d=48, log_kappa=7.0, seed=46, excess=1.001, log_move=-1.125)
+    @example(d=37, log_kappa=6.6875, seed=671, excess=1.001, log_move=-2.8359375)
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 50), st.floats(0.0, 4.0), st.integers(0, 2**31),
+    @given(st.integers(1, 50), st.floats(0.0, 6.0), st.integers(0, 2**31),
            st.floats(1.001, 100.0), st.floats(-6.0, -1.0))
     def test_nearby_steps_match_a_fresh_instance(self, d, log_kappa, seed, excess,
                                                   log_move):

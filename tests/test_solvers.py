@@ -14,7 +14,7 @@ from sketchreg.errors import (DegenerateOptimumError, DimensionMismatchError,
                               DivergenceError, EpochBudgetError, SketchSizeError)
 from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx, project_euclidean
 from sketchreg.linalg import tri_solve
-from sketchreg.precond import build_preconditioner
+from sketchreg.precond import build_preconditioner, sketched_r
 from sketchreg.sketches import stream
 from sketchreg.solvers import (
     _GRAM_BLOCK,
@@ -31,10 +31,15 @@ from sketchreg.solvers import (
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
+    resolve_sketch_size,
     sgd_step_size,
 )
 from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
-                     batch_sgd_per_step, force_workers)
+                     batch_sgd_per_step, force_workers, qr_metric_oracle)
+
+
+# The unit step on A^T (Ax - b), in each full-gradient solver's units.
+UNIT_STEP = {"pwgrad": 0.5, "ihs": 1.0, "ihs-fixed": 1.0}
 
 
 def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
@@ -249,11 +254,13 @@ class TestAllSolvers:
 
 class TestDivergenceGuard:
     """A traced objective above _DIVERGENCE_FACTOR times the start's
-    objective f_ref raises; f_ref is f(x0) for a feasible, inexact x0. The unit
-    full-gradient step needs sigma_max(A R^-1)^2 < 2, which a sketch of
-    fewer than about 12d rows breaks: on this 8192 x 50 problem every
-    such pwgrad and ihs-fixed run, and ihs at 2d, grew f geometrically
-    with stop_reason "iterations" before the guard."""
+    objective f_ref raises; f_ref is f(x0) for a feasible, inexact x0. A
+    full-gradient step eta on A^T (Ax - b) diverges once eta exceeds
+    2 / lambda_max, lambda_max = sigma_max(A R^-1)^2. On this 8192 x 50
+    problem the unit step does at every sketch of 2d-8d rows (lambda_max
+    2.19-10.5 for the seed-3 sketches), and such runs grew f
+    geometrically with stop_reason "iterations" before the guard. The
+    auto step, read from the sketch ratio, converges at each of them."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -266,9 +273,34 @@ class TestDivergenceGuard:
                                            ("ihs-fixed", 2), ("ihs-fixed", 4),
                                            ("ihs-fixed", 8), ("ihs", 2)])
     def test_small_sketch_raises(self, problem, name, mult, kind):
-        cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
+        a = problem[0]
+        cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50,
+                           step_size=UNIT_STEP[name])
+        if name != "ihs":
+            r_factor, _ = sketched_r(a, kind, mult * 50, 3)
+            lam_max = np.linalg.norm(tri_solve(r_factor, a.T, transposed=True), 2) ** 2
+            assert 1.0 > 2.0 / lam_max
         with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
             SOLVERS[name](*problem, cfg)
+
+    @pytest.mark.parametrize("constraint", ["none", "l2"])
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("mult", [2, 4, 8])
+    @pytest.mark.parametrize("name", ["pwgrad", "ihs"])
+    def test_auto_step_at_small_sketches(self, problem, name, mult, kind, constraint):
+        # The auto step reads the sketch ratio, so no size here makes it
+        # diverge. From 4d it ends within 1e-4 of the oracle; at 2d, where
+        # the unit step ended at rel-err 76 to 2.4e4 on the l2 ball with no
+        # error, the rate is slow but f falls.
+        a, b, _ = problem
+        w = make_feasible_set(a, b, constraint, radius_scale=0.7)
+        _, f_star = qr_metric_oracle(a, b, w)
+        cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        assert rep.stop_reason == "iterations"
+        assert rep.trace[-1].objective < rep.trace[0].objective
+        if mult >= 4:
+            assert rep.final_relative_error <= 1e-4
 
     @pytest.mark.parametrize("constraint", ["none", "l2"])
     def test_a_rise_is_not_objective_tol(self, problem, constraint):
@@ -276,7 +308,8 @@ class TestDivergenceGuard:
         # change |f - f_last| <= tol max(f, 1) is convergence, not a rise.
         a, b, _ = problem
         w = make_feasible_set(a, b, constraint, radius_scale=0.7)
-        cfg = SolverConfig(iterations=40, seed=3, sketch_size=100, objective_tol=1e-8)
+        cfg = SolverConfig(iterations=40, seed=3, sketch_size=100, objective_tol=1e-8,
+                           step_size=UNIT_STEP["pwgrad"])
         if constraint == "none":
             with pytest.raises(DivergenceError, match="exceeds 10 times"):
                 pw_gradient(a, b, w, cfg)
@@ -343,14 +376,15 @@ class TestDivergenceGuard:
         assert max(p.objective for p in rep.trace) <= 1e-20 * float(b @ b)
 
     def test_divergence_from_a_warm_start_raises(self):
-        # A feasible warm start keeps f_ref = f(x0): the 4d pwgrad run that
-        # diverges from zero also raises when started at x*.
+        # A feasible warm start keeps f_ref = f(x0): the 4d pwgrad run at the
+        # unit step that diverges from zero also raises when started at x*.
         a, b, _ = gen_synthetic(DatasetSpec(n=8192, d=50, target_kappa=1e4,
                                             noise_std=1.0, seed=1))
         x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
         w = FeasibleSet.unconstrained(50)
         with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
-            pw_gradient(a, b, w, SolverConfig(iterations=40, seed=3, sketch_size=200, x0=x_ls))
+            pw_gradient(a, b, w, SolverConfig(iterations=40, seed=3, sketch_size=200, x0=x_ls,
+                                              step_size=UNIT_STEP["pwgrad"]))
 
 
 class TestStopReason:
@@ -752,6 +786,46 @@ class TestPwGradient:
         rep = pw_gradient(a, b, w, SolverConfig(iterations=60, seed=seed), f_star=f_star)
         assert rep.final_relative_error <= 1e-10
 
+    def test_ratio_step_stays_below_the_top_of_the_interval(self):
+        # 2 / (lo + hi) on [(1 + sqrt(rho))^-2, (1 - sqrt(rho))^-2].
+        for s in (51, 100, 200, 400, 2500):
+            rho = 50 / s
+            lo, hi = (1.0 + np.sqrt(rho)) ** -2, (1.0 - np.sqrt(rho)) ** -2
+            eta = solvers_mod._ratio_step(50, s)
+            assert eta == pytest.approx(2.0 / (lo + hi), rel=1e-12)
+            assert eta * hi < 2.0
+        assert solvers_mod._ratio_step(50, 2500) == pytest.approx(0.9416, abs=1e-4)
+
+    @pytest.mark.parametrize("solver", [pw_gradient, ihs])
+    def test_auto_step_needs_more_rows_than_columns(self, solver):
+        # A square sketch gives rho = 1 and no interval to step on.
+        a, b, w, _ = make_problem(n=512, d=6, kappa=10.0, seed=19)
+        with pytest.raises(SketchSizeError, match="more sketch rows than d = 6"):
+            solver(a, b, w, SolverConfig(iterations=3, seed=4, sketch_kind="gaussian",
+                                         sketch_size=6))
+
+    # Seeds whose 12d Gaussian sketch made the ratio step diverge or miss
+    # 1e-10 within 60 iterations: 12, 12 and 7 of 300 at d = 1, 2 and 5.
+    # At the default rows all 900 reached it.
+    @pytest.mark.parametrize("d,seed", [(1, 7), (1, 47), (1, 49), (2, 12), (2, 16),
+                                        (5, 0), (5, 240)])
+    def test_default_gaussian_rows_hold_at_small_d(self, d, seed):
+        a, b, _ = gen_synthetic(DatasetSpec(n=2048, d=d, target_kappa=1e4,
+                                            noise_std=1.0, seed=1))
+        w = FeasibleSet.unconstrained(d)
+        _, f_star = qr_metric_oracle(a, b, w)
+        cfg = SolverConfig(iterations=60, seed=seed, sketch_kind="gaussian",
+                           stop_below_rel=1e-10)
+        assert resolve_sketch_size(cfg, 2048, d, True) == 400
+        for name in ("pwgrad", "ihs"):
+            assert SOLVERS[name](a, b, w, cfg, f_star=f_star).stop_reason == "target"
+        try:
+            stop = pw_gradient(a, b, w, replace(cfg, sketch_size=12 * d),
+                               f_star=f_star).stop_reason
+        except DivergenceError:
+            stop = "diverged"
+        assert stop in ("diverged", "iterations")
+
     def test_l2_ball_active_constraint_kkt(self):
         a, b, w, f_star = make_problem(n=1024, d=8, kappa=30.0, seed=15,
                                        constraint="l2", radius_scale=0.6)
@@ -832,6 +906,34 @@ class TestIhs:
         assert warm_pieces < len(pieces) / 2
         np.testing.assert_allclose(warm.final_x, cold.final_x, rtol=0.0,
                                    atol=_KKT_TOL * np.max(np.abs(cold.final_x)))
+
+
+class TestL1BallAtHighKappa:
+    """At kappa 1e6 lam is a tiny fraction of the l1 prox's correlation
+    scale ||R^T R z||_inf, and a warm face that broke |g_j| <= lam by
+    4.4 % of lam passed a test scaled by that alone: the runs below then
+    ended at rel-err 1.09e-6 with no error. The warm piece is now also
+    held to lam. Gaussian IHS draws a 400-row Gaussian sketch per
+    iteration, so it runs 20 iterations, not 100; with the old warm test
+    its seed-3 run had stalled at 1.09e-6 by then."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        a, b, _ = gen_synthetic(DatasetSpec(n=2**15, d=20, target_kappa=1e6,
+                                            noise_std=1.0, seed=2))
+        w = make_feasible_set(a, b, "l1", radius_scale=0.5)
+        return a, b, w, qr_metric_oracle(a, b, w)[1]
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("name,kind", [("pwgrad", "srht"), ("pwgrad", "gaussian"),
+                                           ("pwgrad", "countsketch"), ("ihs", "srht"),
+                                           ("ihs", "gaussian"), ("ihs", "countsketch")])
+    def test_ends_at_the_oracle(self, cell, name, kind, seed):
+        a, b, w, f_star = cell
+        iterations = 20 if (name, kind) == ("ihs", "gaussian") else 100
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=iterations, seed=seed,
+                                                  sketch_kind=kind))
+        assert abs(rep.final_objective - f_star) <= 1e-12 * f_star
 
 
 class TestPlainSgd:
