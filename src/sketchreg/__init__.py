@@ -20,7 +20,6 @@ from .errors import (
     InnerSolverStallError,
     NotPowerOfTwoError,
     NumericalError,
-    OracleDisagreementError,
     RaggedRowsError,
     RankDeficientError,
     SingularFactorError,

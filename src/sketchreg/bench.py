@@ -1,5 +1,5 @@
 """Benchmark harness: synthetic data with a prescribed condition number,
-CSV ingestion, ground-truth solves, and multi-seed experiment
+CSV ingestion, the exact ground-truth solve, and multi-seed experiment
 orchestration. The relative-error metric is ``solvers.relative_error``,
 re-exported here."""
 
@@ -10,18 +10,13 @@ from statistics import median
 
 import numpy as np
 
-from .errors import CsvParseError, OracleDisagreementError, RaggedRowsError
-from .feasible import FeasibleSet, project_euclidean
+from .errors import CsvParseError, RaggedRowsError
+from .feasible import FeasibleSet, RMetricProx
 from .linalg import qr_thin, tri_solve
 from .sketches import check_integer, stream
-from .solvers import (
-    SOLVERS,
-    SolveReport,
-    SolverConfig,
-    objective_value,
-    pw_gradient,
-    relative_error,
-)
+from .solvers import SOLVERS, SolveReport, SolverConfig, objective_value, relative_error
+# Unused here; perfbench/tracer.py wraps pw_gradient at this name.
+from .solvers import pw_gradient  # noqa: F401
 
 __all__ = [
     "DatasetSpec",
@@ -84,10 +79,19 @@ def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return a, b, planted
 
 
+def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, x_ls): A's R factor and the least-squares solution, both from
+    the R-only Householder QR of [A | b], whose last column is Q^T b
+    over the residual norm. Neither Q nor a copy of all of A is formed."""
+    d = a.shape[1]
+    r = qr_thin(a, with_q=False, rhs=b).r
+    return r[:d, :d], tri_solve(r[:d, :d], r[:d, d])
+
+
 def solve_unconstrained_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct thin-QR least-squares solve (the unconstrained oracle)."""
-    q, r = qr_thin(a)
-    return tri_solve(r, q.T @ b)
+    """Direct least-squares solve by Householder QR (the unconstrained
+    oracle's x*)."""
+    return _least_squares(a, b)[1]
 
 
 def make_feasible_set(a: np.ndarray, b: np.ndarray, constraint: str,
@@ -107,29 +111,20 @@ def make_feasible_set(a: np.ndarray, b: np.ndarray, constraint: str,
 
 def ground_truth(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                  seed: int = 0) -> tuple[np.ndarray, float]:
-    """(x*, f*) for the given constraint set.
+    """(x*, f*) for the given constraint set, with no sketch, no
+    iteration and no random draw.
 
-    Unconstrained problems use the direct QR solve. Constrained ones run
-    a high-accuracy preconditioned gradient descent twice, from zero and
-    from a seeded random point; if the two objectives disagree beyond
-    1e-10 relative, OracleDisagreementError is raised.
+    R and x_ls come from one R-only Householder QR of [A | b]. Since
+    f(x) = f(x_ls) + ||R (x - x_ls)||^2, x* is the argmin over W of
+    ||R (x - x_ls)||: x_ls itself when it lies in W, else one exact ball
+    solve of ``RMetricProx``, which checks its KKT conditions and raises
+    InnerSolverStallError on a failed check. It shares only that class
+    with the solvers. f* = ||A x* - b||^2 is computed from that point.
+    ``seed`` is unused; callers that pass their dataset seed still run.
     """
-    if w.kind == "unconstrained":
-        x_star = solve_unconstrained_qr(a, b)
-        return x_star, objective_value(a, b, x_star)
-    d = a.shape[1]
-    # pwgrad's auto step, the one rule the solvers use.
-    base = SolverConfig(iterations=500, seed=seed, record_every=1, objective_tol=1e-13)
-    first = pw_gradient(a, b, w, base)
-    x0_alt = project_euclidean(w, stream(seed, "oracle").standard_normal(d))
-    second = pw_gradient(a, b, w, replace(base, seed=seed + 1, x0=x0_alt))
-    f1 = first.final_objective
-    f2 = second.final_objective
-    if abs(f1 - f2) > 1e-10 * max(f1, f2, 1e-30):
-        raise OracleDisagreementError(
-            f"two-start optima differ: {f1!r} vs {f2!r}"
-        )
-    return (first.final_x, f1) if f1 <= f2 else (second.final_x, f2)
+    r, x_ls = _least_squares(a, b)
+    x_star = RMetricProx(r, w).solve(x_ls, np.zeros_like(x_ls), 0.0)
+    return x_star, objective_value(a, b, x_star)
 
 
 def iterations_to_target(report: SolveReport, target: float) -> int | None:

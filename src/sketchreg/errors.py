@@ -57,7 +57,3 @@ class DivergenceError(NumericalError):
 
 class DegenerateOptimumError(NumericalError):
     """Relative error is undefined because the optimal objective is ~0."""
-
-
-class OracleDisagreementError(NumericalError):
-    """Two independent ground-truth runs disagree beyond tolerance."""

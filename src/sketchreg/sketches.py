@@ -26,7 +26,7 @@ KINDS = ("gaussian", "countsketch", "srht")
 # ``seeds``. A sketch kind's stream is named after the kind. Changing a
 # tag changes every draw of its stream.
 _TAGS = {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
-         "sample": 1002, "estimate": 1003, "oracle": 1004, "ihs": 1005, "data": 7001}
+         "sample": 1002, "estimate": 1003, "ihs": 1005, "data": 7001}
 
 # A Gaussian S is streamed in row panels: panel p is rows
 # [p k, (p + 1) k) of S, k = _PANEL_ROWS. It draws its entries tile by

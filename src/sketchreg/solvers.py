@@ -137,7 +137,11 @@ class SolverConfig:
     ``objective_tol`` fires when |f - f_last| <= tol max(f, 1), f_last the
     last traced objective, so it tells a stall from a rise. The SGD
     solvers apply the rules at their traced points, and the last trace
-    point is always the exact objective of the returned iterate.
+    point is always the exact objective of the returned iterate. On an
+    SGD trace ``objective_tol`` compares two noisy points, so a loose
+    tolerance can fire on chance agreement far from the optimum: hdpwacc
+    on 1024 x 6, kappa 10, batch 1, ``record_every=50`` and
+    ``objective_tol=1e-3`` stopped after 50 of 5000 steps at rel-err 0.11.
     """
 
     iterations: int = 1000

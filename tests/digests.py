@@ -13,12 +13,16 @@ iterations, objectives and relative errors, ``iterations_run`` and
 hashes the error's type and message instead. Wall-clock fields are left
 out. BLAS runs on one thread, because a multithreaded BLAS may round
 differently; set the variables below before numpy is imported to change
-that.
+that. The oracle, ``ground_truth``, draws no random number: the seeds
+passed to it below are unused and kept as its callers pass them. Its
+f* and ``make_feasible_set``'s radii come from one R-only QR of [A | b],
+so a change to that QR moves every oracle digest and every run whose
+relative errors or ball radius read them.
 
 The runs:
 
 * the short matrix: ``gen_synthetic`` 1024 x 8, noise 1, data seed 5, at
-  kappa 1e3 and 1e6; ``ground_truth`` (seed 2) on none, l1 and l2 at
+  kappa 1e3 and 1e6; ``ground_truth`` on none, l1 and l2 at
   radius 0.6; six solvers x three sketch kinds x x0 in {0, 0.01 * ones},
   40 iterations, batch 4, seed 3, every 5th point (216 runs, plus the 6
   oracle results they measure against, which must not raise);
@@ -31,7 +35,7 @@ The runs:
   at radius 0.5 and 0.7 (8 runs);
 * ``ground_truth`` on the ball-constrained benchmark's datasets 1-3
   (2^15 x 20, kappa 30, noise 1; l1 at radius 0.5, l2 at radius 0.7;
-  oracle seed = data seed, as the benchmark calls it; 6 runs).
+  6 runs).
 """
 
 import os

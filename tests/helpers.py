@@ -5,7 +5,7 @@ import numpy as np
 import sketchreg.linalg as linalg_mod
 import sketchreg.solvers as solvers_mod
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
-from sketchreg.linalg import fwht_inplace, qr_thin, tri_solve
+from sketchreg.linalg import fwht_inplace
 from sketchreg.sketches import SketchOperator, apply
 
 
@@ -23,17 +23,6 @@ def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
     return RMetricProx(r_factor, w).solve(
         np.asarray(x_prev, dtype=np.float64), np.asarray(c, dtype=np.float64), eta
     )
-
-
-def qr_metric_oracle(a: np.ndarray, b: np.ndarray, w: FeasibleSet) -> tuple[np.ndarray, float]:
-    """(x*, f*) with no sketch and no iteration: x_ls from a Householder
-    QR, A = Q R, then one exact ball solve of ||R (x - x_ls)|| over W,
-    since f(x) = f(x_ls) + ||R (x - x_ls)||^2."""
-    q, r = qr_thin(a)
-    x_ls = tri_solve(r, q.T @ b)
-    x_star = RMetricProx(r, w).solve(x_ls, np.zeros_like(x_ls), 0.0)
-    resid = a @ x_star - b
-    return x_star, float(resid @ resid)
 
 
 def fwht(v: np.ndarray) -> np.ndarray:

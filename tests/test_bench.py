@@ -22,8 +22,9 @@ from sketchreg.errors import (
     DegenerateOptimumError,
     RaggedRowsError,
 )
-from sketchreg.feasible import FeasibleSet
+from sketchreg.feasible import FeasibleSet, project_euclidean
 from sketchreg.linalg import condition_number
+from helpers import l1_kkt_residual, l2_kkt_residual
 from sketchreg.solvers import SolverConfig, ihs, objective_value, pw_gradient
 
 
@@ -92,13 +93,49 @@ class TestGroundTruth:
         _, f_ball = ground_truth(a, b, w_ball)
         assert abs(f_ball - f_unc) <= 1e-9 * f_unc
 
-    def test_l1_two_start_agreement(self):
+    @pytest.mark.parametrize("constraint", ["l1", "l2"])
+    def test_ball_answer_is_feasible_and_optimal(self, constraint):
+        # x* minimises ||R (x - x_ls)|| over W, with R and x_ls from the
+        # oracle's own QR, so the ball step's KKT conditions hold there.
         a, b, _ = gen_synthetic(DatasetSpec(n=512, d=8, target_kappa=30.0,
                                             noise_std=1.0, seed=6))
-        w = make_feasible_set(a, b, "l1", radius_scale=0.5)
-        x_star, f_star = ground_truth(a, b, w, seed=2)  # raises on disagreement
+        w = make_feasible_set(a, b, constraint, radius_scale=0.5)
+        x_star, f_star = ground_truth(a, b, w)
+        r, x_ls = bench_mod._least_squares(a, b)
+        kkt = l1_kkt_residual if constraint == "l1" else l2_kkt_residual
+        assert kkt(r, w.radius, x_ls, x_star) <= 1e-10
         assert w.contains(x_star, tol=1e-9)
-        assert f_star > 0.0
+        assert f_star == objective_value(a, b, x_star)
+        assert f_star < objective_value(a, b, project_euclidean(w, x_ls))
+
+
+class TestOracleAtHighKappa:
+    """Cells where the two-start pwgrad oracle raised InnerSolverStallError
+    (gen_synthetic, noise 1, l1 radius 0.5 ||x_ls||_1, oracle seed 0)."""
+
+    @pytest.mark.parametrize("n,d,seed", [(4096, 8, 2), (4096, 8, 3), (2**14, 20, 2)])
+    def test_l1_stall_cells_return_the_optimum(self, n, d, seed):
+        a, b, _ = gen_synthetic(DatasetSpec(n=n, d=d, target_kappa=1e8,
+                                            noise_std=1.0, seed=seed))
+        w = make_feasible_set(a, b, "l1", radius_scale=0.5)
+        x_star, f_star = ground_truth(a, b, w)
+        r, x_ls = bench_mod._least_squares(a, b)
+        assert w.contains(x_star, tol=1e-9)
+        assert l1_kkt_residual(r, w.radius, x_ls, x_star) <= 1e-10
+        assert f_star == objective_value(a, b, x_star)
+
+    def test_kappa_1e6_cell_matches_the_two_start_answer(self):
+        # There the two pwgrad starts agreed on f* = 3926.739807604616 at
+        # make_feasible_set's radius, then 3.787233667455384. At kappa 1e6
+        # x_ls, and so the radius, scatters by about 1e-11 between
+        # backward-stable solves, so the radius is pinned.
+        a, b, _ = gen_synthetic(DatasetSpec(n=4096, d=8, target_kappa=1e6,
+                                            noise_std=1.0, seed=2))
+        radius = 3.787233667455384
+        assert make_feasible_set(a, b, "l1", radius_scale=0.5).radius == pytest.approx(
+            radius, rel=1e-10)
+        _, f_star = ground_truth(a, b, FeasibleSet.l1_ball(radius, 8))
+        assert f_star == pytest.approx(3926.739807604616, rel=1e-13)
 
 
 class TestRelativeError:

@@ -150,8 +150,8 @@ class TestSolve:
 @pytest.mark.parametrize("error,code", [
     (errors.RankDeficientError, 3), (errors.SingularFactorError, 3),
     (errors.InnerSolverStallError, 3), (errors.EpochBudgetError, 3),
-    (errors.OracleDisagreementError, 3), (errors.DegenerateOptimumError, 3),
-    (errors.DivergenceError, 3), (errors.SketchSizeError, 2), (errors.CsvParseError, 2),
+    (errors.DegenerateOptimumError, 3), (errors.DivergenceError, 3),
+    (errors.SketchSizeError, 2), (errors.CsvParseError, 2),
     (ValueError, 2)], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_numerical_errors_exit_3_and_input_errors_2(tmp_path, monkeypatch, capsys,
                                                     error, code):

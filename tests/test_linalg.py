@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sketchreg.linalg as linalg_mod
 from sketchreg.errors import (
+    DimensionMismatchError,
     NotPowerOfTwoError,
     RankDeficientError,
     SingularFactorError,
@@ -75,6 +77,84 @@ class TestQrThin:
         col = np.arange(6.0)[:, None]
         with pytest.raises(RankDeficientError):
             qr_thin(scale * np.hstack([col, 2.0 * col]), with_q=False)
+
+
+def signed_r(m: np.ndarray) -> np.ndarray:
+    """numpy's Householder R of m in one piece, rows flipped to a
+    nonnegative diagonal: qr_thin's R-only factor before it was blocked."""
+    r = np.linalg.qr(m, mode="r")
+    return np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None] * r
+
+
+class TestBlockedR:
+    """The R-only factor, taken block by block (TSQR) and of [m | rhs]."""
+
+    @staticmethod
+    def data(n, d, seed=8):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, d)), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [2500, linalg_mod._QR_BLOCK])
+    def test_one_block_is_bitwise_the_unblocked_r(self, n):
+        # Every benchmark sketch (at most 2500 rows) is one block, so its
+        # R, and every solve built on it, is the same bits as before.
+        m, _ = self.data(n, 50)
+        assert qr_thin(m, with_q=False).r.tobytes() == signed_r(m).tobytes()
+
+    # With blocks of 64 rows and d = 5: below one block; a whole number
+    # of blocks; a tail of 8 rows; a tail of 3 rows, fewer than d + 2.
+    @pytest.mark.parametrize("n", [40, 192, 200, 195])
+    @pytest.mark.parametrize("with_rhs", [False, True])
+    def test_matches_unblocked_r_to_rounding(self, monkeypatch, n, with_rhs):
+        monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
+        m, b = self.data(n, 5)
+        full = np.column_stack((m, b)) if with_rhs else m
+        r = qr_thin(m, with_q=False, rhs=b if with_rhs else None).r
+        assert r.shape == (full.shape[1], full.shape[1])
+        assert np.all(np.diag(r) >= 0.0) and np.array_equal(r, np.triu(r))
+        np.testing.assert_allclose(r, signed_r(full), rtol=0,
+                                   atol=1e-13 * np.linalg.norm(full))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bitwise_the_same_on_any_worker_count(self, monkeypatch, workers):
+        m, b = self.data(2 * linalg_mod._QR_BLOCK + 3, 8)
+        inline = qr_thin(m, with_q=False, rhs=b).r
+        force_workers(monkeypatch, workers)
+        assert qr_thin(m, with_q=False, rhs=b).r.tobytes() == inline.tobytes()
+
+    def test_last_column_solves_least_squares(self):
+        m, b = self.data(3 * linalg_mod._QR_BLOCK + 17, 6)
+        r = qr_thin(m, with_q=False, rhs=b).r
+        x = tri_solve(r[:6, :6], r[:6, 6])
+        x_ref = np.linalg.lstsq(m, b, rcond=None)[0]
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12)
+        assert r[6, 6] == pytest.approx(np.linalg.norm(m @ x_ref - b), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_zero_residual_is_not_rank_loss(self, monkeypatch, n):
+        # b in the range of m makes R's last diagonal entry zero up to
+        # rounding; the rank test covers m's columns only.
+        monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
+        m, _ = self.data(n, 3)
+        for b in (m @ np.array([1.0, -2.0, 0.5]), m[:, 1].copy(), np.zeros(n)):
+            r = qr_thin(m, with_q=False, rhs=b).r
+            if n == 3:
+                assert r.shape == (3, 4)  # a square m leaves no residual row
+            else:
+                assert abs(r[3, 3]) <= 1e-14 * np.linalg.norm(b)
+            np.testing.assert_allclose(tri_solve(r[:3, :3], r[:3, 3]),
+                                       np.linalg.lstsq(m, b, rcond=None)[0], atol=1e-12)
+
+    def test_rank_loss_in_m_still_raises_with_rhs(self, monkeypatch):
+        monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
+        col = np.arange(200.0)[:, None]
+        with pytest.raises(RankDeficientError):
+            qr_thin(np.hstack([col, 2.0 * col]), with_q=False, rhs=np.ones(200))
+
+    @pytest.mark.parametrize("with_q,rhs_len", [(True, 10), (False, 9)])
+    def test_rhs_needs_r_only_and_one_entry_per_row(self, with_q, rhs_len):
+        with pytest.raises(DimensionMismatchError):
+            qr_thin(np.ones((10, 2)) + np.eye(10, 2), with_q=with_q, rhs=np.ones(rhs_len))
 
 
 class TestTriSolve:

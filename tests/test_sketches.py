@@ -89,8 +89,7 @@ class TestStreams:
     def test_tag_table_is_pinned(self):
         # Changing a tag changes every draw of its stream.
         assert _TAGS == {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
-                         "sample": 1002, "estimate": 1003, "oracle": 1004, "ihs": 1005,
-                         "data": 7001}
+                         "sample": 1002, "estimate": 1003, "ihs": 1005, "data": 7001}
         assert len(set(_TAGS.values())) == len(_TAGS)
         assert set(KINDS) <= _TAGS.keys()
 

@@ -35,7 +35,7 @@ from sketchreg.solvers import (
     sgd_step_size,
 )
 from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
-                     batch_sgd_per_step, force_workers, qr_metric_oracle)
+                     batch_sgd_per_step, force_workers)
 
 
 # The unit step on A^T (Ax - b), in each full-gradient solver's units.
@@ -294,7 +294,7 @@ class TestDivergenceGuard:
         # error, the rate is slow but f falls.
         a, b, _ = problem
         w = make_feasible_set(a, b, constraint, radius_scale=0.7)
-        _, f_star = qr_metric_oracle(a, b, w)
+        _, f_star = ground_truth(a, b, w)
         cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50)
         rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
         assert rep.stop_reason == "iterations"
@@ -813,7 +813,7 @@ class TestPwGradient:
         a, b, _ = gen_synthetic(DatasetSpec(n=2048, d=d, target_kappa=1e4,
                                             noise_std=1.0, seed=1))
         w = FeasibleSet.unconstrained(d)
-        _, f_star = qr_metric_oracle(a, b, w)
+        _, f_star = ground_truth(a, b, w)
         cfg = SolverConfig(iterations=60, seed=seed, sketch_kind="gaussian",
                            stop_below_rel=1e-10)
         assert resolve_sketch_size(cfg, 2048, d, True) == 400
@@ -922,7 +922,7 @@ class TestL1BallAtHighKappa:
         a, b, _ = gen_synthetic(DatasetSpec(n=2**15, d=20, target_kappa=1e6,
                                             noise_std=1.0, seed=2))
         w = make_feasible_set(a, b, "l1", radius_scale=0.5)
-        return a, b, w, qr_metric_oracle(a, b, w)[1]
+        return a, b, w, ground_truth(a, b, w)[1]
 
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("name,kind", [("pwgrad", "srht"), ("pwgrad", "gaussian"),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchreg.bench as bench_mod
 import sketchreg.precond as precond_mod
 from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasible_set
 from sketchreg.feasible import FeasibleSet
@@ -79,6 +80,24 @@ def test_full_gradient_solve_fires_qr_and_l1_prox(tracer_mod, name):
     fired = fired_spans(tracer_mod, name, FeasibleSet.l1_ball(0.5, 4),
                         SolverConfig(iterations=5, seed=0))
     assert {f"solvers.{name}", "linalg.qr_thin", "feasible.prox.l1"} <= fired
+
+
+def test_ground_truth_traces_one_qr_and_no_solver(tracer_mod):
+    # The set-up's oracle time shows as its QR (and ball prox) spans; it
+    # runs no solver, so no solvers.* span fires under it.
+    a, b = tiny_problem()
+    sets = [make_feasible_set(a, b, c, radius_scale=0.5) for c in ("none", "l1", "l2")]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        for w in sets:
+            bench_mod.ground_truth(a, b, w)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("bench.ground_truth") == names.count("linalg.qr_thin") == 3
+    assert {"feasible.prox.l1", "feasible.prox.l2"} <= set(names)
+    assert not [name for name in names if name.startswith("solvers.")]
 
 
 @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
