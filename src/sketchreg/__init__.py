@@ -28,7 +28,7 @@ from .errors import (
     UnboundedSetError,
 )
 from .feasible import FeasibleSet, diameter_param, project_euclidean
-from .linalg import QRFactors, condition_number, fwht_inplace, qr_thin, tri_solve
+from .linalg import condition_number, fwht_inplace, qr_thin, tri_solve
 from .precond import Preconditioner, build_hd, build_preconditioner, build_r, row_norm_spread
 from .sketches import SketchOperator, apply, embedding_distortion, make_sketch
 from .solvers import (
@@ -39,7 +39,6 @@ from .solvers import (
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs,
-    ihs_fixed,
     plain_sgd_baseline,
     pw_gradient,
     sgd_step_size,

@@ -84,7 +84,7 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the R-only Householder QR of [A | b], whose last column is Q^T b
     over the residual norm. Neither Q nor a copy of all of A is formed."""
     d = a.shape[1]
-    r = qr_thin(a, with_q=False, rhs=b).r
+    r = qr_thin(a, rhs=b)
     return r[:d, :d], tri_solve(r[:d, :d], r[:d, d])
 
 

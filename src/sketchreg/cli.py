@@ -69,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--radius-scale", type=float, default=1.0)
     solver.add_argument("--batch", type=int, default=1, help="mini-batch size r")
     solver.add_argument("--eta", type=_eta, default="auto",
-                        help="step size (float or 'auto'); pwgrad reads it on 2 A^T(Ax - b), "
-                             "ihs and ihs-fixed on A^T(Ax - b), where their auto "
-                             "step is (1 - d/s)^2 / (1 + d/s)")
+                        help="step size (float or 'auto'); pwgrad and ihs read it on "
+                             "A^T(Ax - b), where their auto step is (1 - d/s)^2 / (1 + d/s); "
+                             "ihs-fixed is another name of pwgrad")
     solver.add_argument("--epochs", type=int, default=8)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")

@@ -20,7 +20,6 @@ import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +32,6 @@ from .errors import (
 )
 
 __all__ = [
-    "QRFactors",
     "qr_thin",
     "tri_solve",
     "fwht_inplace",
@@ -74,33 +72,23 @@ _PIECES_PER_WORKER = 4
 _QR_BLOCK = 4096
 
 
-class QRFactors(NamedTuple):
-    """Thin QR factors: ``q`` has orthonormal columns (None when it was
-    not asked for), ``r`` is upper triangular with nonnegative diagonal."""
-
-    q: np.ndarray | None
-    r: np.ndarray
-
-
-def qr_thin(m: np.ndarray, with_q: bool = True, rhs: np.ndarray | None = None) -> QRFactors:
-    """Thin QR factorization with a nonnegative-diagonal sign convention.
+def qr_thin(m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """R factor of a thin Householder QR, nonnegative on its diagonal; Q
+    is never formed. R is taken block by block (``_r_factor``); for
+    n <= ``_QR_BLOCK`` it is bitwise the R that ``np.linalg.qr`` gives.
 
     Parameters
     ----------
     m : (n, d) array with n >= d and full column rank.
-    with_q : False skips forming Q, which costs about as much as the
-        factorization itself, and takes R block by block (``_r_factor``);
-        for n <= ``_QR_BLOCK`` it is bitwise the R that Q comes with.
-    rhs : (n,) vector; given (with ``with_q`` False), the R returned is
-        that of [m | rhs], up to (d + 1) x (d + 1), and m is not copied
-        whole. Its last column holds Q^T rhs over the residual norm
-        min_x ||m x - rhs||, so x = R[:d, :d]^-1 R[:d, d] is the least-
-        squares solution (Golub and Van Loan, section 5.3).
+    rhs : (n,) vector; given, the R returned is that of [m | rhs], up to
+        (d + 1) x (d + 1), and m is not copied whole. Its last column
+        holds Q^T rhs over the residual norm min_x ||m x - rhs||, so
+        x = R[:d, :d]^-1 R[:d, d] is the least-squares solution (Golub
+        and Van Loan, section 5.3).
 
     Returns
     -------
-    QRFactors with q (n, d), r (d, d) such that q @ r == m; q is None
-    when ``with_q`` is False, and r is R of [m | rhs] when rhs is given.
+    r (d, d) with R^T R = m^T m, or R of [m | rhs] when rhs is given.
 
     Raises
     ------
@@ -116,15 +104,11 @@ def qr_thin(m: np.ndarray, with_q: bool = True, rhs: np.ndarray | None = None) -
         )
     if rhs is not None:
         rhs = np.asarray(rhs, dtype=np.float64)
-        if with_q or rhs.shape != m.shape[:1]:
+        if rhs.shape != m.shape[:1]:
             raise DimensionMismatchError(
-                f"qr_thin takes an rhs of shape {m.shape[:1]} without Q, "
-                f"got {rhs.shape} with with_q={with_q}"
+                f"qr_thin takes an rhs of shape {m.shape[:1]}, got {rhs.shape}"
             )
-    if with_q:
-        q, r = np.linalg.qr(m, mode="reduced")
-    else:
-        q, r = None, _r_factor(m, rhs)
+    r = _r_factor(m, rhs)
     d = m.shape[1]
     # ||m||_F = ||r[:d, :d]||_F; BLAS nrm2 scales its sum, so neither huge
     # nor tiny entries overflow or underflow the tolerance.
@@ -135,11 +119,7 @@ def qr_thin(m: np.ndarray, with_q: bool = True, rhs: np.ndarray | None = None) -
             f"smallest |R_ii| = {np.min(np.abs(diag[:d])):.3e} below {tol:.3e}"
         )
     # Flip signs so diag(R) >= 0; makes the factorization unique.
-    flip = np.where(diag < 0.0, -1.0, 1.0)
-    r = flip[:, None] * r
-    if with_q:
-        q = q * flip[None, :]
-    return QRFactors(q=q, r=r)
+    return np.where(diag < 0.0, -1.0, 1.0)[:, None] * r
 
 
 def _r_factor(m: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:

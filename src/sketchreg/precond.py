@@ -56,7 +56,7 @@ def build_r(a: np.ndarray, sk: SketchOperator, hda: np.ndarray | None = None) ->
     policy).
     """
     sa = subsample(sk, hda) if hda is not None and sk.kind == "srht" else apply(sk, a)
-    return qr_thin(sa, with_q=False).r
+    return qr_thin(sa)
 
 
 def build_hd(a: np.ndarray, b: np.ndarray, seed: int):

@@ -8,14 +8,15 @@ Four preconditioned methods plus one baseline:
 * ``hd_pw_acc_batch_sgd`` -- same preconditioning, multi-epoch accelerated
   stochastic gradient with geometric error halving across epochs.
 * ``pw_gradient``       -- one sketch, full-gradient R-metric descent;
-  linearly convergent for the high precision regime.
+  linearly convergent for the high precision regime. It is IHS with one
+  sketch, which ``SOLVERS`` also lists as "ihs-fixed".
 * ``ihs``               -- the iterative-Hessian-sketch baseline, a fresh
-  sketch per iteration; ``ihs_fixed`` keeps one sketch and is bit for
-  bit pw_gradient at half its explicit step, and at the auto step.
+  sketch per iteration.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
 
-The full-gradient solvers' auto step comes from the sketch ratio
+The full-gradient solvers step on A^T (Ax - b), in which IHS's unit
+step is 1. Their auto step comes from the sketch ratio
 rho = d/s (see ``_ratio_step``), which keeps it inside the sketch's
 expected spectrum at every sketch size; the default sizes (see
 ``resolve_sketch_size``) leave room for a drawn spectrum's spread.
@@ -76,7 +77,7 @@ from .sketches import KINDS, apply, check_integer, default_sketch_size, seeds, s
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
-           "ihs", "ihs_fixed", "plain_sgd_baseline", "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
+           "ihs", "plain_sgd_baseline", "resolve_sketch_size", "objective_value", "relative_error", "SOLVERS"]
 
 # Index rows per draw. numpy's bounded-integer draw buffers within one
 # call, so a different chunk gives a different stream.
@@ -125,9 +126,8 @@ class SolverConfig:
     hdpwacc always uses that sigma^2 and V_0 = f(x0), floored at
     eps ||b||^2. For the full-gradient
     solvers "auto" is the step (1 - rho)^2 / (1 + rho) on A^T (Ax - b),
-    rho = d/s for the s rows of the sketch that made R (``_ratio_step``);
-    an explicit ``step_size`` is in units of A^T (Ax - b) for ihs and
-    ihs-fixed and of the full gradient 2 A^T (Ax - b) for pwgrad.
+    rho = d/s for the s rows of the sketch that made R (``_ratio_step``),
+    and an explicit ``step_size`` is in the same unit.
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -707,12 +707,9 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
                            fresh_sketch: bool) -> SolveReport:
     """Shared loop of pw_gradient and IHS: R-metric prox steps on the half
-    gradient A^T (Ax - b). The auto step is ``_ratio_step`` of the rows of
-    the sketch that made R, after any retry, so each IHS sketch sets its
-    own. pwgrad's explicit step is in units of the full gradient, so it
-    doubles: scaling by 2 is exact, and ihs-fixed at eta is pwgrad at
-    eta / 2."""
-    unit = 2.0 if solver == "pwgrad" else 1.0
+    gradient A^T (Ax - b), the unit of an explicit step. The auto step is
+    ``_ratio_step`` of the rows of the sketch that made R, after any
+    retry, so each IHS sketch sets its own."""
     a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
     rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     n, d = a.shape
@@ -721,7 +718,7 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> tuple[RMetricProx, float]:
         seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
         r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
-        eta = _ratio_step(d, rows) if cfg.step_size == "auto" else unit * float(cfg.step_size)
+        eta = _ratio_step(d, rows) if cfg.step_size == "auto" else float(cfg.step_size)
         return RMetricProx(r_factor, w, warm_from), eta
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
@@ -744,9 +741,10 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
 
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                 cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Preconditioned projected gradient descent: one sketch, one R,
-    full gradient 2 A^T (Ax - b) each iteration, the unit of an explicit
-    ``step_size``; the auto step is ``_ratio_step`` / 2 in that unit."""
+    """Preconditioned projected gradient descent: one sketch, one R, a
+    step on A^T (Ax - b) each iteration. It is IHS with a fixed sketch:
+    the inner argmin depends on M = SA only through R^T R. ``step_size``
+    is in units of A^T (Ax - b); the auto step is ``_ratio_step``."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad", fresh_sketch=False)
 
 
@@ -756,16 +754,6 @@ def ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
     ``step_size`` is in units of A^T (Ax - b); the auto step is each
     sketch's ``_ratio_step``."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs", fresh_sketch=True)
-
-
-def ihs_fixed(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
-              cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
-    """Iterative Hessian sketch with one sketch for all iterations: the
-    inner argmin depends on M = SA only through R^T R. ``step_size`` is
-    in units of A^T (Ax - b); the auto step is ``_ratio_step``. Its
-    iterates are bit for bit pw_gradient's at half the explicit step, and
-    at the auto step."""
-    return _full_gradient_descent(a, b, w, cfg, f_star, solver="ihs-fixed", fresh_sketch=False)
 
 
 def plain_sgd_baseline(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
@@ -780,6 +768,7 @@ SOLVERS = {
     "hdpwacc": hd_pw_acc_batch_sgd,
     "pwgrad": pw_gradient,
     "ihs": ihs,
-    "ihs-fixed": ihs_fixed,
+    # IHS with one sketch is pwgrad; the name stays for existing callers.
+    "ihs-fixed": pw_gradient,
     "sgd": plain_sgd_baseline,
 }

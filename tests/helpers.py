@@ -6,7 +6,8 @@ import sketchreg.linalg as linalg_mod
 import sketchreg.solvers as solvers_mod
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
-from sketchreg.sketches import SketchOperator, apply
+from sketchreg.precond import sketched_r
+from sketchreg.sketches import SketchOperator, apply, seeds
 
 
 def force_workers(monkeypatch, workers: int) -> None:
@@ -28,6 +29,41 @@ def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
 def fwht(v: np.ndarray) -> np.ndarray:
     """Copying form of :func:`sketchreg.linalg.fwht_inplace`."""
     return fwht_inplace(np.array(v, dtype=np.float64, order="C"))
+
+
+def signed_r(m: np.ndarray) -> np.ndarray:
+    """numpy's Householder R of m in one piece, rows flipped to a
+    nonnegative diagonal: qr_thin's R of one block."""
+    r = np.linalg.qr(m, mode="r")
+    return np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None] * r
+
+
+def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
+               fresh_sketch: bool = False) -> tuple[np.ndarray, list[float]]:
+    """IHS from its definition: R of the seeded S A (a new seeded sketch
+    each iteration if ``fresh_sketch``, else one for all), then
+    x <- argmin_W 0.5 ||R (x - x_t)||^2 + eta <A^T (A x_t - b), x>, with
+    eta that sketch's ratio step or the explicit ``cfg.step_size``.
+    Returns (final x, objectives from x0)."""
+    n, d = a.shape
+    s = solvers_mod.resolve_sketch_size(cfg, n, d, True)
+    if cfg.x0 is None:
+        x, resid = np.zeros(d), -b
+    else:
+        x = np.asarray(cfg.x0, dtype=np.float64).copy()
+        resid = a @ x - b
+    objectives = [float(resid @ resid)]
+    for t in range(1, cfg.iterations + 1):
+        if t == 1 or fresh_sketch:
+            seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
+            r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
+            prox = RMetricProx(r_factor, w)
+            eta = (solvers_mod._ratio_step(d, rows) if cfg.step_size == "auto"
+                   else float(cfg.step_size))
+        x = prox.solve(x, a.T @ resid, eta)
+        resid = a @ x - b
+        objectives.append(float(resid @ resid))
+    return x, objectives
 
 
 def dense_sketch(sk: SketchOperator) -> np.ndarray:

@@ -5,6 +5,7 @@ import sketchreg.cli as cli_mod
 from sketchreg import errors
 from sketchreg.bench import DatasetSpec, gen_synthetic, load_csv, save_dataset_csv
 from sketchreg.cli import main
+from sketchreg.solvers import SOLVERS, pw_gradient
 
 
 def write_dataset(tmp_path, n=2048, d=10, kappa=1e3, noise=1.0, seed=2):
@@ -70,19 +71,25 @@ class TestSolve:
         assert trace.exists()
         assert "solver=pwgrad iterations=60 stop=iterations" in printed.splitlines()
 
-    @pytest.mark.parametrize("ihs_eta,pw_eta", [("1", "0.5"), ("auto", "auto")])
-    def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path, ihs_eta, pw_eta):
-        # pwgrad's --eta is in units of the full gradient, twice ihs-fixed's.
+    @pytest.mark.parametrize("eta", ["1", "auto"])
+    def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path, eta):
         data = write_dataset(tmp_path)
         t1, t2 = tmp_path / "ihs.csv", tmp_path / "pw.csv"
         assert main(["solve", "--data", str(data), "--solver", "ihs-fixed",
-                     "--eta", ihs_eta, "--iters", "10", "--seed", "1",
+                     "--eta", eta, "--iters", "10", "--seed", "1",
                      "--trace-out", str(t1)]) == 0
         assert main(["solve", "--data", str(data), "--solver", "pwgrad",
-                     "--eta", pw_eta, "--iters", "10", "--seed", "1",
+                     "--eta", eta, "--iters", "10", "--seed", "1",
                      "--trace-out", str(t2)]) == 0
         obj1, obj2 = read_trace(t1)[:, 1], read_trace(t2)[:, 1]
         np.testing.assert_array_equal(obj1, obj2)
+
+    def test_ihs_fixed_is_another_name_of_pwgrad(self, tmp_path, capsys):
+        assert SOLVERS["ihs-fixed"] is pw_gradient
+        data = write_dataset(tmp_path, n=512, d=6)
+        assert main(["solve", "--data", str(data), "--solver", "ihs-fixed",
+                     "--iters", "5", "--seed", "1"]) == 0
+        assert "solver=pwgrad iterations=5 stop=iterations" in capsys.readouterr().out
 
     def test_missing_data_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -128,15 +135,15 @@ class TestSolve:
     def test_divergence_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path, n=256, d=4, kappa=100.0)
         assert main(["solve", "--data", str(data), "--solver", "pwgrad",
-                     "--eta", "5", "--iters", "300", "--seed", "1"]) == 3
+                     "--eta", "10", "--iters", "300", "--seed", "1"]) == 3
         assert "iteration" in capsys.readouterr().err
 
     def test_small_sketch_divergence_exits_3(self, tmp_path, capsys):
-        # The unit step (--eta 0.5 for pwgrad) needs a sketch of about 12d
-        # rows; at 4d f grows past 10 f(x0) and the solve stops with
-        # DivergenceError. The auto step converges at that size.
+        # The unit step needs a sketch of about 12d rows; at 4d f grows
+        # past 10 f(x0) and the solve stops with DivergenceError. The auto
+        # step converges at that size.
         data = write_dataset(tmp_path, n=8192, d=50, kappa=1e4, seed=1)
-        assert main(["solve", "--data", str(data), "--solver", "pwgrad", "--eta", "0.5",
+        assert main(["solve", "--data", str(data), "--solver", "pwgrad", "--eta", "1",
                      "--sketch-size", "200", "--iters", "30", "--seed", "3"]) == 3
         assert "exceeds 10 times the start's objective" in capsys.readouterr().err
 

@@ -184,7 +184,7 @@ class TestProxRMetric:
 
         w = FeasibleSet.l1_ball(1.0, 2)
         rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        r = qr_thin(rot @ np.diag([1.0, 1e5])).r  # kappa(R^T R) = 1e10
+        r = qr_thin(rot @ np.diag([1.0, 1e5]))  # kappa(R^T R) = 1e10
         x_prev, c = np.array([0.7, 0.2]), np.array([3.0, -2.0])
         x = prox_r_metric(w, r, x_prev, c, 1.0)
         z = x_prev - scipy.linalg.solve_triangular(

@@ -15,32 +15,31 @@ from sketchreg.errors import (
     SingularFactorError,
 )
 from sketchreg.linalg import condition_number, fwht_inplace, qr_thin, tri_solve
-from helpers import force_workers, fwht
+from helpers import force_workers, fwht, signed_r
 
 
 class TestQrThin:
     def test_identity(self):
-        q, r = qr_thin(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(qr_thin(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_hand_gram_schmidt(self):
         # First column has norm 5 and is orthogonal to the second.
         m = np.array([[3.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
-        _, r = qr_thin(m)
+        r = qr_thin(m)
         np.testing.assert_allclose(r, np.array([[5.0, 0.0], [0.0, 1.0]]), atol=1e-14)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((50, 5))
-        q, r = qr_thin(m)
-        assert np.linalg.norm(q @ r - m) / np.linalg.norm(m) <= 1e-10
+        r = qr_thin(m)
+        assert np.linalg.norm(orthonormal_factor(m, r) @ r - m) / np.linalg.norm(m) <= 1e-10
 
     @pytest.mark.parametrize("n,d", [(8, 3), (64, 10), (512, 20)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_orthonormal_and_reconstructs(self, n, d, seed):
         m = np.random.default_rng(seed).standard_normal((n, d))
-        q, r = qr_thin(m)
+        r = qr_thin(m)
+        q = orthonormal_factor(m, r)
         np.testing.assert_allclose(q.T @ q, np.eye(d), atol=1e-10)
         assert np.linalg.norm(q @ r - m) <= 1e-8 * np.linalg.norm(m)
         assert np.allclose(r, np.triu(r))
@@ -56,8 +55,8 @@ class TestQrThin:
         # The rank tolerance scales with the input; it must neither
         # overflow (1e200) nor underflow (1e-200).
         m = np.random.default_rng(4).standard_normal((40, 5))
-        expected = qr_thin(m).r
-        _, r = qr_thin(scale * m)
+        expected = qr_thin(m)
+        r = qr_thin(scale * m)
         np.testing.assert_allclose(r / scale, expected, rtol=0,
                                    atol=1e-12 * np.max(np.abs(expected)))
         col = np.arange(6.0)[:, None]
@@ -67,23 +66,16 @@ class TestQrThin:
     @pytest.mark.parametrize("shape", [(2500, 50), (400, 50), (40, 5)])
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_r_only_is_bitwise_the_full_r(self, shape, scale):
+        # The R that comes with numpy's Q, signed as qr_thin signs it.
         m = scale * np.random.default_rng(6).standard_normal(shape)
-        q, r = qr_thin(m, with_q=False)
-        assert q is None
-        assert r.tobytes() == qr_thin(m).r.tobytes()
-
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-    def test_r_only_rank_deficient_raises(self, scale):
-        col = np.arange(6.0)[:, None]
-        with pytest.raises(RankDeficientError):
-            qr_thin(scale * np.hstack([col, 2.0 * col]), with_q=False)
+        _, r = np.linalg.qr(m, mode="reduced")
+        assert qr_thin(m).tobytes() == (np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+                                        * r).tobytes()
 
 
-def signed_r(m: np.ndarray) -> np.ndarray:
-    """numpy's Householder R of m in one piece, rows flipped to a
-    nonnegative diagonal: qr_thin's R-only factor before it was blocked."""
-    r = np.linalg.qr(m, mode="r")
-    return np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None] * r
+def orthonormal_factor(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Q = m R^-1, orthonormal exactly when R^T R = m^T m."""
+    return tri_solve(r, m.T, transposed=True).T
 
 
 class TestBlockedR:
@@ -99,7 +91,7 @@ class TestBlockedR:
         # Every benchmark sketch (at most 2500 rows) is one block, so its
         # R, and every solve built on it, is the same bits as before.
         m, _ = self.data(n, 50)
-        assert qr_thin(m, with_q=False).r.tobytes() == signed_r(m).tobytes()
+        assert qr_thin(m).tobytes() == signed_r(m).tobytes()
 
     # With blocks of 64 rows and d = 5: below one block; a whole number
     # of blocks; a tail of 8 rows; a tail of 3 rows, fewer than d + 2.
@@ -109,7 +101,7 @@ class TestBlockedR:
         monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
         m, b = self.data(n, 5)
         full = np.column_stack((m, b)) if with_rhs else m
-        r = qr_thin(m, with_q=False, rhs=b if with_rhs else None).r
+        r = qr_thin(m, rhs=b if with_rhs else None)
         assert r.shape == (full.shape[1], full.shape[1])
         assert np.all(np.diag(r) >= 0.0) and np.array_equal(r, np.triu(r))
         np.testing.assert_allclose(r, signed_r(full), rtol=0,
@@ -118,13 +110,13 @@ class TestBlockedR:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bitwise_the_same_on_any_worker_count(self, monkeypatch, workers):
         m, b = self.data(2 * linalg_mod._QR_BLOCK + 3, 8)
-        inline = qr_thin(m, with_q=False, rhs=b).r
+        inline = qr_thin(m, rhs=b)
         force_workers(monkeypatch, workers)
-        assert qr_thin(m, with_q=False, rhs=b).r.tobytes() == inline.tobytes()
+        assert qr_thin(m, rhs=b).tobytes() == inline.tobytes()
 
     def test_last_column_solves_least_squares(self):
         m, b = self.data(3 * linalg_mod._QR_BLOCK + 17, 6)
-        r = qr_thin(m, with_q=False, rhs=b).r
+        r = qr_thin(m, rhs=b)
         x = tri_solve(r[:6, :6], r[:6, 6])
         x_ref = np.linalg.lstsq(m, b, rcond=None)[0]
         np.testing.assert_allclose(x, x_ref, rtol=1e-12)
@@ -137,7 +129,7 @@ class TestBlockedR:
         monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
         m, _ = self.data(n, 3)
         for b in (m @ np.array([1.0, -2.0, 0.5]), m[:, 1].copy(), np.zeros(n)):
-            r = qr_thin(m, with_q=False, rhs=b).r
+            r = qr_thin(m, rhs=b)
             if n == 3:
                 assert r.shape == (3, 4)  # a square m leaves no residual row
             else:
@@ -149,12 +141,12 @@ class TestBlockedR:
         monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
         col = np.arange(200.0)[:, None]
         with pytest.raises(RankDeficientError):
-            qr_thin(np.hstack([col, 2.0 * col]), with_q=False, rhs=np.ones(200))
+            qr_thin(np.hstack([col, 2.0 * col]), rhs=np.ones(200))
 
-    @pytest.mark.parametrize("with_q,rhs_len", [(True, 10), (False, 9)])
-    def test_rhs_needs_r_only_and_one_entry_per_row(self, with_q, rhs_len):
+    @pytest.mark.parametrize("rhs_len", [9, 11])
+    def test_rhs_needs_one_entry_per_row(self, rhs_len):
         with pytest.raises(DimensionMismatchError):
-            qr_thin(np.ones((10, 2)) + np.eye(10, 2), with_q=with_q, rhs=np.ones(rhs_len))
+            qr_thin(np.ones((10, 2)) + np.eye(10, 2), rhs=np.ones(rhs_len))
 
 
 class TestTriSolve:
@@ -284,7 +276,7 @@ class TestFwht:
 
 class TestConditionNumber:
     def test_orthonormal_columns(self):
-        q, _ = qr_thin(np.random.default_rng(1).standard_normal((30, 4)))
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((30, 4)))
         assert abs(condition_number(q) - 1.0) <= 1e-10
 
     def test_diagonal(self):

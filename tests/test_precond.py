@@ -20,7 +20,7 @@ from sketchreg.precond import (
 from sketchreg.sketches import (apply, default_sketch_size, hadamard_operator, make_sketch,
                                 subsample)
 from sketchreg.solvers import SOLVERS, SolverConfig, pw_gradient
-from helpers import dense_sketch
+from helpers import dense_sketch, signed_r
 
 
 def conditioned_basis(a, r):
@@ -38,10 +38,10 @@ class TestBuildR:
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     def test_r_is_bitwise_the_full_factorization_r(self, kind):
-        # build_r skips forming Q; its R must be the same bits.
+        # build_r forms no Q; its R is numpy's Householder R of S A, signed.
         a, _, _ = gen_synthetic(DatasetSpec(n=1024, d=10, target_kappa=1e4, seed=4))
         sk = make_sketch(kind, default_sketch_size(kind, 10), 1024, seed=5)
-        assert build_r(a, sk).tobytes() == qr_thin(apply(sk, a)).r.tobytes()
+        assert build_r(a, sk).tobytes() == signed_r(apply(sk, a)).tobytes()
 
     def test_conditioning_on_ill_conditioned_data(self):
         # kappa(A) = 1e8 comes down to O(1) in most seeds.
@@ -241,11 +241,11 @@ class TestOneHadamardPass:
         real_qr = qr_thin
         sizes = []
 
-        def flaky(m, with_q=True):
+        def flaky(m, rhs=None):
             sizes.append(m.shape[0])
             if len(sizes) == 1:
                 raise RankDeficientError("forced")
-            return real_qr(m, with_q)
+            return real_qr(m, rhs)
 
         monkeypatch.setattr(precond_mod, "qr_thin", flaky)
         shapes = count_fwht_shapes(monkeypatch)

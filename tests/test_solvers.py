@@ -27,7 +27,6 @@ from sketchreg.solvers import (
     hd_pw_acc_batch_sgd,
     hd_pw_batch_sgd,
     ihs,
-    ihs_fixed,
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
@@ -35,11 +34,7 @@ from sketchreg.solvers import (
     sgd_step_size,
 )
 from helpers import (acc_sgd_per_step, acc_sgd_unstacked_per_step, batch_index_stream,
-                     batch_sgd_per_step, force_workers)
-
-
-# The unit step on A^T (Ax - b), in each full-gradient solver's units.
-UNIT_STEP = {"pwgrad": 0.5, "ihs": 1.0, "ihs-fixed": 1.0}
+                     batch_sgd_per_step, force_workers, sketch_ihs)
 
 
 def make_problem(n=2048, d=10, kappa=1e3, noise=1.0, seed=2, constraint="none",
@@ -74,10 +69,6 @@ PINNED = {
         [0.07645025764314364, 0.06993066096462057, 2.1197185310534588, -0.8488582811922879],
         [0.07645025764314364, 0.06993066096462057, 2.1197185310534588, -0.8488582811922879],
         60, [0, 20, 40, 60]),
-    ('ihs-fixed', 'none'): (
-        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
-        [0.0764502576431439, 0.0699306609646202, 2.1197185310534583, -0.8488582811922875],
-        60, [0, 20, 40, 60]),
     ('sgd', 'none'): (
         [0.08500862488398592, -0.22546479364998123, 1.7799435925763671, -0.24934786250980162],
         [0.46979222169690116, -0.40848632030284615, 1.7023513233861103, -0.3048987640155063],
@@ -98,10 +89,6 @@ PINNED = {
     ('ihs', 'l2'): (
         [0.5402170411311493, -0.4230290849993613, 1.1401450214456363, -0.33181618645341915],
         [0.5402170411311493, -0.4230290849993613, 1.1401450214456363, -0.33181618645341915],
-        60, [0, 20, 40, 60]),
-    ('ihs-fixed', 'l2'): (
-        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
-        [0.5402170411311495, -0.4230290849993614, 1.1401450214456361, -0.33181618645341926],
         60, [0, 20, 40, 60]),
     ('sgd', 'l2'): (
         [0.5742573387989636, -0.40953429148260057, 1.1135028574335708, -0.3368053712127747],
@@ -186,7 +173,7 @@ class TestAllSolvers:
         np.testing.assert_array_equal(rep1.final_x_avg, rep2.final_x_avg)
         assert [p.objective for p in rep1.trace] == [p.objective for p in rep2.trace]
 
-    @pytest.mark.parametrize("name", ["pwgrad", "ihs", "ihs-fixed"])
+    @pytest.mark.parametrize("name", ["pwgrad", "ihs"])
     def test_fixed_point_at_optimum(self, name):
         a, b, w, _ = make_problem(n=512, d=6, kappa=5.0, seed=13)
         x_star, _ = ground_truth(a, b, w)
@@ -230,7 +217,7 @@ class TestAllSolvers:
         assert "_smoothness_bounds" in calls
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("name,step", [("hdpwbatch", 10.0), ("pwgrad", 5.0)])
+    @pytest.mark.parametrize("name,step", [("hdpwbatch", 10.0), ("pwgrad", 10.0)])
     def test_divergence_raises(self, name, step):
         a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=10)
         cfg = SolverConfig(iterations=300, step_size=step, seed=1)
@@ -270,12 +257,11 @@ class TestDivergenceGuard:
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     @pytest.mark.parametrize("name,mult", [("pwgrad", 2), ("pwgrad", 4), ("pwgrad", 8),
-                                           ("ihs-fixed", 2), ("ihs-fixed", 4),
-                                           ("ihs-fixed", 8), ("ihs", 2)])
+                                           ("ihs", 2)])
     def test_small_sketch_raises(self, problem, name, mult, kind):
         a = problem[0]
         cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50,
-                           step_size=UNIT_STEP[name])
+                           step_size=1.0)
         if name != "ihs":
             r_factor, _ = sketched_r(a, kind, mult * 50, 3)
             lam_max = np.linalg.norm(tri_solve(r_factor, a.T, transposed=True), 2) ** 2
@@ -309,7 +295,7 @@ class TestDivergenceGuard:
         a, b, _ = problem
         w = make_feasible_set(a, b, constraint, radius_scale=0.7)
         cfg = SolverConfig(iterations=40, seed=3, sketch_size=100, objective_tol=1e-8,
-                           step_size=UNIT_STEP["pwgrad"])
+                           step_size=1.0)
         if constraint == "none":
             with pytest.raises(DivergenceError, match="exceeds 10 times"):
                 pw_gradient(a, b, w, cfg)
@@ -384,7 +370,7 @@ class TestDivergenceGuard:
         w = FeasibleSet.unconstrained(50)
         with pytest.raises(DivergenceError, match="exceeds 10 times the start's objective"):
             pw_gradient(a, b, w, SolverConfig(iterations=40, seed=3, sketch_size=200, x0=x_ls,
-                                              step_size=UNIT_STEP["pwgrad"]))
+                                              step_size=1.0))
 
 
 class TestStopReason:
@@ -844,17 +830,30 @@ class TestIhs:
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     @pytest.mark.parametrize("constraint", ["none", "l1", "l2"])
     @pytest.mark.parametrize("x0", [None, "given"])
-    def test_fixed_sketch_is_pw_gradient_at_half_the_step(self, eta, kind, constraint, x0):
-        # Both step on A^T (Ax - b); pwgrad's explicit step doubles, exactly,
-        # and both auto steps are the unit step on it.
+    def test_pw_gradient_is_fixed_sketch_ihs(self, eta, kind, constraint, x0):
+        # One step unit: an explicit step and the auto step both scale
+        # A^T (Ax - b), bit for bit as in IHS's definition with one sketch.
         a, b, w, _ = make_problem(n=512, d=6, kappa=100.0, seed=21, constraint=constraint,
                                   radius_scale=0.7)
         start = None if x0 is None else np.linspace(-0.1, 0.1, 6)
-        cfg = SolverConfig(iterations=8, seed=3, sketch_kind=kind, x0=start)
-        fixed = ihs_fixed(a, b, w, replace(cfg, step_size=eta))
-        pw = pw_gradient(a, b, w, replace(cfg, step_size=eta if eta == "auto" else eta / 2))
-        np.testing.assert_array_equal(fixed.final_x, pw.final_x)
-        assert [p.objective for p in fixed.trace] == [p.objective for p in pw.trace]
+        cfg = SolverConfig(iterations=8, seed=3, sketch_kind=kind, x0=start, step_size=eta)
+        pw = pw_gradient(a, b, w, cfg)
+        x, objectives = sketch_ihs(a, b, w, cfg)
+        np.testing.assert_array_equal(pw.final_x, x)
+        assert [p.objective for p in pw.trace] == objectives
+
+    @pytest.mark.parametrize("eta", ["auto", 0.6, 0.37])
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("constraint", ["none", "l2"])
+    def test_fresh_sketch_is_ihs_by_definition(self, eta, kind, constraint):
+        # The same step unit as pwgrad, on a new seeded sketch each iteration.
+        a, b, w, _ = make_problem(n=512, d=6, kappa=100.0, seed=21, constraint=constraint,
+                                  radius_scale=0.7)
+        cfg = SolverConfig(iterations=8, seed=3, sketch_kind=kind, step_size=eta)
+        rep = ihs(a, b, w, cfg)
+        x, objectives = sketch_ihs(a, b, w, cfg, fresh_sketch=True)
+        np.testing.assert_array_equal(rep.final_x, x)
+        assert [p.objective for p in rep.trace] == objectives
 
     def test_fresh_sketch_converges(self):
         a, b, w, f_star = make_problem(n=2048, d=10, kappa=1e3, seed=17)
@@ -862,7 +861,7 @@ class TestIhs:
         rep = ihs(a, b, w, cfg, f_star=f_star)
         assert rep.final_relative_error <= 1e-8
 
-    @pytest.mark.parametrize("solver", [ihs, ihs_fixed])
+    @pytest.mark.parametrize("solver", [ihs, pw_gradient])
     def test_explicit_step_changes_iterates(self, solver):
         a, b, w, f_star = make_problem(n=512, d=6, kappa=10.0, seed=19)
         auto = solver(a, b, w, SolverConfig(iterations=5, seed=4), f_star=f_star)
