@@ -1,24 +1,26 @@
 """Dense kernels: thin QR (R-only by row blocks), triangular solves, the
-fast Walsh-Hadamard transform, singular-value diagnostics, and the one
-rule for spreading a pass over threads.
+fast Walsh-Hadamard transform (in place, through one cache-sized
+scratch tile per worker), singular-value diagnostics, and the one rule
+for spreading a pass over threads.
 
 Matrices are plain row-major ``numpy.ndarray`` of float64 throughout the
 package; there is no wrapper type.
 
 ``parallel`` runs the package's big passes (the Gaussian sketch's
-panels, the Walsh-Hadamard transform, the SRHT's sign pass, the SGD
-solvers' U pass and the row blocks of an R-only QR) on one thread per
-CPU this process may use. Each task writes its own part of the output,
-with the same arithmetic inline or on any number of threads, so every
-result is bitwise independent of the worker count. Workers call only
-numpy, which releases the GIL in BLAS, LAPACK and its ufunc loops; a
-pool lives for one call and its threads are joined before the call
+panels, the Walsh-Hadamard transform's tiles, the SRHT's sign pass, the
+SGD solvers' U pass and the row blocks of an R-only QR) on one thread
+per CPU this process may use. Each task writes its own part of the
+output, with the same arithmetic inline or on any number of threads, so
+every result is bitwise independent of the worker count. Workers call
+only numpy, which releases the GIL in BLAS, LAPACK and its ufunc loops;
+a pool lives for one call and its threads are joined before the call
 returns.
 """
 
 import contextlib
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,19 +44,25 @@ __all__ = [
 ]
 
 # Passes over fewer float64 elements than this run inline. Measured on a
-# 2-core Xeon VM with one BLAS thread (median of 15, inline -> 2 threads):
-# at 2^15 x 50 (1.6M elements) the FWHT went 12.6 -> 14.5 ms and the U
-# pass 18.0 -> 20.2 ms; at 2^16 x 50 (3.1M) the two were near a tie; at
-# 2^17 x 32 (2^22) 61 -> 42 and 41 -> 27 ms; at 2^17 x 50 98 -> 58 and
-# 68 -> 40 ms. It is a property of the input, not a setting. The
-# Gaussian sketch's panels ignore it: their normal draws always pay.
+# 2-core Xeon VM with one BLAS thread (inline -> 2 threads, median of
+# three trials, each the median of 21 calls): the FWHT took 7.8 -> 5.6 ms
+# at 2^15 x 50 (1.6M elements), 15.1 -> 10.8 ms at 2^16 x 50,
+# 23.7 -> 15.3 ms at 2^17 x 32 (2^22) and 38.7 -> 23.4 ms at 2^17 x 50,
+# but 3.0 -> 3.6 ms at 2^15 x 20; in a fourth trial, the second core
+# busy, threads lost at every shape. The SGD solvers' U pass shares this
+# threshold and lost in all three trials below it: 3.4 -> 3.9 ms at
+# 2^15 x 20, 11.2 -> 12.3 ms at 2^15 x 50 and 24.9 -> 26.0 ms at
+# 2^16 x 50, so the threshold stays at 2^22. It is a property of the
+# input, not a setting. The Gaussian sketch's panels ignore it: their
+# normal draws always pay.
 _PARALLEL_MIN_SIZE = 1 << 22
 # A threaded pass is cut into this many pieces per worker, which take
 # them as they finish: a worker slowed by another process's load then
 # holds up one small piece, not a fixed share of the pass. On the same VM
-# the 2^17 x 50 FWHT's median of 21 calls ranged over 53-92 ms in eight
-# trials with one piece per worker and 51-65 ms with four; beside a
-# process busy half the time, 92 against 82-85 ms.
+# the 2^17 x 50 FWHT (then out of place, with 64-row factors) took a
+# median of 21 calls over 53-92 ms in eight trials with one piece per
+# worker and 51-65 ms with four; beside a process busy half the time, 92
+# against 82-85 ms.
 _PIECES_PER_WORKER = 4
 
 
@@ -201,11 +209,19 @@ def next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
-# H_64 in Sylvester order; its top-left m x m block is H_m for every
-# power of two m <= 64, so it serves every level of fwht_inplace.
-_HADAMARD_BLOCK_BITS = 6
+# H_32 in Sylvester order; its top-left m x m block is H_m for every
+# power of two m <= 32, and H_m / sqrt(m) is a level's factor of
+# fwht_inplace. Scaled so, each factor is orthonormal and no 1/sqrt(n)
+# pass follows the levels. At n = 2^17 factors of 32, 16, 16 and 16 rows
+# cost 80 multiply-adds per element, where 64, 64 and 32 would cost 160.
+_HADAMARD_BLOCK_BITS = 5
 _HADAMARD_BLOCK = scipy.linalg.hadamard(1 << _HADAMARD_BLOCK_BITS, dtype=np.float64)
 _HADAMARD_BLOCK.flags.writeable = False
+
+# A Hadamard level is applied tile by tile, each tile of at most this many
+# float64 elements (512 KB, about a core's L2 cache): multiplied into a
+# worker's scratch of this size, then copied back over itself.
+_FWHT_TILE = 1 << 16
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
@@ -213,20 +229,19 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
 
     Applies H = H_n / sqrt(n) (H_n the +-1 Hadamard matrix in Sylvester
     order) in O(n log n) work; no n x n matrix is formed. Sylvester order
-    factors H_n = H_{m_1} (x) ... (x) H_{m_L} into Kronecker factors of
-    at most 64 rows, and each factor is applied as one batched matrix
-    product against ``v.reshape(outer, m, rest)``, alternating between
-    ``v`` and a single scratch buffer. The transform is an isometry and
-    an involution. 2-D inputs are transformed column by column.
+    factors H as a Kronecker product of factors H_m / sqrt(m) of at most
+    32 rows (``_HADAMARD_BLOCK``), one per level. A level multiplies
+    its factor into ``v.reshape(outer, m, rest)`` one tile at a time
+    (``_fwht_tiles``): into a scratch of ``_FWHT_TILE`` elements per
+    worker, then back over the tile, so no array the size of ``v`` is
+    allocated. The transform is an isometry and an involution. 2-D
+    inputs are transformed column by column.
 
-    Above ``_PARALLEL_MIN_SIZE`` elements each product is split over the
-    workers of :func:`parallel`: by ranges of ``outer`` when there are
-    at least as many as workers, else by column strips of ``rest``, each
-    at least 64 wide, with edges at multiples of 64. BLAS rounds a column
-    the same way in any strip so aligned, so the output is bitwise the
-    same for every worker count (the tests check it); a strip with other
-    edges, or one column wide, may round differently. The final
-    1/sqrt(n) scale is split by rows.
+    Above ``_PARALLEL_MIN_SIZE`` elements each level's tiles are shared
+    among the workers of :func:`parallel`. Tile edges depend only on the
+    shape and each tile is one product with the same operands on any
+    worker, so the output is bitwise the same for every worker count
+    (the tests check it).
 
     Raises NotPowerOfTwoError unless len(v) is a power of two.
     """
@@ -237,26 +252,43 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         raise ValueError("fwht_inplace needs a C-contiguous float64 array")
     bits = n.bit_length() - 1
     levels = -(-bits // _HADAMARD_BLOCK_BITS)
-    src, dst = v, np.empty_like(v)
-    with parallel(n, v.size) as (workers, run):
+    with parallel(-(-v.size // _FWHT_TILE), v.size) as (workers, run):
+        # Scratch made here, one per worker: a worker's freed memory stays in its arena.
+        scratch = queue.SimpleQueue()
+        for _ in range(workers):
+            scratch.put(np.empty(min(v.size, _FWHT_TILE)))
         outer = 1
         for level in range(levels):
             # Near-equal factor sizes minimise the total work n * sum(m_i).
             m = 1 << (bits // levels + (level < bits % levels))
-            rest = v.size // (outer * m)
-            h = _HADAMARD_BLOCK[:m, :m]
-            x, y = src.reshape(outer, m, rest), dst.reshape(outer, m, rest)
-            if outer >= workers:
-                parts = [(part,) for part in split(outer, workers)]
-            else:
-                parts = [(slice(None), slice(None), part) for part in
-                         split(rest, workers, 1 << _HADAMARD_BLOCK_BITS)]
-            run(lambda p: np.matmul(h, x[p], out=y[p]), parts)
-            src, dst = dst, src
+            h = _HADAMARD_BLOCK[:m, :m] / math.sqrt(m)
+            x = v.reshape(outer, m, v.size // (outer * m))
+            tiles = _fwht_tiles(*x.shape)
+
+            def piece(part: slice) -> None:
+                buf = scratch.get()
+                for tile in tiles[part]:
+                    src = x[tile]
+                    src[...] = np.matmul(h, src, out=buf[:src.size].reshape(src.shape))
+                scratch.put(buf)
+
+            run(piece, split(len(tiles), workers))
             outer *= m
-        scale = 1.0 / np.sqrt(n)
-        run(lambda rows: np.multiply(src[rows], scale, out=v[rows]), split(n, workers))
     return v
+
+
+def _fwht_tiles(outer: int, m: int, rest: int) -> list[tuple]:
+    """Indices into an (outer, m, rest) level, each a tile of at most
+    ``_FWHT_TILE`` elements that the level's factor maps onto itself:
+    column strips x[o, :, c0:c1] of one outer index while m * rest exceeds
+    a tile (the last strip ragged), else runs x[o0:o1] of whole outer
+    indices (the last run ragged)."""
+    if m * rest > _FWHT_TILE:
+        width = _FWHT_TILE // m
+        return [(o, slice(None), slice(c, c + width))
+                for o in range(outer) for c in range(0, rest, width)]
+    run = _FWHT_TILE // max(m * rest, 1)
+    return [(slice(o, o + run),) for o in range(0, outer, run)]
 
 
 def condition_number(m: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,7 +200,8 @@ class TestFwht:
     def test_impulse_n4(self):
         np.testing.assert_allclose(fwht([1.0, 0.0, 0.0, 0.0]), [0.5] * 4, atol=1e-15)
 
-    # n > 64 takes two (128, 4096) or three (8192) Kronecker levels.
+    # Factors have at most 32 rows: n <= 32 is one Kronecker level, 64 and
+    # 128 two, 4096 and 8192 three.
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 128, 4096, 8192])
     def test_matches_dense_hadamard(self, n):
         rng = np.random.default_rng(n)
@@ -207,8 +209,10 @@ class TestFwht:
         for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             np.testing.assert_allclose(fwht(v), dense @ v, atol=1e-12)
 
-    def test_matches_butterfly_large(self):
-        v = np.random.default_rng(17).standard_normal((2**17, 3))
+    # One to four Kronecker levels; 2^12 x 50 also has ragged tiles.
+    @pytest.mark.parametrize("shape", [(2**3, 3), (2**8, 3), (2**12, 50), (2**17, 3)])
+    def test_matches_butterfly(self, shape):
+        v = np.random.default_rng(17).standard_normal(shape)
         expected = butterfly_fwht(v.copy())
         got = fwht_inplace(v.copy())
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(v))
@@ -239,11 +243,13 @@ class TestFwht:
         norm = np.linalg.norm(v)
         assert abs(np.linalg.norm(fwht(v)) - norm) <= 1e-12 * norm
 
-    # Level 0 (outer = 1) splits rest into strips of whole 64-column units
-    # (2^10 x 5: 160 = 64 + 96), or not at all when rest < 128 (2^7 x 5);
-    # later levels split outer, ragged at three workers (2^17 x 1).
-    @pytest.mark.parametrize("shape", [(2,), (2**7, 5), (2**10, 5), (2**12, 3), (2**13,),
-                                       (2**13, 1), (2**17, 1)])
+    # Tiles of 2^16 elements. 2^12 x 50: level 0 (16 x 12800) is cut into
+    # column strips of 4096, the last one 512 wide, and level 1 (16 x 800)
+    # into runs of 5 outer indices, the last one 1; 2^17 x 1 has whole
+    # strips, then runs; n <= 32 is one level and n = 1 none.
+    @pytest.mark.parametrize("shape", [(1,), (1, 4), (2,), (32, 3), (2**7, 5), (2**10, 5),
+                                       (2**12, 3), (2**12, 50), (2**13,), (2**13, 1),
+                                       (2**17, 1)])
     def test_bitwise_independent_of_worker_count(self, monkeypatch, shape):
         v = np.random.default_rng(len(shape)).standard_normal(shape)
         outs = []
@@ -252,6 +258,19 @@ class TestFwht:
             outs.append(fwht(v))
         for out in outs[1:]:
             assert np.array_equal(out, outs[0])
+
+    def test_peak_memory_is_worker_scratch(self, monkeypatch):
+        # One tile of scratch per worker, 2 x 512 KB here; a scratch the
+        # size of v would be 8 MB.
+        force_workers(monkeypatch, 2)
+        v = np.random.default_rng(4).standard_normal((2**16, 16))
+        tracemalloc.start()
+        try:
+            fwht_inplace(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * v.nbytes
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         force_workers(monkeypatch, 3)

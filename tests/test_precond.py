@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestBuildPreconditioner:
         monkeypatch.setattr(precond_mod, "build_r", always_fails)
         with pytest.raises(RankDeficientError):
             precond_mod.build_preconditioner(a, rng.standard_normal(64), "gaussian", 8, seed=14)
+
+    def test_peak_memory_is_one_transformed_copy(self):
+        # H D A and H D b, one tile of FWHT scratch and the sketch; a
+        # scratch the size of A would add a second A.nbytes.
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal((2**15, 16)), rng.standard_normal(2**15)
+        tracemalloc.start()
+        try:
+            precond_mod.build_preconditioner(a, b, "srht", 256, seed=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * a.nbytes
 
     def test_median_conditioning_at_defaults(self):
         # Both sketch families keep kappa(A R^-1) small on nasty data.
