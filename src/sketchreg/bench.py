@@ -88,12 +88,6 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return r[:d, :d], tri_solve(r[:d, :d], r[:d, d])
 
 
-def solve_unconstrained_qr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct least-squares solve by Householder QR (the unconstrained
-    oracle's x*)."""
-    return _least_squares(a, b)[1]
-
-
 def make_feasible_set(a: np.ndarray, b: np.ndarray, constraint: str,
                       radius_scale: float = 1.0) -> FeasibleSet:
     """Constraint set for a dataset: ball radii come from the
@@ -101,7 +95,7 @@ def make_feasible_set(a: np.ndarray, b: np.ndarray, constraint: str,
     d = a.shape[1]
     if constraint == "none":
         return FeasibleSet.unconstrained(d)
-    x_unc = solve_unconstrained_qr(a, b)
+    x_unc = _least_squares(a, b)[1]
     if constraint == "l2":
         return FeasibleSet.l2_ball(radius_scale * float(np.linalg.norm(x_unc)), d)
     if constraint == "l1":

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, errors
-from .linalg import condition_number, tri_solve
+from .linalg import condition_number, qr_thin, tri_solve
 from .precond import build_hd, build_r, row_norm_spread
-from .sketches import KINDS, embedding_distortion, make_sketch
+from .sketches import KINDS, make_sketch, range_distortion
 from .solvers import SOLVERS, SolverConfig, resolve_sketch_size
 
 DEFAULT_SEED = 1729
@@ -256,17 +256,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    """Diagnostics of the solvers' own pass, H D A and the R of S A (an SRHT
+    samples H D A), plus R_A of A. As ||S A x|| = ||R x|| and ||A x|| = ||R_A x||,
+    kappa(A), kappa(A R^-1) = kappa(R_A R^-1) and the distortion come from the
+    two d x d factors; the row norms are those of H D (A R^-1) = (H D A) R^-1."""
     a, b = bench.load_csv(args.data)
     n, d = a.shape
     s = resolve_sketch_size(_solver_config(args), n, d, high_precision=False)
     sk = make_sketch(args.sketch, s, n, args.seed)
-    r = build_r(a, sk)
-    u = tri_solve(r, a.T, transposed=True).T
-    kappa_a = condition_number(a)
-    kappa_u = condition_number(u)
-    distortion = embedding_distortion(sk, a, trials=args.trials)
-    hdu, _ = build_hd(u, np.zeros(n), args.seed)
-    observed, bound = row_norm_spread(np.linalg.norm(hdu, axis=1))
+    hda, _ = build_hd(a, b, args.seed)
+    r = build_r(a, sk, hda)
+    r_a = qr_thin(a)
+    kappa_a = condition_number(r_a)
+    kappa_u = condition_number(tri_solve(r, r_a.T, transposed=True).T)
+    distortion = range_distortion(r, r_a, args.seed, args.trials)
+    hdu = tri_solve(r, hda.T, transposed=True).T
+    observed, bound = row_norm_spread(np.sqrt(np.einsum("ij,ij->i", hdu, hdu)))
     print(f"n = {n}, d = {d}, sketch = {args.sketch}, s = {s}")
     print(f"kappa(A)        = {kappa_a:.6g}")
     print(f"kappa(A R^-1)   = {kappa_u:.6g}")

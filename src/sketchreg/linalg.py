@@ -294,8 +294,8 @@ def _fwht_tiles(outer: int, m: int, rest: int) -> list[tuple]:
 def condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min via full SVD.
 
-    Diagnostic only; never called inside solver iterations. Raises
-    RankDeficientError when sigma_min < 1e-14 * sigma_max.
+    Diagnostic only, on d x d R factors in ``diag`` (kappa(A) = kappa(R_A)).
+    Raises RankDeficientError when sigma_min < 1e-14 * sigma_max.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:

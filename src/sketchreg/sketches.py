@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, SketchSizeError
-from .linalg import fwht_inplace, next_pow2, parallel, split
+from .linalg import _r_factor, fwht_inplace, next_pow2, parallel, split
 
 __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply", "KINDS",
-           "subsample", "embedding_distortion", "default_sketch_size", "check_integer", "seeds",
-           "stream"]
+           "subsample", "embedding_distortion", "range_distortion", "default_sketch_size",
+           "check_integer", "seeds", "stream"]
 
 KINDS = ("gaussian", "countsketch", "srht")
 
@@ -201,21 +201,19 @@ def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
 
 
 def embedding_distortion(sk: SketchOperator, m: np.ndarray, trials: int = 100) -> float:
-    """Empirical embedding constant: max over random unit x of
-    | ||SAx|| / ||Ax|| - 1 |.
-
-    A diagnostic for how well the sketch preserves the range of m; the
-    trial directions are derived deterministically from the operator's
-    seed.
-    """
+    """Empirical embedding constant, a diagnostic of how well the sketch
+    preserves the range of m: ``range_distortion`` of (S m, m) over
+    directions drawn from the operator's seed."""
     m = np.asarray(m, dtype=np.float64)
-    sm = apply(sk, m)
-    rng = stream(sk.seed, "distortion")
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(m.shape[1])
-        x /= np.linalg.norm(x)
-        denom = np.linalg.norm(m @ x)
-        ratio = np.linalg.norm(sm @ x) / denom
-        worst = max(worst, abs(ratio - 1.0))
-    return worst
+    return range_distortion(apply(sk, m), m, sk.seed, trials)
+
+
+def range_distortion(sm: np.ndarray, m: np.ndarray, seed: int, trials: int) -> float:
+    """max | ||sm x|| / ||m x|| - 1 | over ``trials`` directions x, the rows
+    of one draw from ``stream(seed, "distortion")`` (the ratio ignores |x|).
+    Equal norms give equal values, as (S A, A) and their R factors (R, R_A):
+    a tall matrix is replaced by its R, so no product exceeds d x trials."""
+    x = stream(seed, "distortion").standard_normal((trials, m.shape[1])).T
+    sm_x, m_x = ((_r_factor(v, None) if v.shape[0] > v.shape[1] else v) @ x for v in (sm, m))
+    ratios = np.linalg.norm(sm_x, axis=0) / np.linalg.norm(m_x, axis=0)
+    return float(np.max(np.abs(ratios - 1.0), initial=0.0))

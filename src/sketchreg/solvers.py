@@ -451,18 +451,20 @@ class _YProblem(NamedTuple):
     u_rhs: np.ndarray  # U^T rhs, for the trace's y_c and sigma^2 at y0 = 0
 
 
+def _stability_cap(cfg: SolverConfig, prob: _YProblem) -> float:
+    """1/(L_stoch/r + L), the step cap of both SGD loops: single-row steps
+    at 1/L are unstable (L_stoch >> L); a batch of r rows relaxes the cap."""
+    l_stoch = _stochastic_smoothness(prob.consts, prob.u.shape[0])
+    return 1.0 / (l_stoch / cfg.batch_size + prob.consts.L)
+
+
 def _sgd_eta(cfg: SolverConfig, w: FeasibleSet, prob: _YProblem) -> float:
     """Explicit ``step_size``, or the auto rule on the sampled problem."""
     if cfg.step_size != "auto":
         return float(cfg.step_size)
     r, L = cfg.batch_size, prob.consts.L
-    # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))), additionally
-    # capped for stochastic stability: with L the full-gradient
-    # smoothness alone, single-row steps are wildly unstable (the
-    # per-row smoothness L_stoch >> L). A batch of r rows concentrates
-    # toward the full Hessian, so the cap relaxes as 1/(L_stoch/r + L).
-    l_stoch = _stochastic_smoothness(prob.consts, prob.u.shape[0])
-    cap = min(1.0 / (2.0 * L), 1.0 / (l_stoch / r + L))
+    # Eq-style rule min(1/(2L), sqrt(D^2/(2 T sigma^2))) under ``_stability_cap``.
+    cap = min(1.0 / (2.0 * L), _stability_cap(cfg, prob))
     try:
         # D_W in y = R x coordinates, the metric sigma^2 and the prox use.
         d_w = diameter_param(w, cfg.diameter_bound, prob.r_factor)
@@ -633,16 +635,17 @@ def _batch_sgd(w: FeasibleSet, cfg: SolverConfig, prob: _YProblem, rec: _Recorde
 
 def _epochs(cfg: SolverConfig, prob: _YProblem) -> Iterator[tuple[int, float]]:
     """(N_s, eta_s) of hdpwacc's epochs s = 1, ..., ``epochs``: the
-    ``acc_epoch_schedule`` of V_0 = ``prob.v0`` and the sampled sigma^2 of
-    a batch. An epoch that wants more than ``_EPOCH_ITER_CAP`` steps raises
-    EpochBudgetError when it is reached, not before."""
+    ``acc_epoch_schedule`` of V_0 = ``prob.v0`` and a batch's sampled sigma^2,
+    eta_s under ``_stability_cap`` (from an exact start, 1/(4L) alone diverged).
+    An epoch of over ``_EPOCH_ITER_CAP`` steps raises EpochBudgetError when reached."""
     sigma2_r = (_sampled_gradient_variance(prob.u, prob.rhs, prob.y0, cfg.seed, prob.u_rhs)
                 / cfg.batch_size)
+    cap = _stability_cap(cfg, prob)
     for s in range(1, cfg.epochs + 1):
         n_s, eta_s = acc_epoch_schedule(prob.consts.L, prob.consts.mu, sigma2_r, prob.v0, s)
         if n_s > _EPOCH_ITER_CAP:
             raise EpochBudgetError(f"epoch {s} wants {n_s} iterations")
-        yield n_s, eta_s
+        yield n_s, min(eta_s, cap)
 
 
 def _acc_sgd(w: FeasibleSet, cfg: SolverConfig, prob: _YProblem, rec: _Recorder,

@@ -7,7 +7,7 @@ import sketchreg.solvers as solvers_mod
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
 from sketchreg.precond import sketched_r
-from sketchreg.sketches import SketchOperator, apply, seeds
+from sketchreg.sketches import SketchOperator, apply, seeds, stream
 
 
 def force_workers(monkeypatch, workers: int) -> None:
@@ -64,6 +64,18 @@ def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
         resid = a @ x - b
         objectives.append(float(resid @ resid))
     return x, objectives
+
+
+def distortion_per_direction(sm: np.ndarray, m: np.ndarray, seed: int, trials: int) -> float:
+    """Reference for ``sketches.range_distortion``: one unit direction drawn
+    at a time, max | ||sm x|| / ||m x|| - 1 | kept as it goes."""
+    rng = stream(seed, "distortion")
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(m.shape[1])
+        x /= np.linalg.norm(x)
+        worst = max(worst, abs(np.linalg.norm(sm @ x) / np.linalg.norm(m @ x) - 1.0))
+    return worst
 
 
 def dense_sketch(sk: SketchOperator) -> np.ndarray:

@@ -1,11 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sketchreg.cli as cli_mod
+import sketchreg.precond as precond_mod
+import sketchreg.sketches as sketches_mod
 from sketchreg import errors
 from sketchreg.bench import DatasetSpec, gen_synthetic, load_csv, save_dataset_csv
 from sketchreg.cli import main
+from sketchreg.linalg import tri_solve
+from sketchreg.precond import build_hd
+from sketchreg.sketches import KINDS, apply, make_sketch
 from sketchreg.solvers import SOLVERS, pw_gradient
+from helpers import distortion_per_direction
 
 
 def write_dataset(tmp_path, n=2048, d=10, kappa=1e3, noise=1.0, seed=2):
@@ -244,6 +252,99 @@ class TestDiag:
             assert main(["diag", "--data", str(data), "--seed", str(seed)]) == 0
             holds += "holds: True" in capsys.readouterr().out
         assert holds >= 9
+
+
+def recording(monkeypatch, module, name: str, calls: list) -> None:
+    """Wrap ``module.name`` so that each call appends (args, result) to ``calls``."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestDiagFromFactors:
+    """diag runs the solvers' pass (one transform of A, the sketch's R)
+    and reads every number from R and the R_A of A."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_sketch_and_at_most_one_transform_of_a(self, tmp_path, monkeypatch, capsys,
+                                                       kind):
+        data = write_dataset(tmp_path, n=2048, d=10, kappa=1e3, seed=5)
+        sketched, transformed = [], []
+        # The user's sketch has s < n rows; the Hadamard operator has n_pad.
+        for module, name in ((sketches_mod, "apply"), (precond_mod, "apply"),
+                             (precond_mod, "subsample")):
+            recording(monkeypatch, module, name, sketched)
+        recording(monkeypatch, sketches_mod, "fwht_inplace", transformed)
+        assert main(["diag", "--data", str(data), "--sketch", kind]) == 0
+        assert sum(args[0].s < args[0].n for args, _ in sketched) <= 1
+        assert sum(args[0].shape[1:] == (10,) for args, _ in transformed) <= 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_peak_memory_beyond_loaded_data(self, monkeypatch, capsys, kind):
+        a, b, _ = gen_synthetic(DatasetSpec(n=2**15, d=20, target_kappa=30.0,
+                                            noise_std=1.0, seed=1))
+        monkeypatch.setattr(cli_mod.bench, "load_csv", lambda path, normalize=False: (a, b))
+        tracemalloc.start()
+        try:
+            assert main(["diag", "--data", "loaded.csv", "--sketch", kind]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * a.nbytes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kappa,d", [(30.0, 10), (1e8, 16)])
+    def test_printed_numbers_match_their_definitions(self, tmp_path, monkeypatch, capsys,
+                                                     kind, kappa, d):
+        data = write_dataset(tmp_path, n=2048, d=d, kappa=kappa, seed=7)
+        a, _ = load_csv(data)
+        seed, trials = 3, 40
+        kappas, r_factors, distortions, spreads = [], [], [], []
+        for name, calls in (("condition_number", kappas), ("build_r", r_factors),
+                            ("range_distortion", distortions),
+                            ("row_norm_spread", spreads)):
+            recording(monkeypatch, cli_mod, name, calls)
+        assert main(["diag", "--data", str(data), "--sketch", kind, "--seed", str(seed),
+                     "--trials", str(trials)]) == 0
+        printed = capsys.readouterr().out
+        (_, kappa_a), (_, kappa_u) = kappas
+        r = r_factors[0][1]
+        distortion = distortions[0][1]
+        (row_norms,), (observed, bound) = spreads[0]
+        assert f"kappa(A)        = {kappa_a:.6g}" in printed
+        assert f"kappa(A R^-1)   = {kappa_u:.6g}" in printed
+        assert f"= {distortion:.4f}" in printed
+        assert f"= {observed:.6g} (bound {bound:.6g}" in printed
+
+        # kappa(A) is bitwise the SVD's: LAPACK's SVD of a tall matrix starts
+        # from its QR. R_A and H D A carry a rounding of eps ||A|| in every
+        # direction, which R^-1 scales by up to kappa(A): against A R^-1
+        # formed from A itself, kappa(A R^-1) moved by up to 1.3e-9 and a
+        # row norm by 4.2e-9 at kappa 1e8, and by 1e-15 at kappa 30.
+        tol = max(1e-12, np.finfo(float).eps * kappa)
+        u = tri_solve(r, a.T, transposed=True).T
+        for got, m, rel in ((kappa_a, a, 1e-10), (kappa_u, u, tol)):
+            sv = np.linalg.svd(m, compute_uv=False)
+            assert got == pytest.approx(sv[0] / sv[-1], rel=rel)
+        s = int(printed.splitlines()[0].split(", s = ")[1])
+        sa = apply(make_sketch(kind, s, a.shape[0], seed), a)
+        assert distortion == pytest.approx(distortion_per_direction(sa, a, seed, trials),
+                                           abs=1e-12)
+        hdu, _ = build_hd(u, np.zeros(a.shape[0]), seed)
+        np.testing.assert_allclose(row_norms, np.linalg.norm(hdu, axis=1), rtol=tol)
+
+    def test_rank_deficient_data_is_a_numerical_failure(self, tmp_path, capsys):
+        a, b, _ = gen_synthetic(DatasetSpec(n=512, d=4, target_kappa=10.0,
+                                            noise_std=1.0, seed=2))
+        a[:, 3] = a[:, 0] + a[:, 1]
+        path = tmp_path / "flat.csv"
+        save_dataset_csv(path, a, b)
+        assert main(["diag", "--data", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def exit_code(argv):

@@ -27,7 +27,7 @@ from sketchreg.sketches import (
     seeds,
     stream,
 )
-from helpers import dense_sketch, force_workers
+from helpers import dense_sketch, distortion_per_direction, force_workers
 
 
 class TestMakeSketch:
@@ -264,6 +264,31 @@ class TestEmbeddingDistortion:
         a = np.random.default_rng(2).standard_normal((2048, 10))
         sk = make_sketch("countsketch", 100, 2048, seed=3)
         assert embedding_distortion(sk, a, trials=100) <= 0.5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_one_direction_at_a_time(self, kind):
+        a = np.random.default_rng(4).standard_normal((2048, 10)) * np.logspace(0, 4, 10)
+        sk = make_sketch(kind, 120, 2048, seed=5)
+        want = distortion_per_direction(apply(sk, a), a, 5, 60)
+        assert embedding_distortion(sk, a, trials=60) == pytest.approx(want, abs=1e-12)
+
+    def test_products_stay_below_the_size_of_m(self):
+        # Products of m itself with 100 directions would be 5 x m.nbytes.
+        a = np.random.default_rng(6).standard_normal((2**15, 20))
+        sk = make_sketch("gaussian", 160, 2**15, seed=1)
+        tracemalloc.start()
+        try:
+            embedding_distortion(sk, a, trials=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * a.nbytes
+
+    def test_one_block_draws_the_sequential_directions(self):
+        rng = stream(5, "distortion")
+        sequential = np.array([rng.standard_normal(7) for _ in range(30)])
+        np.testing.assert_array_equal(stream(5, "distortion").standard_normal((30, 7)),
+                                      sequential)
 
 
 def test_default_sizes_scale_with_d():

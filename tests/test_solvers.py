@@ -361,6 +361,37 @@ class TestDivergenceGuard:
                                                   x0=x_planted))
         assert max(p.objective for p in rep.trace) <= 1e-20 * float(b @ b)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_acc_exact_start_over_many_epochs_stays_at_rounding(self, seed):
+        # At an exact start sigma^2 is about 0, so eta_s is 1/(4L) unless
+        # capped: uncapped, rounding grew from f = 0 until the guard fired
+        # at iteration 330 (seed 4) and 331 (seed 3). With the stochastic
+        # stability cap both runs ended below 3e-27.
+        a, b, x_planted = gen_synthetic(DatasetSpec(n=2048, d=10, target_kappa=100.0,
+                                                    noise_std=0.0, seed=7))
+        rep = hd_pw_acc_batch_sgd(a, b, FeasibleSet.unconstrained(10),
+                                  SolverConfig(batch_size=1, epochs=40, seed=seed,
+                                               x0=x_planted))
+        assert rep.stop_reason == "iterations"
+        assert rep.trace[-1].objective <= 1e-25
+
+    def test_acc_epochs_step_at_the_stability_cap_from_an_exact_start(self):
+        # sigma^2 is about 0 there, so every epoch's schedule step is 1/(4L).
+        a, b, x_planted = gen_synthetic(DatasetSpec(n=512, d=6, target_kappa=100.0,
+                                                    noise_std=0.0, seed=23))
+        probs = []
+
+        def loop(w, cfg, prob, *rest):
+            probs.append(prob)
+            return 0, prob.y0, prob.y0
+
+        cfg = SolverConfig(iterations=10, epochs=12, seed=1, x0=x_planted)
+        solvers_mod._sgd_solve(a, b, FeasibleSet.unconstrained(6), cfg, None, "hdpwacc",
+                               loop, precondition=True)
+        cap = solvers_mod._stability_cap(cfg, probs[0])
+        assert cap < 1.0 / (4.0 * probs[0].consts.L)
+        assert [eta for _, eta in solvers_mod._epochs(cfg, probs[0])] == [cap] * 12
+
     def test_divergence_from_a_warm_start_raises(self):
         # A feasible warm start keeps f_ref = f(x0): the 4d pwgrad run at the
         # unit step that diverges from zero also raises when started at x*.
