@@ -35,6 +35,9 @@ __all__ = [
 TRACE_HEADER = ["solver", "seed", "iteration", "elapsed_seconds",
                 "objective", "relative_error"]
 
+# Rows that save_dataset_csv formats at a time.
+_CSV_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -73,7 +76,8 @@ def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
         sv[0] = spec.target_kappa
         if d > 2:
             sv[1:-1] = np.exp(rng.uniform(0.0, np.log(spec.target_kappa), size=d - 2))
-    a = (left * sv) @ right.T
+    left *= sv
+    a = left @ right.T
     planted = rng.standard_normal(d)
     b = a @ planted + spec.noise_std * rng.standard_normal(n)
     return a, b, planted
@@ -175,7 +179,11 @@ def load_csv(path, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
     Raises CsvParseError (with the offending line number) on malformed
     values and RaggedRowsError on inconsistent widths. ``normalize``
-    rescales each feature column to zero mean and unit variance.
+    rescales each feature column to zero mean and unit variance, in place.
+
+    ``a`` and ``b`` are C-contiguous float64 copies and the parsed
+    (n, d+1) block is dropped, so a solve holds A once: the solvers take
+    them as they are.
 
     numpy's C parser reads a well-formed file; it rounds each value
     correctly, as float() does. Whatever it rejects, or reads as empty or
@@ -193,12 +201,14 @@ def load_csv(path, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
         data = _read_csv_lines(path)
     if not np.isfinite(data).all():
         raise CsvParseError("dataset contains non-finite values")
-    a, b = data[:, :-1], data[:, -1]
+    a, b = np.array(data[:, :-1]), np.array(data[:, -1])
+    del data
     if normalize:
         mean = a.mean(axis=0)
         std = a.std(axis=0)
         std[std == 0.0] = 1.0
-        a = (a - mean) / std
+        a -= mean
+        a /= std
     return a, b
 
 
@@ -231,9 +241,12 @@ def _read_csv_lines(path) -> np.ndarray:
 
 def save_dataset_csv(path, a: np.ndarray, b: np.ndarray) -> None:
     """Write rows of d+1 floats at full float64 precision (round-trips
-    bit-exactly through load_csv)."""
-    data = np.column_stack([a, b])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    bit-exactly through load_csv). Rows go out ``_CSV_BLOCK`` at a time,
+    so no (n, d+1) copy of [A | b] is formed."""
+    with open(path, "wb") as handle:
+        for lo in range(0, len(b), _CSV_BLOCK):
+            rows = slice(lo, lo + _CSV_BLOCK)
+            np.savetxt(handle, np.column_stack([a[rows], b[rows]]), delimiter=",", fmt="%.17g")
 
 
 def write_trace_csv(path, reports: list[tuple[str, int, SolveReport]]) -> None:

@@ -183,7 +183,7 @@ def cmd_gen(args) -> int:
     a, b, _ = bench.gen_synthetic(spec)
     bench.save_dataset_csv(args.out, a, b)
     print(f"wrote {args.n} rows x {args.d + 1} cols to {args.out}")
-    print(f"measured kappa(A) = {condition_number(a):.6g}")
+    print(f"measured kappa(A) = {condition_number(qr_thin(a)):.6g}")
     return 0
 
 
@@ -259,7 +259,8 @@ def cmd_diag(args) -> int:
     """Diagnostics of the solvers' own pass, H D A and the R of S A (an SRHT
     samples H D A), plus R_A of A. As ||S A x|| = ||R x|| and ||A x|| = ||R_A x||,
     kappa(A), kappa(A R^-1) = kappa(R_A R^-1) and the distortion come from the
-    two d x d factors; the row norms are those of H D (A R^-1) = (H D A) R^-1."""
+    two d x d factors; the row norms are those of H D (A R^-1) = (H D A) R^-1,
+    which overwrites H D A, so A and one transformed copy are all it holds."""
     a, b = bench.load_csv(args.data)
     n, d = a.shape
     s = resolve_sketch_size(_solver_config(args), n, d, high_precision=False)
@@ -270,7 +271,7 @@ def cmd_diag(args) -> int:
     kappa_a = condition_number(r_a)
     kappa_u = condition_number(tri_solve(r, r_a.T, transposed=True).T)
     distortion = range_distortion(r, r_a, args.seed, args.trials)
-    hdu = tri_solve(r, hda.T, transposed=True).T
+    hdu = tri_solve(r, hda.T, transposed=True, overwrite=True).T
     observed, bound = row_norm_spread(np.sqrt(np.einsum("ij,ij->i", hdu, hdu)))
     print(f"n = {n}, d = {d}, sketch = {args.sketch}, s = {s}")
     print(f"kappa(A)        = {kappa_a:.6g}")

@@ -151,10 +151,13 @@ def _r_factor(m: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
     return np.linalg.qr(np.vstack(block_rs), mode="r")
 
 
-def tri_solve(r: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+def tri_solve(r: np.ndarray, rhs: np.ndarray, transposed: bool = False,
+              overwrite: bool = False) -> np.ndarray:
     """Solve R z = rhs (or R^T z = rhs) for upper-triangular R.
 
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides. With
+    ``overwrite``, a Fortran-ordered float64 ``rhs`` is overwritten by z,
+    which is then returned as a view of it.
     """
     r = np.asarray(r, dtype=np.float64)
     if np.any(np.diag(r) == 0.0):
@@ -164,7 +167,8 @@ def tri_solve(r: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.nd
             f"factor is {r.shape}, rhs has leading dim {np.shape(rhs)[0]}"
         )
     return scipy.linalg.solve_triangular(
-        r, rhs, trans="T" if transposed else "N", lower=False, check_finite=False
+        r, rhs, trans="T" if transposed else "N", lower=False,
+        overwrite_b=overwrite, check_finite=False
     )
 
 
@@ -294,7 +298,8 @@ def _fwht_tiles(outer: int, m: int, rest: int) -> list[tuple]:
 def condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min via full SVD.
 
-    Diagnostic only, on d x d R factors in ``diag`` (kappa(A) = kappa(R_A)).
+    Diagnostic only, on d x d R factors in ``diag`` and ``gen``
+    (kappa(A) = kappa(R_A)).
     Raises RankDeficientError when sigma_min < 1e-14 * sigma_max.
     """
     m = np.asarray(m, dtype=np.float64)

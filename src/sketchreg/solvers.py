@@ -306,7 +306,10 @@ def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
         raise DimensionMismatchError(
             f"feasible set has dim {w.dim}, A has {a.shape[1]} columns"
         )
-    if not np.isfinite(a).all() or not np.isfinite(b).all():
+    # Row blocks: a mask of all of A would take A.nbytes / 8.
+    rows = range(0, a.shape[0], _GRAM_BLOCK)
+    if not (np.isfinite(b).all()
+            and all(np.isfinite(a[lo:lo + _GRAM_BLOCK]).all() for lo in rows)):
         raise ValueError("input data contains non-finite entries")
     d = a.shape[1]
     if cfg.x0 is None:

@@ -173,6 +173,42 @@ class TestCsvIO:
         np.testing.assert_allclose(a.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(a.std(axis=0), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("parser", ["numpy", "lines"])
+    def test_arrays_are_contiguous_copies(self, tmp_path, monkeypatch, parser, normalize):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((300, 6)) * 3.0 + 1.0
+        path = tmp_path / "c.csv"
+        save_dataset_csv(path, data[:, :-1], data[:, -1])
+        if parser == "lines":
+            # float() syntax that numpy's parser rejects.
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("1_0,2,3,4,5,6\n")
+            data = np.vstack([data, [10.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        read = []
+        real = bench_mod._read_csv_lines
+        monkeypatch.setattr(bench_mod, "_read_csv_lines", lambda p: read.append(p) or real(p))
+        a, b = load_csv(path, normalize=normalize)
+        assert len(read) == (parser == "lines")
+        # The reference: views of the parsed block, normalized out of place.
+        want = data[:, :-1]
+        if normalize:
+            want = (want - want.mean(axis=0)) / want.std(axis=0)
+        for got in (a, b):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(a, want)
+        np.testing.assert_array_equal(b, data[:, -1])
+
+    def test_blocked_writer_matches_one_savetxt(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 3 * bench_mod._CSV_BLOCK + 17
+        a = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-30, 30, (n, 2)))
+        b = rng.standard_normal(n)
+        path, ref = tmp_path / "blocks.csv", tmp_path / "ref.csv"
+        save_dataset_csv(path, a, b)
+        np.savetxt(ref, np.column_stack([a, b]), delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

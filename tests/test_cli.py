@@ -52,6 +52,20 @@ class TestGen:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("kappa", [1e3, 1e8])
+    def test_kappa_from_r_factor_matches_svd_of_a(self, tmp_path, monkeypatch, capsys, kappa):
+        kappas = []
+        recording(monkeypatch, cli_mod, "condition_number", kappas)
+        out = tmp_path / "k.csv"
+        assert main(["gen", "--n", "5000", "--d", "8", "--kappa", str(kappa),
+                     "--out", str(out)]) == 0
+        ((m,), got), = kappas
+        assert m.shape == (8, 8)
+        a, _ = load_csv(out)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert got == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+        assert f"measured kappa(A) = {got:.6g}" in capsys.readouterr().out
+
     def test_scientific_notation_accepted(self, tmp_path):
         out = tmp_path / "sci.csv"
         assert main(["gen", "--n", "1e2", "--d", "4", "--out", str(out)]) == 0
@@ -288,13 +302,14 @@ class TestDiagFromFactors:
         a, b, _ = gen_synthetic(DatasetSpec(n=2**15, d=20, target_kappa=30.0,
                                             noise_std=1.0, seed=1))
         monkeypatch.setattr(cli_mod.bench, "load_csv", lambda path, normalize=False: (a, b))
+        # H D A, whose rows (H D A) R^-1 overwrites, and a sketch's buffers.
         tracemalloc.start()
         try:
             assert main(["diag", "--data", "loaded.csv", "--sketch", kind]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * a.nbytes
+        assert peak <= 2.0 * a.nbytes
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("kappa,d", [(30.0, 10), (1e8, 16)])
@@ -345,6 +360,35 @@ class TestDiagFromFactors:
         save_dataset_csv(path, a, b)
         assert main(["diag", "--data", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def dataset_2_15(tmp_path_factory):
+    """A written 2^15 x 20 CSV and the bytes of its A."""
+    return write_dataset(tmp_path_factory.mktemp("mem"), n=2**15, d=20, kappa=30.0,
+                         seed=1), 2**15 * 20 * 8
+
+
+class TestPeakMemory:
+    """A CLI command holds A once: ``load_csv`` drops the parsed (n, d+1)
+    block, and the solver adds only its one transformed copy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solver", "pwgrad"],
+        ["solve", "--solver", "hdpwbatch", "--constraint", "l2", "--iters", "200"],
+        ["bench", "--seeds", "1", "--iters", "200"],
+    ], ids=["solve-pwgrad", "solve-hdpwbatch-l2", "bench"])
+    def test_peak_with_load(self, tmp_path, capsys, dataset_2_15, argv):
+        data, a_nbytes = dataset_2_15
+        if argv[0] == "bench":
+            argv = [*argv, "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--data", str(data)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * a_nbytes
 
 
 def exit_code(argv):

@@ -22,6 +22,7 @@ from sketchreg.solvers import (
     SolverConfig,
     _sampled_gradient_variance,
     _smoothness_bounds,
+    _start,
     _stochastic_smoothness,
     acc_epoch_schedule,
     hd_pw_acc_batch_sgd,
@@ -153,6 +154,24 @@ class TestAllSolvers:
         w = FeasibleSet.unconstrained(3)
         with pytest.raises(DimensionMismatchError, match="n >= 1"):
             SOLVERS[name](np.zeros((0, 3)), np.zeros(0), w, SolverConfig(iterations=5))
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, where, value):
+        # The last row sits in the ragged block after two full _GRAM_BLOCKs.
+        a, b, _ = gen_synthetic(DatasetSpec(n=2 * _GRAM_BLOCK + 5, d=3, seed=4))
+        (a[-1] if where == "a" else b)[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            _start(a, b, FeasibleSet.unconstrained(3), SolverConfig())
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_maximum_pass(self):
+        big = np.finfo(np.float64).max
+        a = np.full((2 * _GRAM_BLOCK + 5, 3), 0.5 * big)
+        a[::2] = -big
+        b = np.ones(a.shape[0])
+        got = _start(a, b, FeasibleSet.unconstrained(3), SolverConfig())[0]
+        assert got is a
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_stop_below_rel_needs_f_star(self, name, monkeypatch):
