@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--batch", type=int, default=1, help="mini-batch size r")
     solver.add_argument("--eta", type=_eta, default="auto",
                         help="step size (float or 'auto'); pwgrad and ihs read it on "
-                             "A^T(Ax - b), where their auto step is (1 - d/s)^2 / (1 + d/s); "
+                             "A^T(Ax - b). With rho = d/s, pwgrad's auto step is heavy ball, "
+                             "step (1 - rho)^2 and momentum rho, and ihs's is "
+                             "(1 - rho)^2 / (1 + rho); an explicit step takes no momentum. "
                              "ihs-fixed is another name of pwgrad")
     solver.add_argument("--epochs", type=int, default=8)
 

@@ -43,19 +43,21 @@ __all__ = [
     "split",
 ]
 
-# Passes over fewer float64 elements than this run inline. Measured on a
-# 2-core Xeon VM with one BLAS thread (inline -> 2 threads, median of
-# three trials, each the median of 21 calls): the FWHT took 7.8 -> 5.6 ms
+# Passes over fewer float64 elements than this run inline, except the
+# FWHT, whose line is ``_FWHT_PARALLEL_MIN_SIZE``. Measured on a 2-core
+# Xeon VM with one BLAS thread (inline -> 2 threads, median of three
+# trials, each the median of 21 calls): the SGD solvers' U pass lost at
+# every size below 2^22, 3.4 -> 3.9 ms at 2^15 x 20, 11.2 -> 12.3 ms at
+# 2^15 x 50 and 24.9 -> 26.0 ms at 2^16 x 50, so this line stays at
+# 2^22. It is a property of the input, not a setting. The Gaussian
+# sketch's panels ignore it: their normal draws always pay.
+_PARALLEL_MIN_SIZE = 1 << 22
+# The FWHT's own line, lower: on the same VM its tiles took 7.8 -> 5.6 ms
 # at 2^15 x 50 (1.6M elements), 15.1 -> 10.8 ms at 2^16 x 50,
 # 23.7 -> 15.3 ms at 2^17 x 32 (2^22) and 38.7 -> 23.4 ms at 2^17 x 50,
-# but 3.0 -> 3.6 ms at 2^15 x 20; in a fourth trial, the second core
-# busy, threads lost at every shape. The SGD solvers' U pass shares this
-# threshold and lost in all three trials below it: 3.4 -> 3.9 ms at
-# 2^15 x 20, 11.2 -> 12.3 ms at 2^15 x 50 and 24.9 -> 26.0 ms at
-# 2^16 x 50, so the threshold stays at 2^22. It is a property of the
-# input, not a setting. The Gaussian sketch's panels ignore it: their
-# normal draws always pay.
-_PARALLEL_MIN_SIZE = 1 << 22
+# but 3.0 -> 3.6 ms at 2^15 x 20 (655k); in a fourth trial, the second
+# core busy, threads lost at every shape.
+_FWHT_PARALLEL_MIN_SIZE = 1 << 20
 # A threaded pass is cut into this many pieces per worker, which take
 # them as they finish: a worker slowed by another process's load then
 # holds up one small piece, not a fixed share of the pass. On the same VM
@@ -183,13 +185,15 @@ def _worker_count(tasks: int) -> int:
 
 
 @contextlib.contextmanager
-def parallel(tasks: int, size: float = math.inf):
+def parallel(tasks: int, size: float = math.inf, min_size: int | None = None):
     """Yield (workers, run) for a pass of ``tasks`` independent tasks over
     ``size`` float64 elements: ``workers`` threads (``_worker_count``, or
-    1 below ``_PARALLEL_MIN_SIZE``) and run(fn, items), which calls fn on
-    every item, on one pool of that many threads when there are several.
-    The pool's threads are joined when the block exits."""
-    workers = _worker_count(tasks) if size >= _PARALLEL_MIN_SIZE else 1
+    1 below ``min_size``, by default ``_PARALLEL_MIN_SIZE``) and
+    run(fn, items), which calls fn on every item, on one pool of that
+    many threads when there are several. The pool's threads are joined
+    when the block exits."""
+    line = _PARALLEL_MIN_SIZE if min_size is None else min_size
+    workers = _worker_count(tasks) if size >= line else 1
     if workers == 1:
         yield 1, lambda fn, items: list(map(fn, items))
         return
@@ -241,7 +245,7 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     allocated. The transform is an isometry and an involution. 2-D
     inputs are transformed column by column.
 
-    Above ``_PARALLEL_MIN_SIZE`` elements each level's tiles are shared
+    Above ``_FWHT_PARALLEL_MIN_SIZE`` elements each level's tiles are shared
     among the workers of :func:`parallel`. Tile edges depend only on the
     shape and each tile is one product with the same operands on any
     worker, so the output is bitwise the same for every worker count
@@ -256,7 +260,7 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         raise ValueError("fwht_inplace needs a C-contiguous float64 array")
     bits = n.bit_length() - 1
     levels = -(-bits // _HADAMARD_BLOCK_BITS)
-    with parallel(-(-v.size // _FWHT_TILE), v.size) as (workers, run):
+    with parallel(-(-v.size // _FWHT_TILE), v.size, _FWHT_PARALLEL_MIN_SIZE) as (workers, run):
         # Scratch made here, one per worker: a worker's freed memory stays in its arena.
         scratch = queue.SimpleQueue()
         for _ in range(workers):

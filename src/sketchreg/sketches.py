@@ -4,8 +4,9 @@ Each operator S maps R^n -> R^s (s < n) and approximately preserves
 ||Ax||_2 for all x at once. Operators are immutable and fully determined
 by (kind, s, n, seed); applying the same operator twice is bitwise
 reproducible, and independent of how many threads apply it: the
-Gaussian panels, and the SRHT's sign pass and transform above
-``linalg._PARALLEL_MIN_SIZE`` elements, run on ``linalg.parallel``.
+Gaussian panels, the SRHT's sign pass above
+``linalg._PARALLEL_MIN_SIZE`` elements and its transform above
+``linalg._FWHT_PARALLEL_MIN_SIZE``, run on ``linalg.parallel``.
 """
 
 import numbers

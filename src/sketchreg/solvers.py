@@ -7,19 +7,21 @@ Four preconditioned methods plus one baseline:
   on the preconditioned problem.
 * ``hd_pw_acc_batch_sgd`` -- same preconditioning, multi-epoch accelerated
   stochastic gradient with geometric error halving across epochs.
-* ``pw_gradient``       -- one sketch, full-gradient R-metric descent;
-  linearly convergent for the high precision regime. It is IHS with one
-  sketch, which ``SOLVERS`` also lists as "ihs-fixed".
+* ``pw_gradient``       -- one sketch, full-gradient R-metric heavy ball;
+  linearly convergent for the high precision regime. With a plain step
+  it is IHS with one sketch, which ``SOLVERS`` also lists as "ihs-fixed".
 * ``ihs``               -- the iterative-Hessian-sketch baseline, a fresh
   sketch per iteration.
 * ``plain_sgd_baseline`` -- uniform SGD on the raw, unpreconditioned
   problem, for comparison runs; it shares hd_pw_batch_sgd's loop.
 
 The full-gradient solvers step on A^T (Ax - b), in which IHS's unit
-step is 1. Their auto step comes from the sketch ratio
-rho = d/s (see ``_ratio_step``), which keeps it inside the sketch's
-expected spectrum at every sketch size; the default sizes (see
-``resolve_sketch_size``) leave room for a drawn spectrum's spread.
+step is 1. Their auto step comes from the sketch ratio rho = d/s, which
+keeps it inside the sketch's expected spectrum at every sketch size:
+heavy ball with step (1 - rho)^2 and momentum rho on pwgrad's one
+sketch (``_heavy_ball_step``), the plain step (1 - rho)^2 / (1 + rho)
+on each of IHS's fresh sketches (``_ratio_step``). The default sizes
+(see ``resolve_sketch_size``) leave room for a drawn spectrum's spread.
 
 Every solver takes R from ``precond.sketched_r``, under one rank-loss
 retry policy. The SGD solvers get it from ``build_preconditioner``,
@@ -105,10 +107,11 @@ _DIVERGENCE_FACTOR = 10.0
 # Rounding level of an objective, relative to f(0) = ||b||^2: the floor of f_ref.
 _EPS = float(np.finfo(np.float64).eps)
 # Fewest rows of a high-precision Gaussian sketch. The edge of a small
-# sketch's spectrum strays far past the ratio step's interval: at 12d
-# rows the step diverged on 3.2 % of sampled sketches at d = 1, 0.5 % at
-# d = 5 and 0.05 % at d = 10. At 400 rows none of 2e6 (d = 1) to 4e4
-# (d = 20) samples diverged or contracted slower than 0.85 a step.
+# sketch's spectrum strays far past the auto step's interval: at 12d
+# rows the ratio step diverged on 3.2 % of sampled sketches at d = 1,
+# 0.5 % at d = 5 and 0.05 % at d = 10, and heavy ball diverges above the
+# same top eigenvalue. At 400 rows none of 2e6 (d = 1) to 4e4 (d = 20)
+# samples diverged or contracted slower than 0.85 a step.
 _GAUSSIAN_MIN_ROWS = 400
 
 
@@ -125,9 +128,11 @@ class SolverConfig:
     D is finite, a sampled gradient-variance estimate sigma^2 at x0.
     hdpwacc always uses that sigma^2 and V_0 = f(x0), floored at
     eps ||b||^2. For the full-gradient
-    solvers "auto" is the step (1 - rho)^2 / (1 + rho) on A^T (Ax - b),
-    rho = d/s for the s rows of the sketch that made R (``_ratio_step``),
-    and an explicit ``step_size`` is in the same unit.
+    solvers "auto" reads rho = d/s for the s rows of the sketch that made
+    R: ``pw_gradient`` takes heavy ball, step (1 - rho)^2 on A^T (Ax - b)
+    and momentum rho (``_heavy_ball_step``), and ``ihs`` the step
+    (1 - rho)^2 / (1 + rho) (``_ratio_step``). An explicit ``step_size``
+    is in the same unit and takes no momentum.
 
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
@@ -335,24 +340,37 @@ def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
     The full-gradient high-precision methods take 50d rows of an SRHT or
     a CountSketch: those pay their pass over A whatever s is, so more
     rows cost only the s x d QR and buy a smaller rho = d/s, a faster
-    contraction. A Gaussian sketch costs s n draws, so it takes 12d, but
-    never fewer than ``_GAUSSIAN_MIN_ROWS``: the edge of its spectrum
-    strays past the ratio step's interval, by more the fewer rows it
-    has. At 8d one 400 x 50 draw in 2500 slowed that step's contraction
-    past 0.85, and at 12d none of 40000 passed 0.76; at small d, 12d
-    rows are too few (see ``_GAUSSIAN_MIN_ROWS``)."""
+    contraction. A Gaussian sketch costs s n draws, so it takes 10d, but
+    never fewer than ``_GAUSSIAN_MIN_ROWS`` (so 10d only for d > 40): the
+    edge of its spectrum strays past the auto step's interval, by more
+    the fewer rows it has. 10d is sized for ``pw_gradient``'s heavy ball
+    step (``_heavy_ball_step``), whose worst sampled 50-column spectrum
+    at 10d needed 50 iterations for 1e-10 and at 8d 134 (p99.9 28 and
+    45); runs from x = 0 at kappa 1e8 took about 2.2 times these. At
+    small d, 10d rows are too few (see ``_GAUSSIAN_MIN_ROWS``)."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
     if high_precision:
-        s = max(12 * d, _GAUSSIAN_MIN_ROWS) if cfg.sketch_kind == "gaussian" else 50 * d
+        s = max(10 * d, _GAUSSIAN_MIN_ROWS) if cfg.sketch_kind == "gaussian" else 50 * d
     else:
         s = default_sketch_size(cfg.sketch_kind, d)
     return max(min(s, n - 1), min(d + 1, n - 1))
 
 
+def _sketch_ratio(d: int, s: int) -> float:
+    """rho = d/s of a sketch of s rows; SketchSizeError for s <= d, where
+    the sketch's spectrum has no interval to step on."""
+    if s <= d:
+        raise SketchSizeError(f"the auto step needs more sketch rows than d = {d}, got s={s}")
+    return d / s
+
+
 def _ratio_step(d: int, s: int) -> float:
-    """The auto full-gradient step (1 - rho)^2 / (1 + rho), rho = d/s, on
-    A^T (Ax - b) in the metric of a sketch's R.
+    """The step (1 - rho)^2 / (1 + rho), rho = d/s, on A^T (Ax - b) in
+    the metric of a sketch's R: the auto step of ``ihs``, whose sketch
+    changes every iteration. Heavy ball's momentum did not pay there:
+    at 2^15 x 50, kappa 1e8, 13-14 iterations to 1e-10 became 15 at 50d
+    and 21-22 became 25-26 at 12d.
 
     For a Gaussian sketch of s rows the eigenvalues of the preconditioned
     Hessian (A R^-1)^T (A R^-1) lie, with high probability, near the
@@ -362,14 +380,32 @@ def _ratio_step(d: int, s: int) -> float:
     the top of the interval, (1 + sqrt(rho))^2 / (1 + rho), stays below 2
     for every rho < 1; at 50d the step is 0.94. The interval is a
     large-d limit, though: a drawn sketch's top eigenvalue can pass
-    2 / eta, and then the step diverges. That is rare at the default
-    sizes and common at few rows or small d (at d = 1 and s = 12, 3 % of
-    Gaussian draws). Raises SketchSizeError for s <= d, where no interval
-    exists."""
-    if s <= d:
-        raise SketchSizeError(f"the auto step needs more sketch rows than d = {d}, got s={s}")
-    rho = d / s
+    2 / eta = 2 (1 + rho) / (1 - rho)^2, and then the step diverges.
+    That is rare at the default sizes and common at few rows or small d
+    (at d = 1 and s = 12, 3 % of Gaussian draws). Raises SketchSizeError
+    for s <= d, where no interval exists."""
+    rho = _sketch_ratio(d, s)
     return (1.0 - rho) ** 2 / (1.0 + rho)
+
+
+def _heavy_ball_step(d: int, s: int) -> tuple[float, float]:
+    """(eta, beta) = ((1 - rho)^2, rho), rho = d/s: the auto Polyak heavy
+    ball step of ``pw_gradient``, x_{t+1} = prox of
+    x_t + beta (x_t - x_{t-1}) - eta (R^T R)^-1 A^T (A x_t - b).
+
+    It is the optimal fixed-momentum method for a sketch's
+    Marchenko-Pastur spectrum (Lacotte and Pilanci, ICML 2020; Ozaslan,
+    Pilanci and Arikan, ICASSP 2019), and it needs the sketch to stay
+    fixed. It converges below the same top eigenvalue as
+    ``_ratio_step``, 2 (1 + beta) / eta = 2 (1 + rho) / (1 - rho)^2, so
+    momentum adds no divergence risk at any size. On the interval its
+    error contracts by sqrt(rho) a step, against 2 sqrt(rho) / (1 + rho)
+    for the ratio step, so fewer sketch rows reach the same tail: over
+    20000 sampled 50-column Gaussian spectra, heavy ball at 10d needed
+    at most 50 iterations for 1e-10 (p99.9 28), the ratio step at 12d
+    at most 34 (p99.9 28). Raises SketchSizeError for s <= d."""
+    rho = _sketch_ratio(d, s)
+    return (1.0 - rho) ** 2, rho
 
 
 class _Constants(NamedTuple):
@@ -713,30 +749,41 @@ def hd_pw_acc_batch_sgd(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
 def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
                            fresh_sketch: bool) -> SolveReport:
     """Shared loop of pw_gradient and IHS: R-metric prox steps on the half
-    gradient A^T (Ax - b), the unit of an explicit step. The auto step is
-    ``_ratio_step`` of the rows of the sketch that made R, after any
-    retry, so each IHS sketch sets its own."""
+    gradient A^T (Ax - b), the unit of an explicit step. The auto step
+    reads the rows of the sketch that made R, after any retry: heavy ball
+    (``_heavy_ball_step``) on a fixed sketch, ``_ratio_step`` on each
+    fresh IHS sketch, which sets its own."""
     a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
     rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
-    def sketched_prox(t: int, warm_from: RMetricProx | None = None) -> tuple[RMetricProx, float]:
+    def sketched_prox(t: int, warm_from: RMetricProx | None = None
+                      ) -> tuple[RMetricProx, float, float]:
         seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
         r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
-        eta = _ratio_step(d, rows) if cfg.step_size == "auto" else float(cfg.step_size)
-        return RMetricProx(r_factor, w, warm_from), eta
+        if cfg.step_size != "auto":
+            eta, beta = float(cfg.step_size), 0.0
+        elif fresh_sketch:
+            eta, beta = _ratio_step(d, rows), 0.0
+        else:
+            eta, beta = _heavy_ball_step(d, rows)
+        return RMetricProx(r_factor, w, warm_from), eta, beta
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
-    prox, eta = sketched_prox(1)
+    prox, eta, beta = sketched_prox(1)
     rec.begin()
     ran = 0
+    x_prev = x
     for t in range(1, cfg.iterations + 1):
         if fresh_sketch and t > 1:
             # The new R's l1 solve starts from the last step's face; its
             # KKT test still decides.
-            prox, eta = sketched_prox(t, prox)
-        x = prox.solve(x, a.T @ resid, eta)
+            prox, eta, beta = sketched_prox(t, prox)
+        # Heavy ball steps from x_t + beta (x_t - x_{t-1}); beta = 0 is
+        # the plain step from x_t.
+        x_from = x + beta * (x - x_prev) if beta else x
+        x, x_prev = prox.solve(x_from, a.T @ resid, eta), x
         resid = a @ x - b
         f = float(resid @ resid)
         ran = t
@@ -748,9 +795,10 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,
                 cfg: SolverConfig, f_star: float | None = None) -> SolveReport:
     """Preconditioned projected gradient descent: one sketch, one R, a
-    step on A^T (Ax - b) each iteration. It is IHS with a fixed sketch:
-    the inner argmin depends on M = SA only through R^T R. ``step_size``
-    is in units of A^T (Ax - b); the auto step is ``_ratio_step``."""
+    step on A^T (Ax - b) each iteration. With an explicit ``step_size``
+    (in units of A^T (Ax - b)) it is IHS with a fixed sketch: the inner
+    argmin depends on M = SA only through R^T R. The auto step is heavy
+    ball (``_heavy_ball_step``), which a fixed sketch makes possible."""
     return _full_gradient_descent(a, b, w, cfg, f_star, solver="pwgrad", fresh_sketch=False)
 
 

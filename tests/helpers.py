@@ -15,6 +15,7 @@ def force_workers(monkeypatch, workers: int) -> None:
     threads, whatever the CPU and task counts."""
     monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: workers)
     monkeypatch.setattr(linalg_mod, "_PARALLEL_MIN_SIZE", 0)
+    monkeypatch.setattr(linalg_mod, "_FWHT_PARALLEL_MIN_SIZE", 0)
 
 
 def prox_r_metric(w: FeasibleSet, r_factor: np.ndarray, x_prev: np.ndarray,
@@ -42,9 +43,12 @@ def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
                fresh_sketch: bool = False) -> tuple[np.ndarray, list[float]]:
     """IHS from its definition: R of the seeded S A (a new seeded sketch
     each iteration if ``fresh_sketch``, else one for all), then
-    x <- argmin_W 0.5 ||R (x - x_t)||^2 + eta <A^T (A x_t - b), x>, with
-    eta that sketch's ratio step or the explicit ``cfg.step_size``.
-    Returns (final x, objectives from x0)."""
+    x <- argmin_W 0.5 ||R (x - x_from)||^2 + eta <A^T (A x_t - b), x>.
+    With an explicit ``cfg.step_size``, or a fresh sketch each iteration,
+    x_from = x_t and eta is that step or the sketch's ratio step
+    (1 - rho)^2 / (1 + rho), rho = d/s. The auto step on one sketch is
+    Polyak heavy ball: x_from = x_t + rho (x_t - x_{t-1}) (x_0 before the
+    first step) and eta = (1 - rho)^2. Returns (final x, objectives from x0)."""
     n, d = a.shape
     s = solvers_mod.resolve_sketch_size(cfg, n, d, True)
     if cfg.x0 is None:
@@ -52,15 +56,21 @@ def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
     else:
         x = np.asarray(cfg.x0, dtype=np.float64).copy()
         resid = a @ x - b
+    x_prev = x
     objectives = [float(resid @ resid)]
     for t in range(1, cfg.iterations + 1):
         if t == 1 or fresh_sketch:
             seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
             r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
             prox = RMetricProx(r_factor, w)
-            eta = (solvers_mod._ratio_step(d, rows) if cfg.step_size == "auto"
-                   else float(cfg.step_size))
-        x = prox.solve(x, a.T @ resid, eta)
+            rho = d / rows
+        if cfg.step_size != "auto":
+            x_from, eta = x, float(cfg.step_size)
+        elif fresh_sketch:
+            x_from, eta = x, (1.0 - rho) ** 2 / (1.0 + rho)
+        else:
+            x_from, eta = x + rho * (x - x_prev), (1.0 - rho) ** 2
+        x, x_prev = prox.solve(x_from, a.T @ resid, eta), x
         resid = a @ x - b
         objectives.append(float(resid @ resid))
     return x, objectives

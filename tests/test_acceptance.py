@@ -96,7 +96,8 @@ def test_criterion_01_batch_size_speedup():
 
 def test_criterion_02_pw_gradient_ihs_equivalence():
     # One sketch suffices: pwGradient is IHS with a fixed sketch, bit for
-    # bit, unconstrained and on an active l2 ball.
+    # bit, unconstrained and on an active l2 ball. The auto step adds
+    # heavy ball's momentum term, which the reference writes out.
     a, b = syn_instance(n=2048, d=10, kappa=1e3, noise=1.0, seed=3)
     worst, same_trace = 0.0, True
     for w in (FeasibleSet.unconstrained(10),

@@ -278,6 +278,17 @@ class TestFwht:
         fwht(np.ones((2**12, 2)))
         assert threading.active_count() == before
 
+    def test_threads_from_its_own_line(self, monkeypatch):
+        # The FWHT shares its tiles from 2^20 elements; every other pass
+        # (the SGD solvers' U pass, the SRHT's sign pass) from 2^22.
+        monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: 2)
+        fwht_line = linalg_mod._FWHT_PARALLEL_MIN_SIZE
+        assert fwht_line == 1 << 20 and linalg_mod._PARALLEL_MIN_SIZE == 1 << 22
+        for size, min_size, want in ((fwht_line, fwht_line, 2), (fwht_line - 1, fwht_line, 1),
+                                     (fwht_line, None, 1), (1 << 22, None, 2)):
+            with linalg_mod.parallel(8, size, min_size) as (workers, _):
+                assert workers == want
+
     def test_not_power_of_two(self):
         with pytest.raises(NotPowerOfTwoError):
             fwht(np.ones(6))
