@@ -50,7 +50,9 @@ __all__ = [
 # every size below 2^22, 3.4 -> 3.9 ms at 2^15 x 20, 11.2 -> 12.3 ms at
 # 2^15 x 50 and 24.9 -> 26.0 ms at 2^16 x 50, so this line stays at
 # 2^22. It is a property of the input, not a setting. The Gaussian
-# sketch's panels ignore it: their normal draws always pay.
+# sketch's panels ignore it. On the same VM their Box-Muller draws won
+# on 2 threads at 500 x 2^15 (112 -> 62 ms) and 400 x 2^14 (38 -> 23 ms)
+# but lost at 400 x 4096 (8.9 -> 10.1 ms) and 400 x 1024 (2.2 -> 3.0 ms).
 _PARALLEL_MIN_SIZE = 1 << 22
 # The FWHT's own line, lower: on the same VM its tiles took 7.8 -> 5.6 ms
 # at 2^15 x 50 (1.6M elements), 15.1 -> 10.8 ms at 2^16 x 50,

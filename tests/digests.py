@@ -7,11 +7,13 @@ any iterate must print the same digests. It is not a test module (no
     PYTHONPATH=src python tests/digests.py          # one line per run
     PYTHONPATH=src python tests/digests.py --combined-only
 
-``--combined-only`` prints one combined digest per solver name (each key
-of ``SOLVERS``, so ``pwgrad`` and its alias ``ihs-fixed`` apart) and one
-for the oracle results above the overall one, so a change that should
-move one solver's runs only can be checked at a glance. Without it, one
-line per run comes before the overall line.
+``--combined-only`` prints one combined digest per sketch kind (the
+``sketch_kind`` of each solver run's config, whether or not the solver
+sketches; oracle runs have none), then one per solver name (each key of
+``SOLVERS``, so ``pwgrad`` and its alias ``ihs-fixed`` apart) and one for
+the oracle results, above the overall one, so a change that should move
+one sketch kind's or one solver's runs only can be checked at a glance.
+Without it, one line per run comes before the overall line.
 
 Each solver run hashes ``final_x``, ``final_x_avg``, the trace's
 iterations, objectives and relative errors, ``iterations_run`` and
@@ -92,7 +94,7 @@ def _short_matrix():
             w = make_feasible_set(a, b, constraint, radius_scale=0.6)
             where = f"short kappa={kappa:g} {constraint}"
             oracle = ground_truth(a, b, w, seed=2)
-            yield "oracle", f"{where} oracle", lambda o=oracle: o
+            yield "oracle", None, f"{where} oracle", lambda o=oracle: o
             f_star = oracle[1]
             for name in sorted(SOLVERS):
                 for kind in ("srht", "gaussian", "countsketch"):
@@ -100,7 +102,7 @@ def _short_matrix():
                         cfg = SolverConfig(iterations=40, batch_size=4, seed=3, record_every=5,
                                            sketch_kind=kind, x0=x0)
                         label = f"{where} {name} {kind} x0={'0' if x0 is None else 'given'}"
-                        yield name, label, lambda n=name, a=a, b=b, w=w, c=cfg, f=f_star: (
+                        yield name, kind, label, lambda n=name, a=a, b=b, w=w, c=cfg, f=f_star: (
                             SOLVERS[n](a, b, w, c, f_star=f))
 
 
@@ -116,7 +118,7 @@ def _long_sgd():
             for name in ("hdpwbatch", "hdpwacc", "sgd"):
                 cfg = SolverConfig(iterations=4000 if name == "hdpwacc" else 3000,
                                    batch_size=batch, epochs=60, seed=4, x0=x0)
-                yield (name, f"long {start} {constraint} {name} batch={batch}",
+                yield (name, cfg.sketch_kind, f"long {start} {constraint} {name} batch={batch}",
                        lambda n=name, a=a, b=b, w=w, c=cfg: SOLVERS[n](a, b, w, c))
 
 
@@ -127,7 +129,7 @@ def _oracles():
         for constraint in ("l1", "l2"):
             for scale in (0.5, 0.7):
                 w = make_feasible_set(a, b, constraint, radius_scale=scale)
-                yield ("oracle", f"oracle kappa={kappa:g} {constraint} radius={scale}",
+                yield ("oracle", None, f"oracle kappa={kappa:g} {constraint} radius={scale}",
                        lambda w=w, a=a, b=b: ground_truth(a, b, w))
 
 
@@ -137,29 +139,35 @@ def _ball_constrained_oracles():
                                             noise_std=1.0, seed=seed))
         for constraint, scale in (("l1", 0.5), ("l2", 0.7)):
             w = make_feasible_set(a, b, constraint, radius_scale=scale)
-            yield ("oracle", f"ball-constrained dataset={seed} {constraint} radius={scale}",
+            yield ("oracle", None, f"ball-constrained dataset={seed} {constraint} radius={scale}",
                    lambda w=w, a=a, b=b, s=seed: ground_truth(a, b, w, seed=s))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--combined-only", action="store_true",
-                        help="print only the combined digests: per solver, oracles, overall")
+                        help="print only the combined digests: per sketch kind, per solver, "
+                             "oracles, overall")
     args = parser.parse_args()
     combined = hashlib.sha256()
+    per_kind: dict[str, tuple] = {}  # sketch kind -> (hash, runs)
     per_key: dict[str, tuple] = {}  # solver name or "oracle" -> (hash, runs)
     count = 0
     for group in (_short_matrix, _long_sgd, _oracles, _ball_constrained_oracles):
-        for key, label, run in group():
+        for key, kind, label, run in group():
             digest = _hash(run)
             combined.update(digest.encode())
-            h, runs = per_key.get(key, (hashlib.sha256(), 0))
-            h.update(digest.encode())
-            per_key[key] = (h, runs + 1)
+            for table, name in ((per_kind, kind), (per_key, key)):
+                if name is not None:
+                    h, runs = table.get(name, (hashlib.sha256(), 0))
+                    h.update(digest.encode())
+                    table[name] = (h, runs + 1)
             count += 1
             if not args.combined_only:
                 print(f"{digest}  {label}", flush=True)
     if args.combined_only:
+        for kind, (h, runs) in sorted(per_kind.items()):
+            print(f"{h.hexdigest()}  {kind} sketch ({runs} runs)")
         for key, (h, runs) in sorted(per_key.items()):
             print(f"{h.hexdigest()}  {key} ({runs} runs)")
     print(f"{combined.hexdigest()}  combined ({count} runs)")

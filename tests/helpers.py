@@ -7,7 +7,7 @@ import sketchreg.solvers as solvers_mod
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
 from sketchreg.linalg import fwht_inplace
 from sketchreg.precond import sketched_r
-from sketchreg.sketches import SketchOperator, apply, seeds, stream
+from sketchreg.sketches import _PANEL_COLS, _PANEL_ROWS, SketchOperator, apply, seeds, stream
 
 
 def force_workers(monkeypatch, workers: int) -> None:
@@ -93,6 +93,30 @@ def dense_sketch(sk: SketchOperator) -> np.ndarray:
     identity at a time so that no n x n array is formed."""
     return np.hstack([apply(sk, np.eye(sk.n, min(512, sk.n - j), -j))
                       for j in range(0, sk.n, 512)])
+
+
+def box_muller_sketch(sk: SketchOperator) -> np.ndarray:
+    """A Gaussian ``sk``'s S built from its stated rule, panel by panel:
+    panel p, rows [64 p, 64 p + 64), draws its tiles of 2048 columns in
+    column order from stream(seed, "gaussian", spawn_key=(p,)). A tile of
+    N entries, in row-major order, takes 2 ceil(N/2) float32 uniforms u,
+    radii r = sqrt(-2 ln(1 - u)) from the first half and angles 2 pi u
+    from the second, and is cos(angle) r then sin(angle) r, each product
+    in float64; S is the tiles over sqrt(s)."""
+    out = np.empty((sk.s, sk.n))
+    for p, top in enumerate(range(0, sk.s, _PANEL_ROWS)):
+        rng = stream(sk.seed, "gaussian", spawn_key=(p,))
+        k = min(_PANEL_ROWS, sk.s - top)
+        for left in range(0, sk.n, _PANEL_COLS):
+            cols = min(_PANEL_COLS, sk.n - left)
+            half = -(-k * cols // 2)
+            u = rng.random(2 * half, dtype=np.float32)
+            radius = np.sqrt(np.float32(-2.0) * np.log(np.float32(1.0) - u[:half]))
+            angle = np.float32(2.0 * np.pi) * u[half:]
+            z = np.concatenate([np.cos(angle).astype(np.float64) * radius,
+                                np.sin(angle).astype(np.float64) * radius])
+            out[top:top + k, left:left + cols] = z[:k * cols].reshape(k, cols)
+    return out * (1.0 / np.sqrt(sk.s))
 
 
 def l2_ball_bisection(r_factor: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:

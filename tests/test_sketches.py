@@ -27,7 +27,7 @@ from sketchreg.sketches import (
     seeds,
     stream,
 )
-from helpers import dense_sketch, distortion_per_direction, force_workers
+from helpers import box_muller_sketch, dense_sketch, distortion_per_direction, force_workers
 
 
 class TestMakeSketch:
@@ -46,12 +46,22 @@ class TestMakeSketch:
         np.testing.assert_array_equal(out1, out2)
 
     def test_gaussian_entry_distribution(self):
-        # 1e5 sampled entries should look like N(0, 1/s).
-        sk = make_sketch("gaussian", 100, 1000, seed=11)
-        entries = dense_sketch(sk).ravel()
-        assert entries.size == 100_000
-        assert abs(entries.mean()) <= 0.01
-        assert abs(entries.var() * sk.s - 1.0) <= 0.10
+        # One panel of two full tiles, 262144 entries, should look like
+        # N(0, 1/s). Each tile's first half holds cos(t) r, its second
+        # half the sin(t) r of the same draws: rows 32-63 of the panel.
+        sk = make_sketch("gaussian", _PANEL_ROWS, 2 * _PANEL_COLS, seed=11)
+        z = dense_sketch(sk) * np.sqrt(sk.s)
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean()) <= 0.01
+        assert abs(z.var() - 1.0) <= 0.02
+        assert abs(np.mean((z - z.mean()) ** 4) / z.var() ** 2 - 3.0) <= 0.06
+        assert np.abs(z).max() <= 5.78
+        half = _PANEL_ROWS // 2
+        for left in (0, _PANEL_COLS):
+            cos_half = z[:half, left:left + _PANEL_COLS].ravel()
+            sin_half = z[half:, left:left + _PANEL_COLS].ravel()
+            assert abs(np.corrcoef(cos_half, sin_half)[0, 1]) <= 0.02
+            assert abs(np.corrcoef(cos_half**2, sin_half**2)[0, 1]) <= 0.02
 
     def test_srht_legal_at_bench_scale(self):
         sk = make_sketch("srht", 1000, 100_000, seed=1)
@@ -216,6 +226,28 @@ class TestGaussianPanels:
         np.testing.assert_allclose(out, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("s,n", [(2 * _PANEL_ROWS + 3, 2 * _PANEL_COLS + 5), (3, 7)])
+    def test_is_the_box_muller_rule(self, s, n):
+        # The last panel is ragged and its last tile has an odd number
+        # of entries, so one angle's sine is dropped.
+        assert (s % _PANEL_ROWS) * (n % _PANEL_COLS) % 2 == 1
+        sk = make_sketch("gaussian", s, n, seed=9)
+        assert np.array_equal(dense_sketch(sk), box_muller_sketch(sk))
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-24])
+    def test_draw_is_finite_at_the_extreme_uniforms(self, u):
+        # The largest float32 uniform gives the largest radius,
+        # sqrt(48 ln 2); u = 0 gives radius 0.
+        class Fixed:
+            def random(self, out, dtype):
+                out[...] = u
+
+        z = np.empty(5)
+        sketches_mod._box_muller(Fixed(), z, np.empty(6, dtype=np.float32))
+        radius = np.sqrt(48.0 * np.log(2.0)) if u else 0.0
+        np.testing.assert_allclose(np.hypot(z[:2], z[3:]), radius, rtol=1e-6)
+        assert np.all(np.abs(z) <= 5.78)
+
     def test_panels_draw_independent_streams(self):
         # A seed shared by every panel would repeat panel 0 in panel 1.
         sk = make_sketch("gaussian", 2 * _PANEL_ROWS, 3000, seed=4)
@@ -224,8 +256,9 @@ class TestGaussianPanels:
         assert abs(np.corrcoef(first, second)[0, 1]) <= 0.05
 
     def test_peak_memory_is_panel_buffers(self, monkeypatch):
-        # Two 64 x 4096 buffers (4 MiB) and s x d outputs; the old
-        # s x 8192 row blocks peaked at 75 MiB here.
+        # Two workers' 64 x 2048 float64 tiles and float32 uniforms
+        # (3 MiB) and s x d outputs; the ziggurat's 64 x 4096 tiles took
+        # 4 MiB, the old s x 8192 row blocks peaked at 75 MiB here.
         force_workers(monkeypatch, 2)
         m = np.random.default_rng(1).standard_normal((2**14, 20))
         sk = make_sketch("gaussian", 600, 2**14, seed=1)
@@ -236,6 +269,28 @@ class TestGaussianPanels:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_an_error_in_a_panel_reaches_the_caller(self, monkeypatch):
+        # A failed panel returns its worker's scratch, so the panels
+        # queued behind it do not wait for it forever.
+        force_workers(monkeypatch, 2)
+
+        def failing(rng, out, uniforms):
+            raise FloatingPointError("draw failed")
+
+        monkeypatch.setattr(sketches_mod, "_box_muller", failing)
+        errors = []
+
+        def call():
+            try:
+                apply(make_sketch("gaussian", 8 * _PANEL_ROWS, 1000, seed=0), np.ones((1000, 2)))
+            except FloatingPointError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(errors) == 1
 
     def test_no_thread_outlives_apply(self, monkeypatch):
         force_workers(monkeypatch, 2)
