@@ -8,19 +8,21 @@ package; there is no wrapper type.
 
 ``parallel`` runs the package's big passes (the Gaussian sketch's
 panels, the Walsh-Hadamard transform's tiles, the SRHT's sign pass, the
-SGD solvers' U pass and the row blocks of an R-only QR) on one thread
-per CPU this process may use. Each task writes its own part of the
-output, with the same arithmetic inline or on any number of threads, so
-every result is bitwise independent of the worker count. Workers call
-only numpy, which releases the GIL in BLAS, LAPACK and its ufunc loops;
-a pool lives for one call and its threads are joined before the call
-returns.
+SGD solvers' U pass and the row blocks of an R-only QR). Each pass
+states its size; from its size line up it runs on one thread per CPU
+this process may use, and ``parallel`` lends each worker its scratch.
+Each task writes its own part of the output, with the same arithmetic
+inline or on any number of threads, so every result is bitwise
+independent of the worker count. Workers call only numpy, which
+releases the GIL in BLAS, LAPACK and its ufunc loops; a pool lives for
+one call and its threads are joined before the call returns.
 """
 
 import contextlib
 import math
 import os
 import queue
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,9 +52,10 @@ __all__ = [
 # every size below 2^22, 3.4 -> 3.9 ms at 2^15 x 20, 11.2 -> 12.3 ms at
 # 2^15 x 50 and 24.9 -> 26.0 ms at 2^16 x 50, so this line stays at
 # 2^22. It is a property of the input, not a setting. The Gaussian
-# sketch's panels ignore it. On the same VM their Box-Muller draws won
-# on 2 threads at 500 x 2^15 (112 -> 62 ms) and 400 x 2^14 (38 -> 23 ms)
-# but lost at 400 x 4096 (8.9 -> 10.1 ms) and 400 x 1024 (2.2 -> 3.0 ms).
+# sketch's panels, sized by the s x n entries of S, follow it too: on the
+# same VM their Box-Muller draws won on 2 threads at 500 x 2^15 (112 ->
+# 62 ms) but lost at 400 x 4096 (8.9 -> 10.1 ms) and 400 x 1024 (2.2 ->
+# 3.0 ms); 400 x 2^14 (38 -> 23 ms), above 2^22, still won.
 _PARALLEL_MIN_SIZE = 1 << 22
 # The FWHT's own line, lower: on the same VM its tiles took 7.8 -> 5.6 ms
 # at 2^15 x 50 (1.6M elements), 15.1 -> 10.8 ms at 2^16 x 50,
@@ -187,30 +190,43 @@ def _worker_count(tasks: int) -> int:
 
 
 @contextlib.contextmanager
-def parallel(tasks: int, size: float = math.inf, min_size: int | None = None):
+def parallel(tasks: int, size: int, min_size: int | None = None,
+             scratch: Callable[[], object] | None = None):
     """Yield (workers, run) for a pass of ``tasks`` independent tasks over
     ``size`` float64 elements: ``workers`` threads (``_worker_count``, or
     1 below ``min_size``, by default ``_PARALLEL_MIN_SIZE``) and
     run(fn, items), which calls fn on every item, on one pool of that
-    many threads when there are several. The pool's threads are joined
-    when the block exits."""
+    many threads when there are several. Given a ``scratch`` factory, one
+    buffer per worker is made here, so freed memory stays out of worker
+    arenas, and run calls fn(item, buf) with a buffer lent for that item.
+    The pool's threads are joined when the block exits."""
     line = _PARALLEL_MIN_SIZE if min_size is None else min_size
     workers = _worker_count(tasks) if size >= line else 1
+    bufs = queue.SimpleQueue()
+    for _ in range(workers if scratch else 0):
+        bufs.put(scratch())
+
+    def lend(fn):
+        def lent(item):
+            buf = bufs.get()
+            try:
+                return fn(item, buf)
+            finally:  # or the items queued behind a failed one would wait forever
+                bufs.put(buf)
+        return fn if scratch is None else lent
+
     if workers == 1:
-        yield 1, lambda fn, items: list(map(fn, items))
+        yield 1, lambda fn, items: list(map(lend(fn), items))
         return
     with ThreadPoolExecutor(workers) as pool:
-        yield workers, lambda fn, items: list(pool.map(fn, items))
+        yield workers, lambda fn, items: list(pool.map(lend(fn), items))
 
 
-def split(total: int, workers: int, unit: int = 1) -> list[slice]:
+def split(total: int, workers: int) -> list[slice]:
     """range(total) cut for ``workers`` threads: one slice inline, else up
-    to ``_PIECES_PER_WORKER`` per worker, of near-equal length with inner
-    edges at multiples of ``unit``; the tail short of a unit joins the
-    last slice."""
-    units = max(1, total // unit)
-    parts = max(1, min(_PIECES_PER_WORKER * workers if workers > 1 else 1, units))
-    edges = [unit * (units * i // parts) for i in range(parts)] + [total]
+    to ``_PIECES_PER_WORKER`` per worker, of near-equal length."""
+    parts = max(1, min(_PIECES_PER_WORKER * workers if workers > 1 else 1, total))
+    edges = [total * i // parts for i in range(parts + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
@@ -262,11 +278,8 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         raise ValueError("fwht_inplace needs a C-contiguous float64 array")
     bits = n.bit_length() - 1
     levels = -(-bits // _HADAMARD_BLOCK_BITS)
-    with parallel(-(-v.size // _FWHT_TILE), v.size, _FWHT_PARALLEL_MIN_SIZE) as (workers, run):
-        # Scratch made here, one per worker: a worker's freed memory stays in its arena.
-        scratch = queue.SimpleQueue()
-        for _ in range(workers):
-            scratch.put(np.empty(min(v.size, _FWHT_TILE)))
+    with parallel(-(-v.size // _FWHT_TILE), v.size, _FWHT_PARALLEL_MIN_SIZE,
+                  lambda: np.empty(min(v.size, _FWHT_TILE))) as (workers, run):
         outer = 1
         for level in range(levels):
             # Near-equal factor sizes minimise the total work n * sum(m_i).
@@ -275,12 +288,10 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
             x = v.reshape(outer, m, v.size // (outer * m))
             tiles = _fwht_tiles(*x.shape)
 
-            def piece(part: slice) -> None:
-                buf = scratch.get()
+            def piece(part: slice, buf: np.ndarray) -> None:
                 for tile in tiles[part]:
                     src = x[tile]
                     src[...] = np.matmul(h, src, out=buf[:src.size].reshape(src.shape))
-                scratch.put(buf)
 
             run(piece, split(len(tiles), workers))
             outer *= m

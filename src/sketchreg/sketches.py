@@ -4,8 +4,9 @@ Each operator S maps R^n -> R^s (s < n) and approximately preserves
 ||Ax||_2 for all x at once. Operators are immutable and fully determined
 by (kind, s, n, seed); applying the same operator twice is bitwise
 reproducible, and independent of how many threads apply it: the
-Gaussian panels, the SRHT's sign pass above
-``linalg._PARALLEL_MIN_SIZE`` elements and its transform above
+Gaussian panels and the SRHT's sign pass above
+``linalg._PARALLEL_MIN_SIZE`` elements (of S for the panels, of the
+padded m for the signs) and its transform above
 ``linalg._FWHT_PARALLEL_MIN_SIZE``, run on ``linalg.parallel``.
 
 A Gaussian S is drawn by Box-Muller on float32 uniforms
@@ -19,7 +20,6 @@ ziggurat (medians of 9 calls, three alternations).
 """
 
 import numbers
-import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +28,7 @@ from .errors import DimensionMismatchError, SketchSizeError
 from .linalg import _r_factor, fwht_inplace, next_pow2, parallel, split
 
 __all__ = ["SketchOperator", "make_sketch", "hadamard_operator", "apply", "KINDS",
-           "subsample", "embedding_distortion", "range_distortion", "default_sketch_size",
-           "check_integer", "seeds", "stream"]
+           "subsample", "range_distortion", "check_integer", "seeds", "stream"]
 
 KINDS = ("gaussian", "countsketch", "srht")
 
@@ -50,7 +49,7 @@ _TAGS = {"gaussian": 1, "countsketch": 2, "srht": 3, "distortion": 99,
 # bitwise the same whatever the number of workers or the order they run
 # in. Both constants are part of that contract. A worker reuses one
 # float64 tile (1 MiB) and its float32 uniforms (0.5 MiB) for all its
-# panels. At 4096 columns the two take 3 MiB, and embedding_distortion
+# panels. At 4096 columns the two take 3 MiB, and the range distortion
 # of a 160-row S on 2^15 x 20 peaked at 6.4 MB, above the 5.2 MB of its
 # input (3.3 MB at 2048).
 _PANEL_ROWS = 64
@@ -99,21 +98,6 @@ def seeds(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.SeedSe
 def stream(seed, name: str, *key: int, spawn_key: tuple = ()) -> np.random.Generator:
     """The generator of ``seeds(seed, name, *key, spawn_key=spawn_key)``."""
     return np.random.default_rng(seeds(seed, name, *key, spawn_key=spawn_key))
-
-
-def default_sketch_size(kind: str, d: int) -> int:
-    """Default sketch row count for a d-column problem.
-
-    Gaussian and SRHT use O(d) rows, CountSketch needs O(d^2) for the
-    subspace-embedding property.
-    """
-    if kind == "gaussian":
-        return 8 * d
-    if kind == "srht":
-        return max(8 * d, int(np.ceil(d * np.log2(max(d, 2)))))
-    if kind == "countsketch":
-        return d * d + d
-    raise ValueError(f"no default size for sketch kind {kind!r}")
 
 
 def make_sketch(kind: str, s: int, n: int, seed: int) -> SketchOperator:
@@ -194,36 +178,28 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
 
 def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
     """S m for a Gaussian ``sk`` (N(0, 1/s) entries), streamed in row
-    panels (see ``_PANEL_ROWS``), each tile drawn by ``_box_muller``.
-    Each worker draws into its own float64 tile and float32 uniforms,
-    made once per apply. Workers call only numpy, whose RNG fill, ufunc
-    loops and matmul release the GIL."""
+    panels (see ``_PANEL_ROWS``), each tile drawn by ``_box_muller``
+    into the float64 tile and float32 uniforms ``parallel`` lends its
+    worker. Workers call only numpy, whose RNG fill, ufunc loops and
+    matmul release the GIL."""
     out = np.zeros((sk.s, m.shape[1]))
     panels = -(-sk.s // _PANEL_ROWS)
     size = min(_PANEL_ROWS, sk.s) * min(_PANEL_COLS, sk.n)
 
-    with parallel(panels) as (workers, run):
-        # Scratch made here, one per worker: a worker's freed memory stays in its arena.
-        scratch = queue.SimpleQueue()
-        for _ in range(workers):
-            scratch.put((np.empty(size), np.empty(size + size % 2, dtype=np.float32)))
+    def fill(p: int, scratch: tuple) -> None:
+        rows = out[p * _PANEL_ROWS:(p + 1) * _PANEL_ROWS]
+        k = rows.shape[0]
+        rng = stream(sk.seed, "gaussian", spawn_key=(p,))
+        buf, uniforms = scratch
+        for start in range(0, sk.n, _PANEL_COLS):
+            stop = min(start + _PANEL_COLS, sk.n)
+            tile = buf[: k * (stop - start)]
+            _box_muller(rng, tile, uniforms)
+            rows += tile.reshape(k, stop - start) @ m[start:stop]
+        rows *= 1.0 / np.sqrt(sk.s)
 
-        def fill(p: int) -> None:
-            rows = out[p * _PANEL_ROWS:(p + 1) * _PANEL_ROWS]
-            k = rows.shape[0]
-            rng = stream(sk.seed, "gaussian", spawn_key=(p,))
-            buf, uniforms = scratch.get()
-            try:
-                for start in range(0, sk.n, _PANEL_COLS):
-                    stop = min(start + _PANEL_COLS, sk.n)
-                    tile = buf[: k * (stop - start)]
-                    _box_muller(rng, tile, uniforms)
-                    rows += tile.reshape(k, stop - start) @ m[start:stop]
-            finally:
-                # Returned even on an error, or the panels queued behind it would wait forever.
-                scratch.put((buf, uniforms))
-            rows *= 1.0 / np.sqrt(sk.s)
-
+    with parallel(panels, sk.s * sk.n, scratch=lambda: (
+            np.empty(size), np.empty(size + size % 2, dtype=np.float32))) as (_, run):
         run(fill, range(panels))
     return out
 
@@ -252,14 +228,6 @@ def _box_muller(rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray)
     out[:half] *= r
     np.sin(t[: n - half], out=out[half:])
     out[half:] *= r[: n - half]
-
-
-def embedding_distortion(sk: SketchOperator, m: np.ndarray, trials: int = 100) -> float:
-    """Empirical embedding constant, a diagnostic of how well the sketch
-    preserves the range of m: ``range_distortion`` of (S m, m) over
-    directions drawn from the operator's seed."""
-    m = np.asarray(m, dtype=np.float64)
-    return range_distortion(apply(sk, m), m, sk.seed, trials)
 
 
 def range_distortion(sm: np.ndarray, m: np.ndarray, seed: int, trials: int) -> float:

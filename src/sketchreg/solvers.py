@@ -54,7 +54,6 @@ batch indices, and the sampled gradient-variance estimate. The
 smoothness constants are exact and draw no random numbers.
 """
 
-import queue
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -75,7 +74,7 @@ from .feasible import FeasibleSet, RMetricProx, diameter_param, project_euclidea
 # also wraps them under this module's names, so they stay importable here.
 from .linalg import parallel, qr_thin, tri_solve  # noqa: F401
 from .precond import build_preconditioner, sketched_r
-from .sketches import KINDS, apply, check_integer, default_sketch_size, seeds, stream  # noqa: F401
+from .sketches import KINDS, apply, check_integer, seeds, stream  # noqa: F401
 
 __all__ = ["SolverConfig", "SolveReport", "TracePoint", "sgd_step_size",
            "acc_epoch_schedule", "hd_pw_batch_sgd", "hd_pw_acc_batch_sgd", "pw_gradient",
@@ -350,10 +349,14 @@ def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
     small d, 10d rows are too few (see ``_GAUSSIAN_MIN_ROWS``)."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
-    if high_precision:
-        s = max(10 * d, _GAUSSIAN_MIN_ROWS) if cfg.sketch_kind == "gaussian" else 50 * d
-    else:
-        s = default_sketch_size(cfg.sketch_kind, d)
+    if cfg.sketch_kind == "gaussian":
+        s = max(10 * d, _GAUSSIAN_MIN_ROWS) if high_precision else 8 * d
+    elif high_precision:
+        s = 50 * d
+    elif cfg.sketch_kind == "srht":
+        s = max(8 * d, int(np.ceil(d * np.log2(max(d, 2)))))
+    else:  # CountSketch needs O(d^2) rows to embed a subspace
+        s = d * d + d
     return max(min(s, n - 1), min(d + 1, n - 1))
 
 
@@ -431,21 +434,17 @@ def _smoothness_bounds(rows: np.ndarray, r_factor: np.ndarray | None) -> _Consta
     starts = range(0, n, _GRAM_BLOCK)
     grams = np.empty((len(starts), d, d))
     worst = [0.0] * len(starts)
-    with parallel(len(starts), rows.size) as (workers, run):
-        # Scratch made here, one per worker: a worker's freed memory stays in its arena.
-        scratch = queue.SimpleQueue()
-        for _ in range(workers):
-            scratch.put(np.empty((min(n, _GRAM_BLOCK), d)))
 
-        def block(i: int) -> None:
-            u, buf = rows[starts[i]:starts[i] + _GRAM_BLOCK], scratch.get()
-            tmp = buf[:u.shape[0]]
-            if r_inv is not None:
-                u[...] = np.matmul(u, r_inv, out=tmp)
-            grams[i] = u.T @ u
-            worst[i] = float(np.max(np.sum(np.multiply(u, u, out=tmp), axis=1)))
-            scratch.put(buf)
+    def block(i: int, buf: np.ndarray) -> None:
+        u = rows[starts[i]:starts[i] + _GRAM_BLOCK]
+        tmp = buf[:u.shape[0]]
+        if r_inv is not None:
+            u[...] = np.matmul(u, r_inv, out=tmp)
+        grams[i] = u.T @ u
+        worst[i] = float(np.max(np.sum(np.multiply(u, u, out=tmp), axis=1)))
 
+    with parallel(len(starts), rows.size,
+                  scratch=lambda: np.empty((min(n, _GRAM_BLOCK), d))) as (_, run):
         run(block, range(len(starts)))
     eigs, vecs = np.linalg.eigh(sum(grams, np.zeros((d, d))))
     return _Constants(2.0 * float(eigs[-1]), 2.0 * max(float(eigs[0]), 0.0),

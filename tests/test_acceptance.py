@@ -20,7 +20,7 @@ from sketchreg.bench import (
 from sketchreg.feasible import FeasibleSet
 from sketchreg.linalg import condition_number, tri_solve
 from sketchreg.precond import build_hd, build_preconditioner, build_r, row_norm_spread
-from sketchreg.sketches import default_sketch_size, make_sketch
+from sketchreg.sketches import make_sketch
 from sketchreg.solvers import (
     SolverConfig,
     _sampled_gradient_variance,
@@ -30,6 +30,7 @@ from sketchreg.solvers import (
     objective_value,
     plain_sgd_baseline,
     pw_gradient,
+    resolve_sketch_size,
 )
 from helpers import batch_index_stream, fwht, sketch_ihs
 
@@ -54,7 +55,8 @@ def tuned_step(a, b, f_star, target_rel, seed=0):
     to the optimum by the residual ratio. Returns (eta_base, t_pred)."""
     d = a.shape[1]
     f0 = float(b @ b)
-    pre = build_preconditioner(a, b, "srht", default_sketch_size("srht", d), seed)
+    s = resolve_sketch_size(SolverConfig(sketch_kind="srht"), *a.shape, False)
+    pre = build_preconditioner(a, b, "srht", s, seed)
     # The pass writes U = HDA R^-1 over pre.hda, as in the solvers.
     mu = _smoothness_bounds(pre.hda, pre.r_factor).mu
     sigma2_opt = (_sampled_gradient_variance(pre.hda, pre.hdb, np.zeros(d), seed,
@@ -141,7 +143,7 @@ def test_criterion_04_preconditioning_quality():
         a, _ = syn_instance(n=2**13, d=20, kappa=kappa, noise=1.0, seed=1)
         assert condition_number(a) >= 0.99e3  # raw problem genuinely hard
         for kind in ("srht", "gaussian"):
-            s = default_sketch_size(kind, 20)
+            s = resolve_sketch_size(SolverConfig(sketch_kind=kind), a.shape[0], 20, False)
             kappas = []
             for seed in SEEDS:
                 r = build_r(a, make_sketch(kind, s, a.shape[0], seed))
@@ -157,7 +159,8 @@ def test_criterion_05_row_norm_spreading():
     # High-probability row-norm spreading bound with c=10 on a 256x5 conditioned
     # basis: holds in >= 90 of 100 sign draws.
     a, _ = syn_instance(n=256, d=5, kappa=100.0, noise=1.0, seed=2)
-    r = build_r(a, make_sketch("srht", default_sketch_size("srht", 5), 256, 7))
+    s = resolve_sketch_size(SolverConfig(sketch_kind="srht"), 256, 5, False)
+    r = build_r(a, make_sketch("srht", s, 256, 7))
     u = tri_solve(r, a.T, transposed=True).T
     holds = 0
     for seed in range(100):

@@ -1,5 +1,7 @@
+import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -280,7 +282,8 @@ class TestFwht:
 
     def test_threads_from_its_own_line(self, monkeypatch):
         # The FWHT shares its tiles from 2^20 elements; every other pass
-        # (the SGD solvers' U pass, the SRHT's sign pass) from 2^22.
+        # (the SGD solvers' U pass, the SRHT's sign pass, the Gaussian
+        # panels) from 2^22.
         monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: 2)
         fwht_line = linalg_mod._FWHT_PARALLEL_MIN_SIZE
         assert fwht_line == 1 << 20 and linalg_mod._PARALLEL_MIN_SIZE == 1 << 22
@@ -302,6 +305,62 @@ class TestFwht:
     def test_inplace_rejects_strided_or_non_float64(self, v):
         with pytest.raises(ValueError):
             fwht_inplace(v)
+
+
+class TestParallel:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lent_scratch_comes_back_when_fn_raises(self, monkeypatch, workers):
+        # A failed item returns its buffer, so the items queued behind it
+        # do not wait for it forever: the error reaches the caller, and
+        # every buffer made is back in the pool.
+        monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: workers)
+        pools, made, errors = [], [], []
+
+        class Pool(linalg_mod.queue.SimpleQueue):
+            def __init__(self):
+                pools.append(self)
+
+        monkeypatch.setattr(linalg_mod, "queue", types.SimpleNamespace(SimpleQueue=Pool))
+
+        def make():
+            made.append(np.empty(4))
+            return made[-1]
+
+        def failing(item, buf):
+            raise FloatingPointError(f"item {item} failed")
+
+        def call():
+            try:
+                with linalg_mod.parallel(8, 0, 0, make) as (_, run):
+                    run(failing, range(8))
+            except FloatingPointError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(errors) == 1
+        (pool,) = pools
+        back = [pool.get_nowait() for _ in range(pool.qsize())]
+        assert len(made) == workers and sorted(map(id, back)) == sorted(map(id, made))
+
+    def test_no_buffer_is_lent_to_two_items_at_once(self, monkeypatch):
+        # More workers than cores, switching threads often: each item
+        # fills its buffer and reads back only its own value.
+        monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: 4)
+
+        def fill(item, buf):
+            buf[...] = item
+            return bool(np.all(buf == item))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with linalg_mod.parallel(400, 0, 0, lambda: np.empty(10000)) as (workers, run):
+                own = run(fill, range(400))
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == 4 and all(own) and len(own) == 400
 
 
 class TestConditionNumber:

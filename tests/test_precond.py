@@ -18,9 +18,8 @@ from sketchreg.precond import (
     build_r,
     row_norm_spread,
 )
-from sketchreg.sketches import (apply, default_sketch_size, hadamard_operator, make_sketch,
-                                subsample)
-from sketchreg.solvers import SOLVERS, SolverConfig, pw_gradient
+from sketchreg.sketches import apply, hadamard_operator, make_sketch, subsample
+from sketchreg.solvers import SOLVERS, SolverConfig, pw_gradient, resolve_sketch_size
 from helpers import dense_sketch, signed_r
 
 
@@ -41,13 +40,14 @@ class TestBuildR:
     def test_r_is_bitwise_the_full_factorization_r(self, kind):
         # build_r forms no Q; its R is numpy's Householder R of S A, signed.
         a, _, _ = gen_synthetic(DatasetSpec(n=1024, d=10, target_kappa=1e4, seed=4))
-        sk = make_sketch(kind, default_sketch_size(kind, 10), 1024, seed=5)
+        s = resolve_sketch_size(SolverConfig(sketch_kind=kind), 1024, 10, False)
+        sk = make_sketch(kind, s, 1024, seed=5)
         assert build_r(a, sk).tobytes() == signed_r(apply(sk, a)).tobytes()
 
     def test_conditioning_on_ill_conditioned_data(self):
         # kappa(A) = 1e8 comes down to O(1) in most seeds.
         a, _, _ = gen_synthetic(DatasetSpec(n=4096, d=20, target_kappa=1e8, seed=3))
-        s = default_sketch_size("srht", 20)
+        s = resolve_sketch_size(SolverConfig(sketch_kind="srht"), 4096, 20, False)
         good = 0
         for seed in range(10):
             r = build_r(a, make_sketch("srht", s, 4096, seed=seed))
@@ -173,7 +173,7 @@ class TestBuildPreconditioner:
         # Both sketch families keep kappa(A R^-1) small on nasty data.
         a, _, _ = gen_synthetic(DatasetSpec(n=2048, d=16, target_kappa=1e8, seed=15))
         for kind in ("srht", "gaussian"):
-            s = default_sketch_size(kind, 16)
+            s = resolve_sketch_size(SolverConfig(sketch_kind=kind), 2048, 16, False)
             kappas = []
             for seed in range(10):
                 r = build_r(a, make_sketch(kind, s, 2048, seed=seed))
@@ -183,7 +183,7 @@ class TestBuildPreconditioner:
     def test_strong_convexity_surrogate(self):
         # beta = 1/sigma_min(U) stays moderate at default sketch sizes.
         a, _, _ = gen_synthetic(DatasetSpec(n=2048, d=16, target_kappa=1e3, seed=16))
-        s = default_sketch_size("srht", 16)
+        s = resolve_sketch_size(SolverConfig(sketch_kind="srht"), 2048, 16, False)
         betas = []
         for seed in range(10):
             r = build_r(a, make_sketch("srht", s, 2048, seed=seed))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,13 @@ from sketchreg.sketches import (
     KINDS,
     SketchOperator,
     apply,
-    default_sketch_size,
-    embedding_distortion,
     hadamard_operator,
     make_sketch,
+    range_distortion,
     seeds,
     stream,
 )
+from sketchreg.solvers import SolverConfig, resolve_sketch_size
 from helpers import box_muller_sketch, dense_sketch, distortion_per_direction, force_workers
 
 
@@ -292,6 +293,23 @@ class TestGaussianPanels:
         caller.join(timeout=60)
         assert not caller.is_alive() and len(errors) == 1
 
+    def test_small_apply_runs_inline(self, monkeypatch):
+        # 400 x 4096 is below 2^22 entries of S, where two workers lose.
+        built = []
+
+        def recording_pool(workers):
+            built.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(linalg_mod, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(linalg_mod, "_worker_count", lambda tasks: 2)
+        sk = make_sketch("gaussian", 400, 4096, seed=3)
+        m = np.random.default_rng(3).standard_normal((4096, 8))
+        inline = apply(sk, m)
+        assert built == []
+        force_workers(monkeypatch, 2)
+        assert np.array_equal(apply(sk, m), inline) and built == [2]
+
     def test_no_thread_outlives_apply(self, monkeypatch):
         force_workers(monkeypatch, 2)
         sk = make_sketch("gaussian", 4 * _PANEL_ROWS, 1000, seed=2)
@@ -308,24 +326,25 @@ class TestGaussianPanels:
 class TestEmbeddingDistortion:
     def test_hadamard_transform_is_isometric(self):
         m = np.random.default_rng(1).standard_normal((32, 4))
-        assert embedding_distortion(hadamard_operator(32, seed=0), m, trials=50) <= 1e-12
+        sk = hadamard_operator(32, seed=0)
+        assert range_distortion(apply(sk, m), m, sk.seed, 50) <= 1e-12
 
     def test_gaussian_embedding_quality(self):
         a = np.random.default_rng(2).standard_normal((2048, 10))
         sk = make_sketch("gaussian", 200, 2048, seed=3)
-        assert embedding_distortion(sk, a, trials=100) <= 0.5
+        assert range_distortion(apply(sk, a), a, sk.seed, 100) <= 0.5
 
     def test_countsketch_embedding_quality(self):
         a = np.random.default_rng(2).standard_normal((2048, 10))
         sk = make_sketch("countsketch", 100, 2048, seed=3)
-        assert embedding_distortion(sk, a, trials=100) <= 0.5
+        assert range_distortion(apply(sk, a), a, sk.seed, 100) <= 0.5
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_one_direction_at_a_time(self, kind):
         a = np.random.default_rng(4).standard_normal((2048, 10)) * np.logspace(0, 4, 10)
         sk = make_sketch(kind, 120, 2048, seed=5)
         want = distortion_per_direction(apply(sk, a), a, 5, 60)
-        assert embedding_distortion(sk, a, trials=60) == pytest.approx(want, abs=1e-12)
+        assert range_distortion(apply(sk, a), a, sk.seed, 60) == pytest.approx(want, abs=1e-12)
 
     def test_products_stay_below_the_size_of_m(self):
         # Products of m itself with 100 directions would be 5 x m.nbytes.
@@ -333,7 +352,7 @@ class TestEmbeddingDistortion:
         sk = make_sketch("gaussian", 160, 2**15, seed=1)
         tracemalloc.start()
         try:
-            embedding_distortion(sk, a, trials=100)
+            range_distortion(apply(sk, a), a, sk.seed, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,9 +366,12 @@ class TestEmbeddingDistortion:
 
 
 def test_default_sizes_scale_with_d():
-    assert default_sketch_size("gaussian", 20) == 160
-    assert default_sketch_size("srht", 20) >= 160
-    assert default_sketch_size("countsketch", 20) == 420
+    def size(kind):
+        return resolve_sketch_size(SolverConfig(sketch_kind=kind), 2**15, 20, False)
+
+    assert size("gaussian") == 160
+    assert size("srht") >= 160
+    assert size("countsketch") == 420
 
 
 def cli_import_loads(module: str) -> str:
