@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CsvParseError, RaggedRowsError
 from .feasible import FeasibleSet, RMetricProx
-from .linalg import qr_thin, tri_solve
+from .linalg import _householder, qr_thin, tri_solve
 from .sketches import check_integer, stream
 from .solvers import SOLVERS, SolveReport, SolverConfig, objective_value, relative_error
 # Unused here; perfbench/tracer.py wraps pw_gradient at this name.
@@ -63,14 +63,20 @@ class DatasetSpec:
 def gen_synthetic(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build (A, b, planted_x) with b = A @ planted_x + noise.
 
-    The spectrum pins sigma_max = target_kappa and sigma_min = 1 and
+    A = Q_left diag(sv) Q_right^T, both orthogonal factors the Q of a
+    Householder QR (``linalg._householder``) of a Gaussian draw. The
+    spectrum pins sigma_max = target_kappa and sigma_min = 1 and
     fills the rest log-uniformly, so the measured condition number
     matches the target up to orthogonal-factor rounding.
+
+    The n x d Q is formed in place over a Fortran-ordered copy of its
+    draw and stays Fortran-ordered through the scaling and the product,
+    so at most two n x d arrays are alive at once (A is C-ordered).
     """
     rng = stream(spec.seed, "data")
     n, d = spec.n, spec.d
-    left = np.linalg.qr(rng.standard_normal((n, d)), mode="reduced")[0]
-    right = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    left = _householder(np.asfortranarray(rng.standard_normal((n, d))), q=True)[1]
+    right = _householder(np.asfortranarray(rng.standard_normal((d, d))), q=True)[1]
     sv = np.ones(d)
     if d >= 2:
         sv[0] = spec.target_kappa

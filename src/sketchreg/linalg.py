@@ -3,6 +3,10 @@ fast Walsh-Hadamard transform (in place, through one cache-sized
 scratch tile per worker), singular-value diagnostics, and the one rule
 for spreading a pass over threads.
 
+Every Householder QR in the package, R-only or with Q, is one call of
+``_householder``, which runs LAPACK's ``dgeqrf`` (and ``dorgqr`` for Q)
+in place on a Fortran-ordered array its caller built for it.
+
 Matrices are plain row-major ``numpy.ndarray`` of float64 throughout the
 package; there is no wrapper type.
 
@@ -27,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
@@ -77,24 +82,26 @@ _PIECES_PER_WORKER = 4
 # block's R by Householder QR, then the stacked block Rs' R (TSQR). A
 # block of 4096 x 51 floats (1.7 MB) stays in cache where the whole
 # matrix does not. On a 2-core Xeon VM with one BLAS thread (medians of
-# 9) the R of [A | b] took 118 ms at 2^17 x 50 against 376 ms in one
-# piece (and 713 ms for Q and Q^T b), at 2^15 x 20 7.6 against 14 ms.
-# Blocks of 1024-2048 rows were up to 15 % faster still, but then a
-# sketch of 2500 rows (50d at d = 50) would no longer be one block,
-# which is factored as it is, bitwise as before blocking. The edges are
-# set by the row count alone, so R is the same bits on any number of
-# workers.
+# 9, every QR through ``_householder``) the R of [A | b] took 44-52 ms
+# at 2^17 x 50 against 172-178 ms in one piece, and 3.6-4.3 ms at
+# 2^15 x 20 against 8.4-9.1 ms. Blocks of 2048 rows took 42 and
+# 3.6-4.2 ms, but then a sketch of 2500 rows (50d at d = 50) would no
+# longer be one block, which is factored as it is, bitwise as numpy's QR
+# factors it. The edges are set by the row count alone, so R is the same
+# bits on any number of workers.
 _QR_BLOCK = 4096
 
 
 def qr_thin(m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     """R factor of a thin Householder QR, nonnegative on its diagonal; Q
     is never formed. R is taken block by block (``_r_factor``); for
-    n <= ``_QR_BLOCK`` it is bitwise the R that ``np.linalg.qr`` gives.
+    n <= ``_QR_BLOCK`` it is bitwise the R that numpy's QR gives,
+    though it is computed by ``_householder``, not by numpy.
 
     Parameters
     ----------
-    m : (n, d) array with n >= d and full column rank.
+    m : (n, d) array with n >= d and full column rank, in any memory
+        order; it is read, never written.
     rhs : (n,) vector; given, the R returned is that of [m | rhs], up to
         (d + 1) x (d + 1), and m is not copied whole. Its last column
         holds Q^T rhs over the residual norm min_x ||m x - rhs||, so
@@ -107,6 +114,8 @@ def qr_thin(m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If R is not finite, as it is when m or rhs holds a NaN or an inf.
     RankDeficientError
         If any |r_ii| < 1e-12 * ||m||_F, i.e. the input (typically a
         sketched matrix) effectively lost column rank. Only m's columns
@@ -124,6 +133,8 @@ def qr_thin(m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
                 f"qr_thin takes an rhs of shape {m.shape[:1]}, got {rhs.shape}"
             )
     r = _r_factor(m, rhs)
+    if not np.isfinite(r).all():
+        raise ValueError("R is not finite: the input holds a NaN or an inf")
     d = m.shape[1]
     # ||m||_F = ||r[:d, :d]||_F; BLAS nrm2 scales its sum, so neither huge
     # nor tiny entries overflow or underflow the tolerance.
@@ -140,22 +151,63 @@ def qr_thin(m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
 def _r_factor(m: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
     """Householder R of [m | rhs] (of m when ``rhs`` is None), Q never
     formed, as TSQR (Demmel, Grigori, Hoemmen and Langou, SISC 2012):
-    each block of ``_QR_BLOCK`` rows is factored on ``parallel``'s
-    workers, then the block Rs, stacked in row order, once more. Each
-    worker copies one block at a time (numpy's QR copies its input); a
-    single block is factored as it is. R has min(n, columns) rows."""
-    n = m.shape[0]
+    each block of ``_QR_BLOCK`` rows is copied into a Fortran-ordered
+    [m | rhs] block and factored there by ``_householder`` on
+    ``parallel``'s workers, then the block Rs, stacked in row order into
+    one Fortran-ordered array, once more. A single block is factored the
+    same way, so m is never copied whole. R has min(n, columns) rows."""
+    n, d = m.shape
+    cols = d if rhs is None else d + 1
 
     def block_r(rows: slice) -> np.ndarray:
-        part = m[rows] if rhs is None else np.column_stack((m[rows], rhs[rows]))
-        return np.linalg.qr(part, mode="r")
+        block = m[rows]
+        part = np.empty((block.shape[0], cols), order="F")
+        part[:, :d] = block
+        if rhs is not None:
+            part[:, d] = rhs[rows]
+        return _householder(part)
 
     blocks = [slice(lo, lo + _QR_BLOCK) for lo in range(0, n, _QR_BLOCK)]
     if len(blocks) == 1:
         return block_r(blocks[0])
     with parallel(len(blocks), m.size) as (_, run):
         block_rs = run(block_r, blocks)
-    return np.linalg.qr(np.vstack(block_rs), mode="r")
+    return _householder(np.asfortranarray(np.vstack(block_rs)))
+
+
+def _householder(a: np.ndarray, q: bool = False):
+    """Householder QR of the m x n matrix ``a`` by LAPACK's ``dgeqrf``,
+    which overwrites ``a``: a must be a Fortran-ordered float64 array the
+    caller gives up. Returns R, the upper triangle of the first
+    min(m, n) rows, and with ``q`` (R, Q), Q the m x min(m, n) factor that
+    ``dorgqr`` forms over a's first columns, in place and Fortran-ordered.
+    Each routine runs with the workspace its query asks for, as in
+    numpy's QR, whose R and Q these are bitwise (the tests check
+    it); numpy's copies of the input are what this saves.
+
+    Raises ValueError if a is not Fortran-ordered float64, and
+    ``np.linalg.LinAlgError`` if LAPACK reports a nonzero ``info``."""
+    if a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError("_householder needs a Fortran-ordered float64 array")
+    k = min(a.shape)
+    # A query with overwrite_a false would copy all of a first.
+    lwork = lapack.dgeqrf(a, lwork=-1, overwrite_a=True)[2][0]
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=max(1, a.shape[1], int(lwork)),
+                                     overwrite_a=True)
+    _check_info("dgeqrf", info)
+    r = np.triu(qr[:k])
+    if not q:
+        return r
+    lwork = lapack.dorgqr(qr[:, :k], tau, lwork=-1, overwrite_a=True)[1][0]
+    q_factor, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=max(1, k, int(lwork)),
+                                      overwrite_a=True)
+    _check_info("dorgqr", info)
+    return r, q_factor
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
 
 
 def tri_solve(r: np.ndarray, rhs: np.ndarray, transposed: bool = False,

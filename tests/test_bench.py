@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from sketchreg.errors import (
     RaggedRowsError,
 )
 from sketchreg.feasible import FeasibleSet, project_euclidean
-from sketchreg.linalg import condition_number
+from sketchreg.linalg import _QR_BLOCK, condition_number, qr_thin
 from helpers import l1_kkt_residual, l2_kkt_residual
 from sketchreg.solvers import SolverConfig, ihs, objective_value, pw_gradient
 
@@ -66,6 +68,35 @@ class TestGenSynthetic:
         got = gen_synthetic(DatasetSpec(n=np.int64(40), d=np.int32(3), seed=np.int64(2)))
         for x, y in zip(ref, got):
             assert x.tobytes() == y.tobytes()
+
+    # A and b of two specs, pinned so that a change which moves the data
+    # (and so every digest and benchmark dataset) fails here. The hashes
+    # hold for the numpy and LAPACK builds the package is tested with.
+    @pytest.mark.parametrize("spec,a_sha,b_sha", [
+        (DatasetSpec(n=1024, d=8, target_kappa=1e6, seed=5),
+         "921b347017e55ad8eb7ba815fbe7c8e9cf51142cd5585ea26f5e690555e74172",
+         "49b0d3fba98f1bcd4cd8b2b3d98972a70155b9e83d76abb1c1c49cf5da9843ac"),
+        (DatasetSpec(n=2**15, d=20, target_kappa=30.0, seed=1),
+         "ce332ac5f0f37b558538cd25baad16af082e0546423ac0b2b15075223f71e362",
+         "bd53609645dcbb7cb383b7dc0f8106f2502c30f8740976e7ab35bf6deae0ebb8"),
+    ])
+    def test_data_is_pinned(self, spec, a_sha, b_sha):
+        a, b, _ = gen_synthetic(spec)
+        assert a.flags.c_contiguous
+        assert hashlib.sha256(a.tobytes()).hexdigest() == a_sha
+        assert hashlib.sha256(b.tobytes()).hexdigest() == b_sha
+
+    def test_peak_memory_is_two_copies_of_a(self):
+        # Q is formed over the draw's Fortran-ordered copy, so the peak is
+        # that Q and A, plus b and its noise draw (A.nbytes / d each).
+        spec = DatasetSpec(n=2**15, d=20, target_kappa=30.0, seed=1)
+        tracemalloc.start()
+        try:
+            a, _, _ = gen_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * a.nbytes
 
 
 class TestGroundTruth:
@@ -136,6 +167,26 @@ class TestOracleAtHighKappa:
             radius, rel=1e-10)
         _, f_star = ground_truth(a, b, FeasibleSet.l1_ball(radius, 8))
         assert f_star == pytest.approx(3926.739807604616, rel=1e-13)
+
+
+class TestOneQrPath:
+    def test_no_call_reaches_numpys_qr(self, monkeypatch):
+        # Every Householder QR goes through linalg._householder.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.qr was called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        a, b, _ = gen_synthetic(DatasetSpec(n=2 * _QR_BLOCK + 5, d=6, target_kappa=30.0,
+                                            noise_std=1.0, seed=3))
+        for r in (qr_thin(a[:100]), qr_thin(a), qr_thin(a, rhs=b)):
+            assert np.isfinite(r).all()
+        for constraint in ("l1", "l2"):
+            w = make_feasible_set(a, b, constraint, radius_scale=0.5)
+            x_star, _ = ground_truth(a, b, w)
+            assert w.contains(x_star, tol=1e-9)
+        w = FeasibleSet.unconstrained(6)
+        for solve in (pw_gradient, ihs):
+            assert np.isfinite(solve(a, b, w, SolverConfig(iterations=3, seed=1)).final_x).all()
 
 
 class TestRelativeError:

@@ -75,6 +75,38 @@ class TestQrThin:
         assert qr_thin(m).tobytes() == (np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
                                         * r).tobytes()
 
+    @pytest.mark.parametrize("layout", ["fortran", "every other row", "row range"])
+    def test_any_layout_is_bitwise_the_full_r(self, layout):
+        big = np.random.default_rng(11).standard_normal((5000, 50))
+        m = {"fortran": np.asfortranarray(big[:2500]), "every other row": big[::2],
+             "row range": big[1000:3500]}[layout]
+        assert qr_thin(m).tobytes() == signed_r(m).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["one block", "blocks", "rhs"])
+    def test_non_finite_input_raises(self, monkeypatch, bad, where):
+        # A NaN or an inf must not come back as a NaN R.
+        monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
+        n = 40 if where == "one block" else 200
+        rng = np.random.default_rng(9)
+        m, b = rng.standard_normal((n, 5)), rng.standard_normal(n)
+        if where == "rhs":
+            b[n // 2] = bad
+        else:
+            m[n // 2, 3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            qr_thin(m, rhs=b if where == "rhs" else None)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_blocks_with_rhs_stay_finite(self, monkeypatch, scale):
+        monkeypatch.setattr(linalg_mod, "_QR_BLOCK", 64)
+        rng = np.random.default_rng(10)
+        m, b = rng.standard_normal((200, 5)), rng.standard_normal(200)
+        expected = qr_thin(m, rhs=b)
+        r = qr_thin(scale * m, rhs=scale * b)
+        np.testing.assert_allclose(r / scale, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
 
 def orthonormal_factor(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Q = m R^-1, orthonormal exactly when R^T R = m^T m."""
@@ -109,6 +141,14 @@ class TestBlockedR:
         assert np.all(np.diag(r) >= 0.0) and np.array_equal(r, np.triu(r))
         np.testing.assert_allclose(r, signed_r(full), rtol=0,
                                    atol=1e-13 * np.linalg.norm(full))
+
+    def test_bitwise_the_same_in_any_layout(self):
+        m, b = self.data(2 * linalg_mod._QR_BLOCK + 3, 8)
+        ref = qr_thin(m, rhs=b)
+        assert qr_thin(np.asfortranarray(m), rhs=b).tobytes() == ref.tobytes()
+        big = np.zeros((2 * len(b), 9))
+        big[::2, :8], big[::2, 8] = m, b
+        assert qr_thin(big[::2, :8], rhs=big[::2, 8]).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bitwise_the_same_on_any_worker_count(self, monkeypatch, workers):
@@ -150,6 +190,48 @@ class TestBlockedR:
     def test_rhs_needs_one_entry_per_row(self, rhs_len):
         with pytest.raises(DimensionMismatchError):
             qr_thin(np.ones((10, 2)) + np.eye(10, 2), rhs=np.ones(rhs_len))
+
+
+class TestHouseholder:
+    """The one Householder kernel: LAPACK's dgeqrf and dorgqr, in place."""
+
+    @pytest.mark.parametrize("shape", [(2500, 50), (4096, 51), (40, 5), (50, 50),
+                                       (7, 7), (100, 1)])
+    def test_r_and_q_are_bitwise_numpys(self, shape):
+        m = np.random.default_rng(12).standard_normal(shape)
+        q_np, r_np = np.linalg.qr(m)
+        r, q = linalg_mod._householder(np.array(m, order="F"), q=True)
+        assert r.tobytes() == r_np.tobytes() and q.tobytes() == q_np.tobytes()
+        r_only = linalg_mod._householder(np.array(m, order="F"))
+        assert r_only.tobytes() == np.linalg.qr(m, mode="r").tobytes()
+
+    def test_q_is_formed_over_its_input(self):
+        a = np.array(np.random.default_rng(13).standard_normal((300, 8)), order="F")
+        _, q = linalg_mod._householder(a, q=True)
+        assert q.shape == (300, 8) and q.flags.f_contiguous and np.shares_memory(q, a)
+
+    def test_no_copy_of_its_input(self):
+        # Only tau, LAPACK's workspace and R are allocated; each workspace
+        # query would copy all of a without overwrite_a.
+        a = np.array(np.random.default_rng(14).standard_normal((2**14, 20)), order="F")
+        tracemalloc.start()
+        try:
+            linalg_mod._householder(a, q=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * a.nbytes
+
+    def test_c_ordered_input_rejected(self):
+        with pytest.raises(ValueError, match="Fortran"):
+            linalg_mod._householder(np.ones((4, 2)))
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        def dgeqrf(a, lwork, overwrite_a=False):
+            return a, np.zeros(2), np.ones(1), -4
+        monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(dgeqrf=dgeqrf))
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+            linalg_mod._householder(np.array(np.ones((4, 2)), order="F"))
 
 
 class TestTriSolve:
