@@ -201,7 +201,7 @@ def cmd_solve(args) -> int:
         bench.write_trace_csv(args.trace_out, [(report.solver, args.seed, report)])
         print(f"trace written to {args.trace_out}")
     print(f"solver={report.solver} iterations={report.iterations_run} "
-          f"stop={report.stop_reason}")
+          f"stop={report.stop_reason} start={report.start}")
     print(f"final relative error = {report.final_relative_error:.6e}")
     print(f"wall time = {wall:.3f}s "
           f"(preconditioning {report.preconditioning_seconds:.3f}s)")

@@ -46,17 +46,24 @@ class Preconditioner:
     hdb: np.ndarray = field(repr=False)
 
 
-def build_r(a: np.ndarray, sk: SketchOperator, hda: np.ndarray | None = None) -> np.ndarray:
-    """R factor of the sketched matrix S A.
+def build_r(a: np.ndarray, sk: SketchOperator, hda: np.ndarray | None = None,
+            rhs: np.ndarray | None = None) -> np.ndarray:
+    """R factor of the sketched matrix S A, or, given a length-n ``rhs``,
+    the (d + 1) x (d + 1) R of [S A | S rhs] from one ``apply`` and one
+    ``qr_thin``: its last column holds Q^T S rhs over the sketched
+    residual norm, so R[:d, :d]^-1 R[:d, d] solves the sketched problem.
 
-    For an SRHT ``sk``, ``hda`` = H D A under the sketch's signs (from
-    :func:`build_hd` with its seed) gives S A as a row sample, bitwise
-    the same as transforming A again. Raises RankDeficientError when the
-    sketch failed to preserve rank (see :func:`sketched_r` for the retry
-    policy).
+    For an SRHT ``sk`` and no ``rhs``, ``hda`` = H D A under the sketch's
+    signs (from :func:`build_hd` with its seed) gives S A as a row
+    sample, bitwise the same as transforming A again. Raises
+    RankDeficientError when the sketch failed to preserve the rank of A
+    (see :func:`sketched_r` for the retry policy).
     """
-    sa = subsample(sk, hda) if hda is not None and sk.kind == "srht" else apply(sk, a)
-    return qr_thin(sa)
+    if rhs is None:
+        sa = subsample(sk, hda) if hda is not None and sk.kind == "srht" else apply(sk, a)
+        return qr_thin(sa)
+    sab = apply(sk, a, rhs)
+    return qr_thin(sab[:, :-1], rhs=sab[:, -1])
 
 
 def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
@@ -73,21 +80,24 @@ def build_hd(a: np.ndarray, b: np.ndarray, seed: int):
 
 
 def sketched_r(a: np.ndarray, sketch_kind: str, sketch_size: int, seed: int,
-               hda: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """(R, s): R of the seeded sketch S A and the row count s of the
-    sketch that made it, under the automatic retry policy: on
-    RankDeficientError the sketch is redrawn once with doubled s (capped
-    below n); a second failure propagates. An SRHT given ``hda`` (see
-    :func:`build_r`) samples it on both tries and transforms nothing.
+               hda: np.ndarray | None = None,
+               rhs: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """(R, s): R of the seeded sketch S A (of [S A | S rhs] given ``rhs``,
+    see :func:`build_r`) and the row count s of the sketch that made it,
+    under the automatic retry policy: on RankDeficientError the sketch is
+    redrawn once with doubled s (capped below n); a second failure
+    propagates. An SRHT given ``hda`` and no ``rhs`` samples it on both
+    tries and transforms nothing.
     """
     n = a.shape[0]
     try:
-        return build_r(a, make_sketch(sketch_kind, sketch_size, n, seed), hda), sketch_size
+        return (build_r(a, make_sketch(sketch_kind, sketch_size, n, seed), hda, rhs=rhs),
+                sketch_size)
     except RankDeficientError:
         retry_s = min(2 * sketch_size, n - 1)
         if retry_s <= sketch_size:
             raise
-        return build_r(a, make_sketch(sketch_kind, retry_s, n, seed), hda), retry_s
+        return build_r(a, make_sketch(sketch_kind, retry_s, n, seed), hda, rhs=rhs), retry_s
 
 
 def build_preconditioner(a: np.ndarray, b: np.ndarray, sketch_kind: str,

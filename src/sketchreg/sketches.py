@@ -144,8 +144,15 @@ def subsample(sk: SketchOperator, hdm: np.ndarray) -> np.ndarray:
     return np.sqrt(sk.n_pad / sk.s) * hdm[sk.rows]
 
 
-def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
-    """Compute S @ m for an n x d matrix (or length-n vector) m."""
+def apply(sk: SketchOperator, m: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Compute S @ m for an n x d matrix (or length-n vector) m; given a
+    length-n ``rhs``, S [m | rhs], s x (d + 1), from the same pass over m.
+
+    The first d columns of S [m | rhs] are bitwise S m for a Gaussian or
+    a CountSketch: the Gaussian tiles are drawn once and multiply both,
+    and the CountSketch takes one more sparse product. An SRHT's sign
+    pass and transform carry the extra column, so its S m columns agree
+    with S m to rounding only."""
     m = np.asarray(m, dtype=np.float64)
     vector_in = m.ndim == 1
     if vector_in:
@@ -154,6 +161,11 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator expects {sk.n} rows, matrix has {m.shape[0]}"
         )
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.shape != (sk.n,):
+            raise DimensionMismatchError(
+                f"operator expects an rhs of shape ({sk.n},), got {rhs.shape}")
     if sk.kind == "countsketch":
         # Imported here so that processes which never apply a
         # CountSketch do not pay scipy.sparse's start-up time and memory.
@@ -164,25 +176,35 @@ def apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         s_mat = scipy.sparse.csc_matrix(
             (sk.signs, sk.buckets, np.arange(sk.n + 1)), shape=(sk.s, sk.n))
         out = s_mat @ m
+        if rhs is not None:
+            out = np.column_stack((out, s_mat @ rhs))
     elif sk.kind == "srht":
-        padded = np.zeros((sk.n_pad, m.shape[1]))
+        d = m.shape[1]
+        padded = np.zeros((sk.n_pad, d + (rhs is not None)))
+
+        def flip(rows: slice) -> None:
+            np.multiply(m[rows], sk.signs[rows, None], out=padded[rows, :d])
+            if rhs is not None:
+                np.multiply(rhs[rows], sk.signs[rows], out=padded[rows, d])
+
         with parallel(sk.n, padded.size) as (workers, run):
-            run(lambda rows: np.multiply(m[rows], sk.signs[rows, None], out=padded[rows]),
-                split(sk.n, workers))
+            run(flip, split(sk.n, workers))
         fwht_inplace(padded)
         out = padded if sk.rows is None else subsample(sk, padded)
     else:
-        out = _gaussian_apply(sk, m)
-    return out[:, 0] if vector_in else out
+        out = _gaussian_apply(sk, m, rhs)
+    return out[:, 0] if vector_in and rhs is None else out
 
 
-def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
-    """S m for a Gaussian ``sk`` (N(0, 1/s) entries), streamed in row
-    panels (see ``_PANEL_ROWS``), each tile drawn by ``_box_muller``
-    into the float64 tile and float32 uniforms ``parallel`` lends its
-    worker. Workers call only numpy, whose RNG fill, ufunc loops and
-    matmul release the GIL."""
-    out = np.zeros((sk.s, m.shape[1]))
+def _gaussian_apply(sk: SketchOperator, m: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
+    """S m, or S [m | rhs] given ``rhs``, for a Gaussian ``sk`` (N(0, 1/s)
+    entries), streamed in row panels (see ``_PANEL_ROWS``), each tile
+    drawn by ``_box_muller`` into the float64 tile and float32 uniforms
+    ``parallel`` lends its worker, and multiplied into m's rows and
+    rhs's entries under it. Workers call only numpy, whose RNG fill,
+    ufunc loops and matmul release the GIL."""
+    d = m.shape[1]
+    out = np.zeros((sk.s, d + (rhs is not None)))
     panels = -(-sk.s // _PANEL_ROWS)
     size = min(_PANEL_ROWS, sk.s) * min(_PANEL_COLS, sk.n)
 
@@ -193,9 +215,11 @@ def _gaussian_apply(sk: SketchOperator, m: np.ndarray) -> np.ndarray:
         buf, uniforms = scratch
         for start in range(0, sk.n, _PANEL_COLS):
             stop = min(start + _PANEL_COLS, sk.n)
-            tile = buf[: k * (stop - start)]
-            _box_muller(rng, tile, uniforms)
-            rows += tile.reshape(k, stop - start) @ m[start:stop]
+            tile = buf[: k * (stop - start)].reshape(k, stop - start)
+            _box_muller(rng, tile.reshape(-1), uniforms)
+            rows[:, :d] += tile @ m[start:stop]
+            if rhs is not None:
+                rows[:, d] += tile @ rhs[start:stop]
         rows *= 1.0 / np.sqrt(sk.s)
 
     with parallel(panels, sk.s * sk.n, scratch=lambda: (

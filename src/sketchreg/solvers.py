@@ -28,6 +28,18 @@ retry policy. The SGD solvers get it from ``build_preconditioner``,
 which transforms A and b once and samples an SRHT's rows from that
 same H D A.
 
+A run starts at ``SolverConfig.x0`` when one is given. Otherwise the SGD
+solvers start at 0, and the full-gradient solvers at the sketch-and-solve
+point of their t = 1 sketch (``_sketch_start``): that sketch is of
+[A | b], so one pass and one QR give R and Q^T S b, and
+x_ss = R^-1 Q^T S b (Sarlos, FOCS 2006), projected onto W in R's metric,
+leaves only the last digits to iterate, as Epperly (SIMAX 2024) starts
+iterative sketching. On the illcond-highprec benchmark's data (2^15 x 50,
+kappa 1e8) it cut the iterations to 1e-10 from 13-14 to 5-6 at the 50d
+SRHT and CountSketch, and from 22-49 to 9-19 at the 10d Gaussian. The
+stop rules judge the start, so ``iterations=0`` returns the
+sketch-and-solve estimate and a loose target takes no step.
+
 Each pipeline builds one ``_Recorder`` per run before any sketch; it
 keeps the trace, the stop rules and both clocks. The three SGD solvers
 share one pipeline, ``_sgd_solve``, and differ only in their loops. The
@@ -133,6 +145,15 @@ class SolverConfig:
     (1 - rho)^2 / (1 + rho) (``_ratio_step``). An explicit ``step_size``
     is in the same unit and takes no momentum.
 
+    ``x0`` is the start. Without it the SGD solvers start at 0 and the
+    full-gradient solvers at the sketch-and-solve point of their first
+    sketch, projected onto W (0 if f is no lower there than at 0);
+    ``SolveReport.start`` says which. An explicit x0, 0 included, keeps
+    the sketch of A alone, so its runs are the same bits as before that
+    default; R of [S A | S b] differs from R of S A in the last bits.
+    With ``iterations=0`` a solver returns its start: for the
+    full-gradient solvers, the sketch-and-solve estimate.
+
     ``record_every`` spaces the trace points (default: every iteration
     for the full-gradient solvers, about 512 points for the SGD solvers,
     whose points cost O(d^2) each). ``max_seconds``, ``objective_tol``
@@ -197,9 +218,11 @@ class TracePoint(NamedTuple):
 class SolveReport:
     """Per-run record: trace of (iteration, wall time, objective,
     relative error), the last iterate, the averaged iterate, how long
-    the set-up took, and why the run stopped: "iterations" (ran its
+    the set-up took, why the run stopped: "iterations" (ran its
     iteration budget or epoch schedule), "target" (``stop_below_rel``),
-    "time" (``max_seconds``) or "objective_tol".
+    "time" (``max_seconds``) or "objective_tol", and where it started:
+    "x0" (``SolverConfig.x0``), "zero" or "sketch" (the sketch-and-solve
+    point, see ``SolverConfig``). Trace point 0 is the start's objective.
 
     ``preconditioning_seconds`` is the whole set-up lap, from the checked
     start to the first step: the first sketch and its R, and for the SGD
@@ -215,6 +238,7 @@ class SolveReport:
     iterations_run: int
     preconditioning_seconds: float
     stop_reason: str
+    start: str
 
     @property
     def final_relative_error(self) -> float:
@@ -293,9 +317,11 @@ def _batches(u: np.ndarray, rhs: np.ndarray, seed: int,
 
 def _start(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig):
     """(A, b, x0, r0, f0, f_ref): the checked float64 problem, the start x0
-    (zero unless ``cfg.x0`` is given), its residual r0 = A x0 - b, its
-    objective f0 = f(x0) and the divergence guard's reference objective.
-    At x0 = 0, r0 is -b with no pass over A, and f0 is ||b||^2.
+    (zero unless ``cfg.x0`` is given; the full-gradient solvers replace a
+    zero start by ``_sketch_start`` once their first sketch is drawn), its
+    residual r0 = A x0 - b, its objective f0 = f(x0) and the divergence
+    guard's reference objective. At x0 = 0, r0 is -b with no pass over A,
+    and f0 is ||b||^2.
 
     f_ref is the largest of f(x0), f at x0's Euclidean projection onto W
     (an infeasible x0 can sit below every feasible objective) and the
@@ -345,8 +371,11 @@ def resolve_sketch_size(cfg: SolverConfig, n: int, d: int,
     the fewer rows it has. 10d is sized for ``pw_gradient``'s heavy ball
     step (``_heavy_ball_step``), whose worst sampled 50-column spectrum
     at 10d needed 50 iterations for 1e-10 and at 8d 134 (p99.9 28 and
-    45); runs from x = 0 at kappa 1e8 took about 2.2 times these. At
-    small d, 10d rows are too few (see ``_GAUSSIAN_MIN_ROWS``)."""
+    45); runs from x = 0 at kappa 1e8 took about 2.2 times these. From
+    the default sketch-and-solve start they take fewer: 9-19 at 10d on
+    illcond-highprec's data, against 22-49 from x = 0 (datasets 1-3,
+    seeds 1001-1007). At small d, 10d rows are too few (see
+    ``_GAUSSIAN_MIN_ROWS``)."""
     if cfg.sketch_size is not None:
         return cfg.sketch_size
     if cfg.sketch_kind == "gaussian":
@@ -537,7 +566,9 @@ class _Recorder:
     A pipeline builds it right after ``_start``, so a bad stop rule
     raises before any work, and calls ``begin`` once its set-up is done:
     the set-up lap becomes ``preconditioning_seconds`` and the trace clock
-    starts. ``stop`` traces a point when its iteration is due and applies
+    starts. Point 0 is the start's objective; a start chosen in the set-up
+    re-``anchor``s it, and ``at_target`` lets the full-gradient loop stop
+    there. ``stop`` traces a point when its iteration is due and applies
     ``stop_below_rel``, ``objective_tol`` (against the last traced
     objective) and ``max_seconds``, keeping the rule that fired as
     ``stop_reason``; ``report`` makes the exact objective of the returned
@@ -552,18 +583,33 @@ class _Recorder:
             raise ValueError("stop_below_rel needs f_star")
         self.cfg = cfg
         self.f_star = f_star
-        self.limit = _DIVERGENCE_FACTOR * f_ref
         # Full-gradient loops get each objective for free and trace every
         # iteration by default; SGD points cost O(d^2), ~512 are traced.
         self.every = cfg.record_every or (1 if dense else max(1, cfg.iterations // 512))
-        self.trace = [self._point(0, 0.0, f0)]
         self.stop_reason = "iterations"
-        self.start = time.perf_counter()
+        self.anchor("zero" if cfg.x0 is None else "x0", f0, f_ref)
+        self.clock = time.perf_counter()
+
+    def anchor(self, start: str, f0: float, f_ref: float) -> None:
+        """Trace the start, a ``SolveReport.start``, as point 0 with its
+        objective f0, and guard against divergence from f_ref (see
+        ``_start``). A start chosen during the set-up re-anchors."""
+        self.start = start
+        self.limit = _DIVERGENCE_FACTOR * f_ref
+        self.trace = [self._point(0, 0.0, f0)]
 
     def begin(self) -> None:
         """End the set-up lap and start the trace clock."""
         now = time.perf_counter()
-        self.pre_seconds, self.start = now - self.start, now
+        self.pre_seconds, self.clock = now - self.clock, now
+
+    def at_target(self) -> bool:
+        """Whether the start already meets ``stop_below_rel``, which then
+        becomes the stop reason; no other rule can fire before a step."""
+        rel, target = self.trace[0].relative_error, self.cfg.stop_below_rel
+        if target is not None and rel <= target:
+            self.stop_reason = "target"
+        return self.stop_reason == "target"
 
     def _point(self, t: int, elapsed: float, f: float) -> TracePoint:
         if not np.isfinite(f):
@@ -591,7 +637,7 @@ class _Recorder:
 
     def stop(self, t: int, f: float) -> bool:
         """Whether a stop rule fires at iteration t; traces t when due."""
-        point = self._point(t, time.perf_counter() - self.start, f)
+        point = self._point(t, time.perf_counter() - self.clock, f)
         rule = self._rule(point)
         if self.due(t):
             self.trace.append(point)
@@ -603,13 +649,13 @@ class _Recorder:
                final_objective: float) -> SolveReport:
         """The run's report, whose point at iteration ``ran`` carries
         ``final_objective``, the exact objective of the returned iterate."""
-        elapsed = time.perf_counter() - self.start
+        elapsed = time.perf_counter() - self.clock
         if self.trace[-1].iteration == ran:
             elapsed = self.trace.pop().elapsed_seconds
         self.trace.append(self._point(ran, elapsed, final_objective))
         return SolveReport(solver=solver, trace=self.trace, final_x=x, final_x_avg=x_avg,
                            iterations_run=ran, preconditioning_seconds=self.pre_seconds,
-                           stop_reason=self.stop_reason)
+                           stop_reason=self.stop_reason, start=self.start)
 
 
 def _sgd_solve(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg: SolverConfig,
@@ -751,34 +797,44 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
     gradient A^T (Ax - b), the unit of an explicit step. The auto step
     reads the rows of the sketch that made R, after any retry: heavy ball
     (``_heavy_ball_step``) on a fixed sketch, ``_ratio_step`` on each
-    fresh IHS sketch, which sets its own."""
+    fresh IHS sketch, which sets its own. Without ``cfg.x0`` the t = 1
+    sketch also carries b, and the run starts at ``_sketch_start``; the
+    stop rules judge the start, so a start that meets the target takes
+    no step."""
     a, b, x, resid, f, f_ref = _start(a, b, w, cfg)
     rec = _Recorder(cfg, f_star, f, f_ref, dense=True)
     n, d = a.shape
     s = resolve_sketch_size(cfg, n, d, True)
 
-    def sketched_prox(t: int, warm_from: RMetricProx | None = None
-                      ) -> tuple[RMetricProx, float, float]:
+    def sketched_prox(t: int, warm_from: RMetricProx | None = None,
+                      rhs: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, RMetricProx, float, float]:
         seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
-        r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
+        r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed, rhs=rhs)
         if cfg.step_size != "auto":
             eta, beta = float(cfg.step_size), 0.0
         elif fresh_sketch:
             eta, beta = _ratio_step(d, rows), 0.0
         else:
             eta, beta = _heavy_ball_step(d, rows)
-        return RMetricProx(r_factor, w, warm_from), eta, beta
+        return r_factor, RMetricProx(r_factor[:d, :d], w, warm_from), eta, beta
 
     # IHS draws its t = 1 sketch here too, so a bad size fails before any step.
-    prox, eta, beta = sketched_prox(1)
+    r_factor, prox, eta, beta = sketched_prox(1, rhs=b if cfg.x0 is None else None)
+    if cfg.x0 is None:
+        start = _sketch_start(a, b, prox, r_factor, f)
+        if start is not None:
+            x, resid, f = start
+            rec.anchor("sketch", f, max(f, _EPS * float(b @ b)))
     rec.begin()
     ran = 0
     x_prev = x
-    for t in range(1, cfg.iterations + 1):
+    # A start that already meets the target takes no step.
+    for t in range(1, 0 if rec.at_target() else cfg.iterations + 1):
         if fresh_sketch and t > 1:
             # The new R's l1 solve starts from the last step's face; its
             # KKT test still decides.
-            prox, eta, beta = sketched_prox(t, prox)
+            _, prox, eta, beta = sketched_prox(t, prox)
         # Heavy ball steps from x_t + beta (x_t - x_{t-1}); beta = 0 is
         # the plain step from x_t.
         x_from = x + beta * (x - x_prev) if beta else x
@@ -789,6 +845,23 @@ def _full_gradient_descent(a, b, w, cfg, f_star, *, solver: str,
         if rec.stop(t, f):
             break
     return rec.report(solver, ran, x, x.copy(), f)
+
+
+def _sketch_start(a: np.ndarray, b: np.ndarray, prox: RMetricProx, r_factor: np.ndarray,
+                  f_zero: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(x0, A x0 - b, f(x0)) of the full-gradient solvers' default start,
+    or None when f(x0) is not below f_zero = f(0) = ||b||^2 and the run
+    starts at 0. r_factor is R of [S A | S b], so R[:d, d] = Q^T S b and
+    x_ss = R[:d, :d]^-1 Q^T S b minimises ||S (A x - b)||, the
+    sketch-and-solve point (Sarlos, FOCS 2006); x0 is its R-metric
+    projection onto W by ``prox``, as ``bench.ground_truth`` projects
+    x_ls with A's own R, so x0 is feasible."""
+    d = a.shape[1]
+    x_ss = tri_solve(r_factor[:d, :d], r_factor[:d, d])
+    x0 = prox.solve(x_ss, np.zeros(d), 0.0)
+    r0 = a @ x0 - b
+    f0 = float(r0 @ r0)
+    return (x0, r0, f0) if f0 < f_zero else None
 
 
 def pw_gradient(a: np.ndarray, b: np.ndarray, w: FeasibleSet,

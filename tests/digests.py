@@ -9,11 +9,13 @@ any iterate must print the same digests. It is not a test module (no
 
 ``--combined-only`` prints one combined digest per sketch kind (the
 ``sketch_kind`` of each solver run's config, whether or not the solver
-sketches; oracle runs have none), then one per solver name (each key of
-``SOLVERS``, so ``pwgrad`` and its alias ``ihs-fixed`` apart) and one for
-the oracle results, above the overall one, so a change that should move
-one sketch kind's or one solver's runs only can be checked at a glance.
-Without it, one line per run comes before the overall line.
+sketches; oracle runs have none), then one per start (a solver run's
+default start, or its explicit ``x0``), then one per solver name (each
+key of ``SOLVERS``, so ``pwgrad`` and its alias ``ihs-fixed`` apart) and
+one for the oracle results, above the overall one, so a change that
+should move one sketch kind's, one start's or one solver's runs only can
+be checked at a glance. Without it, one line per run comes before the
+overall line.
 
 Each solver run hashes ``final_x``, ``final_x_avg``, the trace's
 iterations, objectives and relative errors, ``iterations_run`` and
@@ -86,6 +88,10 @@ def _hash(run) -> str:
     return h.hexdigest()
 
 
+def _start_of(cfg) -> str:
+    return "default start" if cfg.x0 is None else "explicit x0"
+
+
 def _short_matrix():
     for kappa in (1e3, 1e6):
         a, b, _ = gen_synthetic(DatasetSpec(n=1024, d=8, target_kappa=kappa,
@@ -94,7 +100,7 @@ def _short_matrix():
             w = make_feasible_set(a, b, constraint, radius_scale=0.6)
             where = f"short kappa={kappa:g} {constraint}"
             oracle = ground_truth(a, b, w, seed=2)
-            yield "oracle", None, f"{where} oracle", lambda o=oracle: o
+            yield "oracle", None, None, f"{where} oracle", lambda o=oracle: o
             f_star = oracle[1]
             for name in sorted(SOLVERS):
                 for kind in ("srht", "gaussian", "countsketch"):
@@ -102,8 +108,9 @@ def _short_matrix():
                         cfg = SolverConfig(iterations=40, batch_size=4, seed=3, record_every=5,
                                            sketch_kind=kind, x0=x0)
                         label = f"{where} {name} {kind} x0={'0' if x0 is None else 'given'}"
-                        yield name, kind, label, lambda n=name, a=a, b=b, w=w, c=cfg, f=f_star: (
-                            SOLVERS[n](a, b, w, c, f_star=f))
+                        yield (name, kind, _start_of(cfg), label,
+                               lambda n=name, a=a, b=b, w=w, c=cfg, f=f_star: (
+                                   SOLVERS[n](a, b, w, c, f_star=f)))
 
 
 def _long_sgd():
@@ -118,7 +125,8 @@ def _long_sgd():
             for name in ("hdpwbatch", "hdpwacc", "sgd"):
                 cfg = SolverConfig(iterations=4000 if name == "hdpwacc" else 3000,
                                    batch_size=batch, epochs=60, seed=4, x0=x0)
-                yield (name, cfg.sketch_kind, f"long {start} {constraint} {name} batch={batch}",
+                yield (name, cfg.sketch_kind, _start_of(cfg),
+                       f"long {start} {constraint} {name} batch={batch}",
                        lambda n=name, a=a, b=b, w=w, c=cfg: SOLVERS[n](a, b, w, c))
 
 
@@ -129,7 +137,7 @@ def _oracles():
         for constraint in ("l1", "l2"):
             for scale in (0.5, 0.7):
                 w = make_feasible_set(a, b, constraint, radius_scale=scale)
-                yield ("oracle", None, f"oracle kappa={kappa:g} {constraint} radius={scale}",
+                yield ("oracle", None, None, f"oracle kappa={kappa:g} {constraint} radius={scale}",
                        lambda w=w, a=a, b=b: ground_truth(a, b, w))
 
 
@@ -139,25 +147,27 @@ def _ball_constrained_oracles():
                                             noise_std=1.0, seed=seed))
         for constraint, scale in (("l1", 0.5), ("l2", 0.7)):
             w = make_feasible_set(a, b, constraint, radius_scale=scale)
-            yield ("oracle", None, f"ball-constrained dataset={seed} {constraint} radius={scale}",
+            yield ("oracle", None, None,
+                   f"ball-constrained dataset={seed} {constraint} radius={scale}",
                    lambda w=w, a=a, b=b, s=seed: ground_truth(a, b, w, seed=s))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--combined-only", action="store_true",
-                        help="print only the combined digests: per sketch kind, per solver, "
-                             "oracles, overall")
+                        help="print only the combined digests: per sketch kind, per start, "
+                             "per solver, oracles, overall")
     args = parser.parse_args()
     combined = hashlib.sha256()
     per_kind: dict[str, tuple] = {}  # sketch kind -> (hash, runs)
+    per_start: dict[str, tuple] = {}  # "default start" or "explicit x0" -> (hash, runs)
     per_key: dict[str, tuple] = {}  # solver name or "oracle" -> (hash, runs)
     count = 0
     for group in (_short_matrix, _long_sgd, _oracles, _ball_constrained_oracles):
-        for key, kind, label, run in group():
+        for key, kind, start, label, run in group():
             digest = _hash(run)
             combined.update(digest.encode())
-            for table, name in ((per_kind, kind), (per_key, key)):
+            for table, name in ((per_kind, kind), (per_start, start), (per_key, key)):
                 if name is not None:
                     h, runs = table.get(name, (hashlib.sha256(), 0))
                     h.update(digest.encode())
@@ -168,6 +178,8 @@ def main() -> None:
     if args.combined_only:
         for kind, (h, runs) in sorted(per_kind.items()):
             print(f"{h.hexdigest()}  {kind} sketch ({runs} runs)")
+        for start, (h, runs) in sorted(per_start.items()):
+            print(f"{h.hexdigest()}  {start} ({runs} runs)")
         for key, (h, runs) in sorted(per_key.items()):
             print(f"{h.hexdigest()}  {key} ({runs} runs)")
     print(f"{combined.hexdigest()}  combined ({count} runs)")

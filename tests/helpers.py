@@ -5,7 +5,7 @@ import numpy as np
 import sketchreg.linalg as linalg_mod
 import sketchreg.solvers as solvers_mod
 from sketchreg.feasible import FeasibleSet, RMetricProx, project_l1_ball
-from sketchreg.linalg import fwht_inplace
+from sketchreg.linalg import fwht_inplace, tri_solve
 from sketchreg.precond import sketched_r
 from sketchreg.sketches import _PANEL_COLS, _PANEL_ROWS, SketchOperator, apply, seeds, stream
 
@@ -48,12 +48,14 @@ def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
     x_from = x_t and eta is that step or the sketch's ratio step
     (1 - rho)^2 / (1 + rho), rho = d/s. The auto step on one sketch is
     Polyak heavy ball: x_from = x_t + rho (x_t - x_{t-1}) (x_0 before the
-    first step) and eta = (1 - rho)^2. Returns (final x, objectives from x0)."""
+    first step) and eta = (1 - rho)^2. Without ``cfg.x0`` the first
+    sketch is of [A | b], and x_0 is the W-projection, in its R's metric,
+    of the sketch-and-solve point R^-1 Q^T S b when f is lower there than
+    at 0, else 0. Returns (final x, objectives from x_0)."""
     n, d = a.shape
     s = solvers_mod.resolve_sketch_size(cfg, n, d, True)
-    if cfg.x0 is None:
-        x, resid = np.zeros(d), -b
-    else:
+    x, resid = np.zeros(d), -b
+    if cfg.x0 is not None:
         x = np.asarray(cfg.x0, dtype=np.float64).copy()
         resid = a @ x - b
     x_prev = x
@@ -61,9 +63,17 @@ def sketch_ihs(a: np.ndarray, b: np.ndarray, w: FeasibleSet, cfg,
     for t in range(1, cfg.iterations + 1):
         if t == 1 or fresh_sketch:
             seed = seeds(cfg.seed, "ihs", t).generate_state(1)[0] if fresh_sketch else cfg.seed
-            r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed)
-            prox = RMetricProx(r_factor, w)
+            rhs = b if t == 1 and cfg.x0 is None else None
+            r_factor, rows = sketched_r(a, cfg.sketch_kind, s, seed, rhs=rhs)
+            prox = RMetricProx(r_factor[:d, :d], w)
             rho = d / rows
+            if rhs is not None:
+                x_ss = prox.solve(tri_solve(r_factor[:d, :d], r_factor[:d, d]), np.zeros(d), 0.0)
+                r_ss = a @ x_ss - b
+                if float(r_ss @ r_ss) < objectives[0]:
+                    x = x_prev = x_ss
+                    resid = r_ss
+                    objectives = [float(r_ss @ r_ss)]
         if cfg.step_size != "auto":
             x_from, eta = x, float(cfg.step_size)
         elif fresh_sketch:

@@ -91,7 +91,8 @@ class TestSolve:
                      if "final relative error" in ln][0].split("=")[1])
         assert rel <= 1e-10
         assert trace.exists()
-        assert "solver=pwgrad iterations=60 stop=iterations" in printed.splitlines()
+        assert ("solver=pwgrad iterations=60 stop=iterations start=sketch"
+                in printed.splitlines())
 
     @pytest.mark.parametrize("eta", ["1", "auto"])
     def test_fixed_sketch_ihs_matches_pwgrad_trace(self, tmp_path, eta):

@@ -134,11 +134,11 @@ class TestBuildPreconditioner:
         real_build_r = build_r
         calls = []
 
-        def flaky(a_, sk, hda=None):
+        def flaky(a_, sk, hda=None, rhs=None):
             calls.append(sk.s)
             if len(calls) == 1:
                 raise RankDeficientError("forced")
-            return real_build_r(a_, sk, hda)
+            return real_build_r(a_, sk, hda, rhs=rhs)
 
         monkeypatch.setattr(precond_mod, "build_r", flaky)
         pre = precond_mod.build_preconditioner(a, b, "gaussian", 8, seed=12)
@@ -149,7 +149,7 @@ class TestBuildPreconditioner:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((64, 4))
 
-        def always_fails(a_, sk, hda=None):
+        def always_fails(a_, sk, hda=None, rhs=None):
             raise RankDeficientError("forced")
 
         monkeypatch.setattr(precond_mod, "build_r", always_fails)
@@ -280,7 +280,9 @@ class TestOneHadamardPass:
     @pytest.mark.parametrize("kind", ["srht", "gaussian"])
     def test_full_gradient_solver_retries_like_the_sgd_path(self, kind, monkeypatch):
         # pwgrad's first sketch loses rank: it redraws at 2s, with the R
-        # that build_preconditioner takes under the same failure.
+        # that build_preconditioner takes under the same failure. From an
+        # explicit x0 it sketches A alone, as the SGD path does; its
+        # default start sketches [A | b] under the same policy.
         rng = np.random.default_rng(11)
         a, b = rng.standard_normal((512, 4)), rng.standard_normal(512)
         w = FeasibleSet.unconstrained(4)
@@ -288,20 +290,22 @@ class TestOneHadamardPass:
         real_build_r = build_r
         sizes, factors = [], []
 
-        def flaky(a_, sk, hda=None):
+        def flaky(a_, sk, hda=None, rhs=None):
             sizes.append(sk.s)
-            if len(sizes) == 1:
+            if len(sizes) % 2:
                 raise RankDeficientError("forced")
-            factors.append(real_build_r(a_, sk, hda))
+            factors.append(real_build_r(a_, sk, hda, rhs=rhs))
             return factors[-1]
 
         monkeypatch.setattr(precond_mod, "build_r", flaky)
-        retried = pw_gradient(a, b, w, cfg)
-        assert sizes == [20, 40]
-        sizes.clear()
+        starts = (np.zeros(4), None)
+        retried = [pw_gradient(a, b, w, dataclasses.replace(cfg, x0=x0)) for x0 in starts]
         pre = build_preconditioner(a, b, kind, 20, seed=12)
-        assert sizes == [20, 40]
-        assert factors[0].tobytes() == factors[1].tobytes() == pre.r_factor.tobytes()
+        assert sizes == [20, 40] * 3
+        assert factors[0].tobytes() == factors[2].tobytes() == pre.r_factor.tobytes()
+        sketch_ab = build_r(a, make_sketch(kind, 40, 512, 12), rhs=b)
+        assert factors[1].shape == (5, 5) and factors[1].tobytes() == sketch_ab.tobytes()
         monkeypatch.undo()
-        grown = pw_gradient(a, b, w, dataclasses.replace(cfg, sketch_size=40))
-        np.testing.assert_array_equal(retried.final_x, grown.final_x)
+        for x0, run in zip(starts, retried):
+            grown = pw_gradient(a, b, w, dataclasses.replace(cfg, sketch_size=40, x0=x0))
+            np.testing.assert_array_equal(run.final_x, grown.final_x)

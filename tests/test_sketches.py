@@ -201,6 +201,45 @@ class TestApply:
         sk = make_sketch("gaussian", 4, 10, seed=0)
         with pytest.raises(DimensionMismatchError):
             apply(sk, np.ones((11, 2)))
+        with pytest.raises(DimensionMismatchError, match="rhs"):
+            apply(sk, np.ones((10, 2)), np.ones(11))
+
+
+class TestApplyWithRhs:
+    """apply(sk, m, rhs) = S [m | rhs] from one pass over m."""
+
+    # Two panels and two column tiles for the Gaussian; a padded SRHT.
+    S, N = _PANEL_ROWS + 9, _PANEL_COLS + 300
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_are_s_m_and_s_rhs(self, kind, monkeypatch):
+        sk = make_sketch(kind, self.S, self.N, seed=4)
+        rng = np.random.default_rng(4)
+        m, rhs = rng.standard_normal((self.N, 5)), rng.standard_normal(self.N)
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            both = apply(sk, m, rhs)
+            assert both.shape == (self.S, 6)
+            if kind == "srht":
+                # The transform carries one more column: equal to rounding.
+                np.testing.assert_allclose(both[:, :5], apply(sk, m), rtol=0, atol=1e-12)
+            else:
+                assert both[:, :5].tobytes() == apply(sk, m).tobytes()
+            np.testing.assert_allclose(both[:, 5], apply(sk, rhs), rtol=0, atol=1e-12)
+
+    def test_gaussian_s_is_drawn_once(self, monkeypatch):
+        sk = make_sketch("gaussian", self.S, self.N, seed=5)
+        m, rhs = np.ones((self.N, 3)), np.ones(self.N)
+        calls = []
+        box_muller = sketches_mod._box_muller
+        monkeypatch.setattr(sketches_mod, "_box_muller",
+                            lambda *args: calls.append(1) or box_muller(*args))
+        apply(sk, m)
+        alone = len(calls)
+        calls.clear()
+        apply(sk, m, rhs)
+        # One draw per tile: 2 panels x 2 column tiles, with or without rhs.
+        assert len(calls) == alone == 4
 
 
 class TestGaussianPanels:

@@ -13,9 +13,9 @@ from sketchreg.bench import DatasetSpec, gen_synthetic, ground_truth, make_feasi
 from sketchreg.errors import (DegenerateOptimumError, DimensionMismatchError,
                               DivergenceError, EpochBudgetError, SketchSizeError)
 from sketchreg.feasible import _KKT_TOL, FeasibleSet, RMetricProx, project_euclidean
-from sketchreg.linalg import tri_solve
+from sketchreg.linalg import qr_thin, tri_solve
 from sketchreg.precond import build_preconditioner, sketched_r
-from sketchreg.sketches import stream
+from sketchreg.sketches import apply, make_sketch, seeds, stream
 from sketchreg.solvers import (
     _GRAM_BLOCK,
     SOLVERS,
@@ -98,6 +98,9 @@ PINNED = {
 }
 
 
+FULL_GRADIENT = ["pwgrad", "ihs", "ihs-fixed"]
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(iterations=-1), dict(batch_size=0), dict(step_size=0.0),
@@ -139,8 +142,15 @@ class TestAllSolvers:
         rep = SOLVERS[name](a, b, w, SolverConfig(iterations=0, step_size=0.1, seed=0))
         assert rep.iterations_run == 0
         assert [p.iteration for p in rep.trace] == [0]
-        np.testing.assert_array_equal(rep.final_x, np.zeros(4))
-        np.testing.assert_array_equal(rep.final_x_avg, np.zeros(4))
+        # The full-gradient solvers start at their sketch's sketch-and-solve
+        # point (see TestSketchStart), the SGD solvers at 0.
+        full = name in FULL_GRADIENT
+        assert rep.start == ("sketch" if full else "zero")
+        if not full:
+            np.testing.assert_array_equal(rep.final_x, np.zeros(4))
+        np.testing.assert_array_equal(rep.final_x_avg, rep.final_x)
+        assert rep.final_objective == objective_value(a, b, rep.final_x)
+        assert (rep.final_objective < float(b @ b)) == full
 
     @pytest.mark.parametrize("name", sorted(set(SOLVERS) - {"sgd"}))
     def test_bad_sketch_size_raises_at_set_up(self, name):
@@ -280,7 +290,7 @@ class TestDivergenceGuard:
     def test_small_sketch_raises(self, problem, name, mult, kind):
         a = problem[0]
         cfg = SolverConfig(iterations=40, seed=3, sketch_kind=kind, sketch_size=mult * 50,
-                           step_size=1.0)
+                           step_size=1.0, x0=np.zeros(50))
         if name != "ihs":
             r_factor, _ = sketched_r(a, kind, mult * 50, 3)
             lam_max = np.linalg.norm(tri_solve(r_factor, a.T, transposed=True), 2) ** 2
@@ -314,7 +324,7 @@ class TestDivergenceGuard:
         a, b, _ = problem
         w = make_feasible_set(a, b, constraint, radius_scale=0.7)
         cfg = SolverConfig(iterations=40, seed=3, sketch_size=100, objective_tol=1e-8,
-                           step_size=1.0)
+                           step_size=1.0, x0=np.zeros(50))
         if constraint == "none":
             with pytest.raises(DivergenceError, match="exceeds 10 times"):
                 pw_gradient(a, b, w, cfg)
@@ -326,8 +336,9 @@ class TestDivergenceGuard:
     @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
     @pytest.mark.parametrize("mult", [4, 8])
     def test_ihs_converges_at_4d_and_8d(self, problem, mult, kind):
-        # Measured peak: 1.19 f0 (gaussian, 4d), far below the guard.
-        cfg = SolverConfig(iterations=15, seed=3, sketch_kind=kind, sketch_size=mult * 50)
+        # Measured peak from x = 0: 1.19 f0 (gaussian, 4d), far below the guard.
+        cfg = SolverConfig(iterations=15, seed=3, sketch_kind=kind, sketch_size=mult * 50,
+                           x0=np.zeros(50))
         rep = ihs(*problem, cfg)
         f = np.array([p.objective for p in rep.trace])
         assert rep.stop_reason == "iterations"
@@ -840,26 +851,45 @@ class TestPwGradient:
             solver(a, b, w, SolverConfig(iterations=3, seed=4, sketch_kind="gaussian",
                                          sketch_size=6))
 
-    # Seeds whose 12d Gaussian sketch made the auto step diverge, the
-    # first three at d = 1 and 2 and the only one at d = 5: of seeds
-    # 0-299, 11, 6 and 1 diverged (1, 4 and 4 more missed 1e-10 within
-    # 60 iterations). Both auto steps diverge above the same top
+    # Seeds whose 12d Gaussian sketch made the auto step diverge from
+    # x = 0, the first three at d = 1 and 2 and the only one at d = 5: of
+    # seeds 0-299, 11, 6 and 1 diverged (1, 4 and 4 more missed 1e-10
+    # within 60 iterations). Both auto steps diverge above the same top
     # eigenvalue, so these seeds do not hang on the step rule. At the
-    # default rows all 900 reached 1e-10.
-    @pytest.mark.parametrize("d,seed", [(1, 70), (1, 88), (1, 90), (2, 11), (2, 52),
-                                        (2, 104), (5, 142)])
-    def test_default_gaussian_rows_hold_at_small_d(self, d, seed):
+    # default rows all 900 reached 1e-10 from x = 0.
+    SMALL_GAUSSIAN_SEEDS = [(1, 70), (1, 88), (1, 90), (2, 11), (2, 52), (2, 104), (5, 142)]
+
+    @staticmethod
+    def small_d_problem(d):
         a, b, _ = gen_synthetic(DatasetSpec(n=2048, d=d, target_kappa=1e4,
                                             noise_std=1.0, seed=1))
         w = FeasibleSet.unconstrained(d)
-        _, f_star = ground_truth(a, b, w)
+        return a, b, w, ground_truth(a, b, w)[1]
+
+    @pytest.mark.parametrize("d,seed", SMALL_GAUSSIAN_SEEDS)
+    def test_default_gaussian_rows_hold_at_small_d(self, d, seed):
+        a, b, w, f_star = self.small_d_problem(d)
         cfg = SolverConfig(iterations=60, seed=seed, sketch_kind="gaussian",
                            stop_below_rel=1e-10)
         assert resolve_sketch_size(cfg, 2048, d, True) == 400
         for name in ("pwgrad", "ihs"):
             assert SOLVERS[name](a, b, w, cfg, f_star=f_star).stop_reason == "target"
         with pytest.raises(DivergenceError):
-            pw_gradient(a, b, w, replace(cfg, sketch_size=12 * d), f_star=f_star)
+            pw_gradient(a, b, w, replace(cfg, sketch_size=12 * d, x0=np.zeros(d)),
+                        f_star=f_star)
+
+    @pytest.mark.parametrize("d,seed", SMALL_GAUSSIAN_SEEDS)
+    def test_small_gaussian_rows_diverge_from_the_default_start(self, d, seed):
+        # The sketch-and-solve start sits closer to x*, so the guard at
+        # 10 f(x0) fires later than from x = 0: measured at iterations
+        # 8-172, against 8-55 from x = 0. Cut at 60 iterations, the d = 2
+        # run (seed 104) ended at rel-err 0.996 and the d = 5 one at 0.0083,
+        # both with stop reason "iterations" and no error.
+        a, b, w, f_star = self.small_d_problem(d)
+        cfg = SolverConfig(iterations=200, seed=seed, sketch_kind="gaussian",
+                           sketch_size=12 * d, stop_below_rel=1e-10)
+        with pytest.raises(DivergenceError, match="exceeds 10 times"):
+            pw_gradient(a, b, w, cfg, f_star=f_star)
 
     def test_default_gaussian_rows(self):
         # max(10d, 400): 10d only above d = 40; the SGD default is 8d.
@@ -977,7 +1007,7 @@ class TestIhs:
         seeds = []
         sketched_r = solvers_mod.sketched_r
         monkeypatch.setattr(solvers_mod, "sketched_r",
-                            lambda *args: seeds.append(args[3]) or sketched_r(*args))
+                            lambda *args, **kw: seeds.append(args[3]) or sketched_r(*args, **kw))
         ihs(a, b, w, SolverConfig(iterations=0, seed=9))
         assert len(seeds) == 1
         rep = ihs(a, b, w, SolverConfig(iterations=3, seed=9))
@@ -1006,6 +1036,94 @@ class TestIhs:
         assert warm_pieces < len(pieces) / 2
         np.testing.assert_allclose(warm.final_x, cold.final_x, rtol=0.0,
                                    atol=_KKT_TOL * np.max(np.abs(cold.final_x)))
+
+
+class TestSketchStart:
+    """Without x0 the full-gradient solvers start at the sketch-and-solve
+    point of their t = 1 sketch, projected onto W in its R's metric."""
+
+    @staticmethod
+    def by_hand(a, b, w, cfg, name):
+        """(x_ss, x0) from their definition: R of [S A | S b] by qr_thin,
+        x_ss solves R x = Q^T S b, and x0 is RMetricProx's ball solve."""
+        n, d = a.shape
+        seed = (cfg.seed if name != "ihs"
+                else seeds(cfg.seed, "ihs", 1).generate_state(1)[0])
+        sk = make_sketch(cfg.sketch_kind, resolve_sketch_size(cfg, n, d, True), n, seed)
+        sab = apply(sk, a, b)
+        r = qr_thin(sab[:, :d], rhs=sab[:, d])
+        x_ss = tri_solve(r[:d, :d], r[:d, d])
+        return x_ss, RMetricProx(r[:d, :d], w).solve(x_ss, np.zeros(d), 0.0)
+
+    @pytest.mark.parametrize("constraint", ["none", "l1", "l2"])
+    @pytest.mark.parametrize("kind", ["srht", "gaussian", "countsketch"])
+    @pytest.mark.parametrize("name", FULL_GRADIENT)
+    def test_zero_iterations_return_the_start(self, name, kind, constraint):
+        a, b, w, f_star = make_problem(n=1024, d=6, kappa=1e4, seed=15,
+                                       constraint=constraint, radius_scale=0.6)
+        cfg = SolverConfig(iterations=0, seed=7, sketch_kind=kind)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        x_ss, x0 = self.by_hand(a, b, w, cfg, name)
+        assert rep.start == "sketch" and rep.iterations_run == 0
+        assert rep.final_x.tobytes() == x0.tobytes()
+        # On a ball x_ss lies outside, and the start is its projection.
+        assert w.contains(x_ss, tol=0.0) == (constraint == "none")
+        assert w.contains(x0, tol=1e-12)
+        assert [p.objective for p in rep.trace] == [objective_value(a, b, x0)]
+        # A sketch-and-solve estimate: near f*, far below f(0).
+        assert rep.final_relative_error <= 0.5
+
+    @pytest.mark.parametrize("name", FULL_GRADIENT)
+    def test_a_start_no_better_than_zero_starts_at_zero(self, name, monkeypatch):
+        # Q^T S b scaled up 1e3 times puts x_ss far out: f(x_ss) > f(0).
+        a, b, w, f_star = make_problem(n=512, d=6, kappa=100.0, seed=16)
+        real = solvers_mod.sketched_r
+
+        def far(*args, rhs=None):
+            r, rows = real(*args, rhs=rhs)
+            if rhs is not None:
+                r = r.copy()
+                r[:-1, -1] *= 1e3
+            return r, rows
+
+        monkeypatch.setattr(solvers_mod, "sketched_r", far)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=0, seed=3), f_star=f_star)
+        assert rep.start == "zero"
+        np.testing.assert_array_equal(rep.final_x, np.zeros(6))
+        assert rep.trace[0].objective == float(b @ b)
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=3, seed=3), f_star=f_star)
+        assert rep.start == "zero" and rep.trace[0].objective == float(b @ b)
+        assert rep.final_objective < float(b @ b)
+
+    @pytest.mark.parametrize("name", FULL_GRADIENT)
+    def test_a_start_at_the_target_takes_no_step(self, name):
+        a, b, w, f_star = make_problem(n=1024, d=6, kappa=10.0, seed=25)
+        cfg = SolverConfig(iterations=50, seed=2, stop_below_rel=0.5)
+        rep = SOLVERS[name](a, b, w, cfg, f_star=f_star)
+        assert (rep.stop_reason, rep.iterations_run) == ("target", 0)
+        assert [p.iteration for p in rep.trace] == [0]
+        assert rep.final_relative_error <= 0.5
+
+    @pytest.mark.parametrize("name", FULL_GRADIENT)
+    def test_explicit_x0_sketches_a_alone(self, name, monkeypatch):
+        a, b, w, _ = make_problem(n=512, d=6, kappa=100.0, seed=16)
+        with_rhs = []
+        real = solvers_mod.sketched_r
+        monkeypatch.setattr(solvers_mod, "sketched_r", lambda *args, rhs=None: (
+            with_rhs.append(rhs is not None) or real(*args, rhs=rhs)))
+        for x0, start in ((np.zeros(6), "x0"), (None, "sketch")):
+            with_rhs.clear()
+            rep = SOLVERS[name](a, b, w, SolverConfig(iterations=2, seed=3, x0=x0))
+            assert rep.start == start
+            # Only a default start's t = 1 sketch carries b; ihs draws two.
+            assert with_rhs == [start == "sketch"] + [False] * (name == "ihs")
+
+    @pytest.mark.parametrize("name", ["hdpwbatch", "hdpwacc", "sgd"])
+    def test_sgd_solvers_start_at_zero_or_x0(self, name):
+        a, b, w, _ = make_problem(n=256, d=4, kappa=5.0, seed=9)
+        assert SOLVERS[name](a, b, w, SolverConfig(iterations=2, seed=0)).start == "zero"
+        rep = SOLVERS[name](a, b, w, SolverConfig(iterations=2, seed=0, x0=np.ones(4)))
+        assert rep.start == "x0"
 
 
 class TestL1BallAtHighKappa:
